@@ -28,6 +28,7 @@ from .geometry import (
     laplacian_field,
     sup_r_times_k,
 )
+from .grids import reliable_slice
 
 RESOLUTIONS = (250, 500, 1000, 2000)
 
@@ -129,10 +130,10 @@ def criterion_2() -> CriterionResult:
     traj = _accuracy_run()
     elapsed = time.perf_counter() - start
     sup_rel = 0.0
-    for grid in traj.snapshots:
-        u_exact = exact.u_profile(exact.rosenau(), grid.nodes, float(grid.t))
-        rel = grid.reliable_slice()
-        sup_rel = max(sup_rel, float(np.abs((grid.u - u_exact) / u_exact)[rel].max()))
+    rel = reliable_slice(traj.chart, traj.nodes.size)
+    for k, t in enumerate(traj.times.tolist()):
+        u_exact = exact.u_profile(exact.rosenau(), traj.nodes, t)
+        sup_rel = max(sup_rel, float(np.abs((traj.U[k] - u_exact) / u_exact)[rel].max()))
     checks = (
         _check("sup relative conformal-factor error", sup_rel, "< 0.001", sup_rel < 1e-3),
         _budget(elapsed, 60.0),

@@ -10,22 +10,20 @@ byte-identical files. Exit status: 0 success, 1 threshold failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import acceptance, exact, rescaling, serialize, solver
 from .errors import DomainError, GeomflowError
 from .geometry import invariant_report
-from .grids import CYLINDER, RADIAL, ConformalGrid
+from .grids import ConformalGrid
 
 TASKS = ("verify", "simulate", "invariants", "rescale", "classify", "embed")
-SCHEMES = (solver.EXPLICIT_RK2, solver.SEMI_IMPLICIT)
 DEFAULT_TOLERANCES = {"max_ratio": 5.0, "min_ratio": 3.0, "sup_rel_err": 1e-3}
-DEFAULT_OUTPUT_COUNT = 17
 RESCALE_DEPTHS = (1, 2, 3, 4, 5, 6)
 RESCALE_SPAN = 1.5
 CLASSIFY_SNAPSHOTS = 253
@@ -59,7 +57,7 @@ atomically (temp file then rename). GEOMFLOW_OUT overrides --out and the
 config's output directory."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
     """Validated description of one scenario: source, grid, window, tasks."""
 
@@ -94,8 +92,10 @@ class ScenarioConfig:
         unknown = [t for t in self.tasks if t not in TASKS]
         if unknown:
             raise DomainError(f"unknown tasks {unknown}; expected subset of {list(TASKS)}")
-        if self.scheme not in SCHEMES:
-            raise DomainError(f"unknown scheme {self.scheme!r}; expected one of {list(SCHEMES)}")
+        if self.scheme not in solver.SCHEMES:
+            raise DomainError(
+                f"unknown scheme {self.scheme!r}; expected one of {list(solver.SCHEMES)}"
+            )
         bad_tol = [k for k, _ in self.tolerances if k not in DEFAULT_TOLERANCES]
         if bad_tol:
             raise DomainError(
@@ -111,22 +111,7 @@ class ScenarioConfig:
         return {**DEFAULT_TOLERANCES, **dict(self.tolerances)}
 
 
-_CONFIG_KEYS = (
-    "name",
-    "family",
-    "params",
-    "checkpoint",
-    "extent",
-    "resolution",
-    "t0",
-    "t1",
-    "output_times",
-    "cfl",
-    "scheme",
-    "tasks",
-    "tolerances",
-    "out",
-)
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
 
 
 def config_from_payload(payload: dict) -> ScenarioConfig:
@@ -163,22 +148,9 @@ def config_from_payload(payload: dict) -> ScenarioConfig:
 
 
 def config_to_payload(config: ScenarioConfig) -> dict:
-    return {
-        "name": config.name,
-        "family": config.family,
-        "params": dict(config.params),
-        "checkpoint": config.checkpoint,
-        "extent": config.extent,
-        "resolution": config.resolution,
-        "t0": config.t0,
-        "t1": config.t1,
-        "output_times": None if config.output_times is None else list(config.output_times),
-        "cfl": config.cfl,
-        "scheme": config.scheme,
-        "tasks": list(config.tasks),
-        "tolerances": dict(config.tolerances),
-        "out": config.out,
-    }
+    payload = dataclasses.asdict(config)
+    payload.update(params=dict(config.params), tolerances=dict(config.tolerances))
+    return payload
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -190,32 +162,12 @@ def load_config(path: str) -> ScenarioConfig:
     return config_from_payload(payload)
 
 
-def _sample(spec: exact.ExactSolutionSpec, t: float, n: int, extent: float) -> ConformalGrid:
-    if spec.chart == RADIAL:
-        return exact.sample_grid(spec, t, n=n, extent=extent)
-    return exact.sample_grid(spec, t, n=n, x_lo=-extent, x_hi=extent)
-
-
-def _exact_trajectory(spec, times, n: int, extent: float):
-    if spec.chart == RADIAL:
-        return solver.exact_trajectory(spec, times, n=n, extent=extent)
-    return solver.exact_trajectory(spec, times, n=n, x_lo=-extent, x_hi=extent)
-
-
-def _initial_grid(config: ScenarioConfig):
-    """Starting grid plus the family spec when one is known."""
+def _initial_grid(config: ScenarioConfig) -> ConformalGrid:
+    """The family sampled at t0, or the checkpoint; provenance names the family when known."""
     spec = config.spec()
-    if spec is not None:
-        return _sample(spec, config.t0, config.resolution, config.extent), spec
-    grid = serialize.load_checkpoint(config.checkpoint)
-    provenance = grid.provenance
-    return grid, provenance
-
-
-def _output_times(config: ScenarioConfig, t_start: float) -> np.ndarray:
-    if config.output_times is not None:
-        return np.asarray(config.output_times, dtype=float)
-    return np.linspace(t_start, config.t1, DEFAULT_OUTPUT_COUNT)
+    if spec is None:
+        return serialize.load_checkpoint(config.checkpoint)
+    return exact.sample_grid(spec, config.t0, n=config.resolution, extent=config.extent)
 
 
 def _convergence_ladder(resolution: int) -> tuple[int, ...]:
@@ -234,7 +186,7 @@ def _task_verify(config: ScenarioConfig, out_dir: str) -> int:
     rows = []
     failures = 0
     for n in _convergence_ladder(config.resolution):
-        grid = _sample(spec, config.t0, n, config.extent)
+        grid = exact.sample_grid(spec, config.t0, n=n, extent=config.extent)
         lap = laplacian_field(np.log(grid.u), grid.nodes, grid.h, grid.chart)
         residual = exact.dudt_profile(spec, grid.nodes, config.t0) - lap
         err = float(np.abs(residual[grid.reliable_slice()]).max())
@@ -248,13 +200,14 @@ def _task_verify(config: ScenarioConfig, out_dir: str) -> int:
 
 
 def _task_simulate(config: ScenarioConfig, out_dir: str) -> int:
-    grid0, spec = _initial_grid(config)
-    times = _output_times(config, float(grid0.t))
+    grid0 = _initial_grid(config)
+    spec = grid0.provenance
     traj = solver.evolve(
-        grid0, config.t1, cfl=config.cfl, scheme=config.scheme, output_times=times
+        grid0, config.t1, cfl=config.cfl, scheme=config.scheme, output_times=config.output_times
     )
-    for i, snap in enumerate(traj.snapshots):
-        serialize.save_checkpoint(os.path.join(out_dir, f"checkpoint_{i:04d}.json"), snap)
+    for k in range(traj.times.size):
+        path = os.path.join(out_dir, f"checkpoint_{k:04d}.json")
+        serialize.save_checkpoint(path, traj.snapshot(k))
     series = solver.rmax_series(traj)
     serialize.write_csv(
         os.path.join(out_dir, "rmax.csv"), ("t", "r_max"), [[t, v] for t, v in series.values]
@@ -266,10 +219,10 @@ def _task_simulate(config: ScenarioConfig, out_dir: str) -> int:
     if spec is None:
         return 0
     sup_rel = 0.0
-    for snap in traj.snapshots:
-        u_ref = exact.u_profile(spec, snap.nodes, float(snap.t))
-        rel = snap.reliable_slice()
-        sup_rel = max(sup_rel, float(np.abs((snap.u - u_ref) / u_ref)[rel].max()))
+    rel = grid0.reliable_slice()
+    for k, t in enumerate(traj.times.tolist()):
+        u_ref = exact.u_profile(spec, traj.nodes, t)
+        sup_rel = max(sup_rel, float(np.abs((traj.U[k] - u_ref) / u_ref)[rel].max()))
     return int(sup_rel > config.effective_tolerances()["sup_rel_err"])
 
 
@@ -278,9 +231,12 @@ def _task_invariants(config: ScenarioConfig, out_dir: str) -> int:
     if spec is None:
         grids = [serialize.load_checkpoint(config.checkpoint)]
     else:
+        times = config.output_times
+        if times is None:
+            times = np.linspace(config.t0, config.t1, solver.DEFAULT_OUTPUT_COUNT)
         grids = [
-            _sample(spec, float(t), config.resolution, config.extent)
-            for t in _output_times(config, config.t0)
+            exact.sample_grid(spec, float(t), n=config.resolution, extent=config.extent)
+            for t in times
         ]
     header, rows = serialize.invariant_table(invariant_report(g) for g in grids)
     serialize.write_csv(os.path.join(out_dir, "invariants.csv"), header, rows)
@@ -306,7 +262,7 @@ def _task_rescale(config: ScenarioConfig, out_dir: str) -> int:
             traj = rescaling.backward_rosenau_trajectory(j)
         else:
             times = np.linspace(rescaling.default_window(j), -1e-3, 257)
-            traj = _exact_trajectory(spec, times, config.resolution, config.extent)
+            traj = solver.exact_trajectory(spec, times, n=config.resolution, extent=config.extent)
         pick = rescaling.pick_point(
             traj, rescaling.default_window(j), rescaling.default_gamma(j), j=j
         )
@@ -322,7 +278,7 @@ def _task_classify(config: ScenarioConfig, out_dir: str) -> int:
     spec = config.spec()
     _require_backward_resolvable(spec, "classify")
     times = np.linspace(config.t0, config.t1, CLASSIFY_SNAPSHOTS)
-    traj = _exact_trajectory(spec, times, config.resolution, config.extent)
+    traj = solver.exact_trajectory(spec, times, n=config.resolution, extent=config.extent)
     report = rescaling.classify_type(traj, t0=config.t1)
     serialize.write_csv(
         os.path.join(out_dir, "classify.csv"), ("T", "S"), [[t, s] for t, s in report.samples]
@@ -337,12 +293,7 @@ def _task_classify(config: ScenarioConfig, out_dir: str) -> int:
 def _task_embed(config: ScenarioConfig, out_dir: str) -> int:
     from . import embedding
 
-    spec = config.spec()
-    if spec is None:
-        grid = serialize.load_checkpoint(config.checkpoint)
-    else:
-        grid = _sample(spec, config.t0, config.resolution, config.extent)
-    profile = embedding.profile_from_metric(grid)
+    profile = embedding.profile_from_metric(_initial_grid(config))
     surface = embedding.embed(profile)
     serialize.write_csv(
         os.path.join(out_dir, "surface.csv"),
@@ -442,29 +393,19 @@ def _add_inline_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    notes = dict(epilog=COLUMN_NOTES, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser = argparse.ArgumentParser(
         prog="geomflow",
         description="Conformal-factor flow scenarios: simulate, measure, classify, embed.",
-        epilog=COLUMN_NOTES,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        **notes,
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    run_p = subs.add_parser(
-        "run",
-        help="execute a JSON scenario config",
-        epilog=COLUMN_NOTES,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    run_p = subs.add_parser("run", help="execute a JSON scenario config", **notes)
     run_p.add_argument("config", help="path to a scenario JSON document")
     verify_p = subs.add_parser("verify", help="run the built-in acceptance suite")
     verify_p.add_argument("--out", default=None, help="also write verify_report.csv here")
     for task in ("simulate", "invariants", "rescale", "classify", "embed"):
-        sub = subs.add_parser(
-            task,
-            help=f"run the {task} task from inline flags",
-            epilog=COLUMN_NOTES,
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
+        sub = subs.add_parser(task, help=f"run the {task} task from inline flags", **notes)
         _add_inline_flags(sub)
     return parser
 

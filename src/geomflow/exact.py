@@ -130,34 +130,6 @@ def ds_soliton(beta: float = 2.0, delta: float = 1.0) -> ExactSolutionSpec:
     return ExactSolutionSpec(DS_SOLITON, (("beta", float(beta)), ("delta", float(delta))))
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point of the radial chart (rho,) or the cylinder chart (x, theta)."""
-
-    chart: str
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.chart == RADIAL:
-            (rho,) = self.coords
-            if rho < 0.0:
-                raise DomainError("radial coordinate must be nonnegative")
-            object.__setattr__(self, "coords", (float(rho),))
-        elif self.chart == CYLINDER:
-            x, theta = self.coords
-            object.__setattr__(self, "coords", (float(x), math.remainder(theta, 2.0 * math.pi)))
-        else:
-            raise DomainError(f"unknown chart {self.chart!r}")
-
-
-def radial_point(rho: float) -> ChartPoint:
-    return ChartPoint(RADIAL, (rho,))
-
-
-def cylinder_point(x: float, theta: float = 0.0) -> ChartPoint:
-    return ChartPoint(CYLINDER, (x, theta))
-
-
 def check_time(spec: ExactSolutionSpec, t: float) -> None:
     lo, hi = spec.existence_interval()
     if not (lo < t < hi):
@@ -235,24 +207,6 @@ def dudt_profile(spec: ExactSolutionSpec, coords: np.ndarray, t: float) -> np.nd
     beta, delta = _ds_params(spec)
     shift = _ds_shift(beta, delta, t)
     return -4.0 * shift / (c * c + shift) ** 2
-
-
-def _point_coord(spec: ExactSolutionSpec, point: ChartPoint) -> float:
-    if point.chart != spec.chart:
-        raise DomainError(f"{spec.family} lives on the {spec.chart} chart, got {point.chart}")
-    return point.coords[0]
-
-
-def eval_u(spec: ExactSolutionSpec, point: ChartPoint, t: float) -> float:
-    return float(u_profile(spec, np.array([_point_coord(spec, point)]), t)[0])
-
-
-def eval_R(spec: ExactSolutionSpec, point: ChartPoint, t: float) -> float:
-    return float(r_profile(spec, np.array([_point_coord(spec, point)]), t)[0])
-
-
-def eval_dudt(spec: ExactSolutionSpec, point: ChartPoint, t: float) -> float:
-    return float(dudt_profile(spec, np.array([_point_coord(spec, point)]), t)[0])
 
 
 def rosenau_rmax(t: float) -> float:

@@ -65,10 +65,17 @@ def laplacian_field(w: np.ndarray, nodes: np.ndarray, h: float, chart: str) -> n
     return lap
 
 
+def curvature_field(
+    w: np.ndarray, u: np.ndarray, nodes: np.ndarray, h: float, chart: str
+) -> np.ndarray:
+    """R = -lap(w)/u for one row of u, given w = log u (the solver passes its
+    own log state, which can differ from np.log(u) in the last bit)."""
+    return -laplacian_field(w, nodes, h, chart) / u
+
+
 def scalar_curvature(grid: ConformalGrid) -> np.ndarray:
     """R = -lap(log u)/u at every node."""
-    w = np.log(grid.u)
-    return -laplacian_field(w, grid.nodes, grid.h, grid.chart) / grid.u
+    return curvature_field(np.log(grid.u), grid.u, grid.nodes, grid.h, grid.chart)
 
 
 def s_profile(grid: ConformalGrid) -> np.ndarray:

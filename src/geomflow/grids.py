@@ -37,10 +37,55 @@ U_NOISE_FLOOR = 1e-7
 MIN_NODES = 16
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=float).copy()
-    out.setflags(write=False)
+def readonly(a: np.ndarray) -> np.ndarray:
+    """Float array that cannot be written; an already read-only input is shared."""
+    out = np.asarray(a, dtype=float)
+    if out.flags.writeable:
+        out = out.copy()
+        out.setflags(write=False)
     return out
+
+
+def check_layout(chart: str, nodes: np.ndarray) -> float:
+    """Validate a chart's node layout and return its uniform spacing h."""
+    if chart not in CHARTS:
+        raise DomainError(f"unknown chart {chart!r}")
+    n = nodes.size
+    if n < MIN_NODES:
+        raise DomainError(f"grid needs at least {MIN_NODES} nodes, got {n}")
+    steps = np.diff(nodes)
+    h = float(steps[0])
+    if h <= 0.0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
+        raise DomainError("nodes must be uniformly spaced and increasing")
+    if chart == RADIAL and abs(float(nodes[0])) > 1e-12 * h:
+        raise DomainError("radial grids must start at the axis rho = 0")
+    return h
+
+
+def check_positive(u: np.ndarray) -> None:
+    if not np.all(np.isfinite(u)) or not np.all(u > 0.0):
+        raise DomainError("conformal factor must be finite and positive")
+
+
+def reliable_slice(chart: str, n: int) -> slice:
+    """Nodes far enough from outer boundaries to trust pointwise stats."""
+    if chart == RADIAL:
+        return slice(0, n - RELIABLE_MARGIN)
+    return slice(RELIABLE_MARGIN, n - RELIABLE_MARGIN)
+
+
+def trust_mask(u: np.ndarray, chart: str, floor: float) -> np.ndarray:
+    """Reliable-slice nodes of one row of u with u >= floor.
+
+    A row with no such node keeps its best-conditioned node (the argmax of u),
+    so maxima over the mask are always defined.
+    """
+    mask = np.zeros(u.size, dtype=bool)
+    mask[reliable_slice(chart, u.size)] = True
+    mask &= u >= floor
+    if not mask.any():
+        mask[int(np.argmax(u))] = True
+    return mask
 
 
 @dataclass(frozen=True)
@@ -55,26 +100,14 @@ class ConformalGrid:
     h: float = field(init=False)
 
     def __post_init__(self):
-        if self.chart not in CHARTS:
-            raise DomainError(f"unknown chart {self.chart!r}")
-        nodes = _readonly(self.nodes)
-        u = _readonly(self.u)
+        nodes = readonly(self.nodes)
+        u = readonly(self.u)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "u", u)
         if nodes.ndim != 1 or nodes.shape != u.shape:
             raise DomainError("nodes and u must be matching 1-d arrays")
-        n = nodes.size
-        if n < MIN_NODES:
-            raise DomainError(f"grid needs at least {MIN_NODES} nodes, got {n}")
-        steps = np.diff(nodes)
-        h = float(steps[0])
-        if h <= 0.0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-            raise DomainError("nodes must be uniformly spaced and increasing")
-        if self.chart == RADIAL and abs(float(nodes[0])) > 1e-12 * h:
-            raise DomainError("radial grids must start at the axis rho = 0")
-        if not np.all(np.isfinite(u)) or not np.all(u > 0.0):
-            raise DomainError("conformal factor must be finite and positive")
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", check_layout(self.chart, nodes))
+        check_positive(u)
 
     @property
     def n(self) -> int:
@@ -86,18 +119,11 @@ class ConformalGrid:
 
     def reliable_slice(self) -> slice:
         """Nodes far enough from outer boundaries to trust pointwise stats."""
-        if self.chart == RADIAL:
-            return slice(0, self.n - RELIABLE_MARGIN)
-        return slice(RELIABLE_MARGIN, self.n - RELIABLE_MARGIN)
+        return reliable_slice(self.chart, self.n)
 
     def reliable_mask(self) -> np.ndarray:
         """Reliable-slice mask minus nodes drowned in 1/u roundoff noise."""
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.reliable_slice()] = True
-        mask &= self.u >= U_NOISE_FLOOR
-        if not mask.any():  # degenerate: keep the best-conditioned node
-            mask[int(np.argmax(self.u))] = True
-        return mask
+        return trust_mask(self.u, self.chart, U_NOISE_FLOOR)
 
     def with_u(self, u: np.ndarray, t: float | None = None) -> "ConformalGrid":
         return replace(self, u=u, t=self.t if t is None else float(t))

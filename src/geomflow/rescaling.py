@@ -87,10 +87,10 @@ class RescalingPick:
             raise DomainError("dilated window endpoints must be positive")
 
 
-def _masked_magnitude(grid: ConformalGrid) -> np.ndarray:
-    """Curvature magnitude M = |R|/2 with untrusted nodes sent to -inf."""
-    magnitude = 0.5 * np.abs(scalar_curvature(grid))
-    magnitude[~trusted_mask(grid)] = -np.inf
+def _masked_magnitude(traj: FlowTrajectory, k: int) -> np.ndarray:
+    """Curvature magnitude M = |R|/2 of snapshot k with untrusted nodes sent to -inf."""
+    magnitude = 0.5 * np.abs(traj.curvature(k))
+    magnitude[~traj.trusted(k)] = -np.inf
     return magnitude
 
 
@@ -119,14 +119,13 @@ def pick_point(
 
     snapshot_sups = []
     sup = 0.0
-    for k, grid in enumerate(traj.snapshots):
-        t = float(grid.t)
+    for k, t in enumerate(times.tolist()):
         if t < T_j - tol:
             continue
         weight = (-t) * (t - T_j)
         if weight <= 0.0:
             continue
-        peak = weight * float(_masked_magnitude(grid).max())
+        peak = weight * float(_masked_magnitude(traj, k).max())
         snapshot_sups.append((k, weight, peak))
         sup = max(sup, peak)
     if not sup > 0.0:
@@ -136,16 +135,15 @@ def pick_point(
     for k, weight, peak in snapshot_sups:
         if peak < band:
             continue
-        grid = traj.snapshots[k]
-        scores = weight * _masked_magnitude(grid)
+        scores = weight * _masked_magnitude(traj, k)
         node = int(np.nonzero(scores >= band)[0][0])
-        t_j = float(grid.t)
+        t_j = float(times[k])
         m_j = float(scores[node]) / weight
         return RescalingPick(
             j=j,
             T_j=T_j,
             gamma_j=gamma_j,
-            x_j=float(grid.nodes[node]),
+            x_j=float(traj.nodes[node]),
             node=node,
             t_j=t_j,
             M_j=m_j,
@@ -181,8 +179,7 @@ class DilatedFlow:
         return self.pick.M_j * self.traj.u_at(self.pick.t_j + t / self.pick.M_j)
 
     def grid_at(self, t: float) -> ConformalGrid:
-        base = self.traj.grid0
-        return ConformalGrid(base.chart, base.nodes.copy(), self.u_at(t), float(t))
+        return ConformalGrid(self.traj.chart, self.traj.nodes, self.u_at(t), float(t))
 
     def magnitude_bound(self, t: float) -> float:
         """Upper bound on the dilated curvature magnitude inside the window."""
@@ -335,13 +332,11 @@ def classify_type(traj: FlowTrajectory, t0: float = CLASSIFIER_T0) -> Classifica
 
     sample_times = []
     sample_values = []
-    for grid in traj.snapshots:
-        t = float(grid.t)
+    for k, t in enumerate(times.tolist()):
         if t > t0 + tol:
             continue
-        magnitude = 0.5 * np.abs(scalar_curvature(grid))
         sample_times.append(t)
-        sample_values.append(abs(t) * float(magnitude[trusted_mask(grid)].max()))
+        sample_values.append(abs(t) * float(_masked_magnitude(traj, k).max()))
 
     samples = []
     for T in windows:

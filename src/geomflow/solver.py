@@ -22,16 +22,16 @@ only by accuracy, dt ~ h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import LinAlgError, solve_banded
 
 from .errors import BlowUpError, DomainError, GeomflowError, StepRejectedError, WindowError
-from .exact import check_time, log_u_profile
-from .geometry import laplacian_field, scalar_curvature
-from .grids import CYLINDER, RADIAL, U_NOISE_FLOOR, ConformalGrid
+from .exact import ExactSolutionSpec, check_time, log_u_profile, sample_grid, u_profile
+from .geometry import curvature_field, scalar_curvature
+from .grids import CYLINDER, RADIAL, ConformalGrid, check_layout, check_positive, readonly
+from .grids import reliable_slice, trust_mask
 
 EXPLICIT_RK2 = "ExplicitRK2"
 SEMI_IMPLICIT = "SemiImplicit"
@@ -40,7 +40,7 @@ SCHEMES = (EXPLICIT_RK2, SEMI_IMPLICIT)
 EXACT = "exact"
 
 BLOW_UP_RMAX = 1.0e3
-DEFAULT_OUTPUT_COUNT = 9
+DEFAULT_OUTPUT_COUNT = 17
 
 # Trust region for curvature statistics on evolved data. R = -lap(w)/u divides
 # a second difference by u, so the smooth O(h^2 + dt^2) integration error in w
@@ -68,37 +68,56 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class FlowTrajectory:
-    """Snapshots of one flow run plus the per-step bookkeeping.
+    """Snapshots of one flow run as rows of one array, plus the step log.
 
-    Snapshots share the initial grid's chart, nodes and provenance (the
+    Row k of the read-only array U, of shape (len(times), len(nodes)), is
+    the conformal factor at times[k] on the shared chart and nodes. The
     provenance keeps recording which family supplied the boundary data,
-    even though evolved interiors carry discretization error).
+    even though evolved interiors carry discretization error.
     """
 
-    snapshots: tuple[ConformalGrid, ...]
+    chart: str
+    nodes: np.ndarray
+    times: np.ndarray
+    U: np.ndarray
+    provenance: ExactSolutionSpec | None
     steps: tuple[StepRecord, ...]
     scheme: str
+    h: float = field(init=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES and self.scheme != EXACT:
             raise DomainError(f"unknown scheme {self.scheme!r}")
-        if len(self.snapshots) < 1:
+        nodes, times, U = readonly(self.nodes), readonly(self.times), readonly(self.U)
+        if nodes.ndim != 1 or times.ndim != 1 or U.shape != (times.size, nodes.size):
+            raise DomainError("U must have shape (len(times), len(nodes))")
+        if times.size < 1:
             raise WindowError("trajectory needs at least one snapshot")
-        first = self.snapshots[0]
-        for g in self.snapshots[1:]:
-            if g.chart != first.chart or not np.array_equal(g.nodes, first.nodes):
-                raise DomainError("all snapshots must share one chart and node layout")
-        times = [g.t for g in self.snapshots]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if not np.all(np.diff(times) > 0.0):
             raise WindowError("snapshot times must be strictly increasing")
+        object.__setattr__(self, "h", check_layout(self.chart, nodes))
+        check_positive(U)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "U", U)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([g.t for g in self.snapshots])
+    def snapshot(self, k: int) -> ConformalGrid:
+        """Snapshot k as a standalone grid; it shares the trajectory's read-only arrays."""
+        t = float(self.times[k])
+        return ConformalGrid(self.chart, self.nodes, self.U[k], t, self.provenance)
 
     @property
     def grid0(self) -> ConformalGrid:
-        return self.snapshots[0]
+        return self.snapshot(0)
+
+    def curvature(self, k: int) -> np.ndarray:
+        """Scalar curvature of snapshot k."""
+        u = self.U[k]
+        return curvature_field(np.log(u), u, self.nodes, self.h, self.chart)
+
+    def trusted(self, k: int) -> np.ndarray:
+        """Nodes of snapshot k that support curvature statistics (see trusted_mask)."""
+        return trust_mask(self.U[k], self.chart, CURVATURE_TRUST_FLOOR)
 
     def u_at(self, t: float) -> np.ndarray:
         """Conformal factor at time t, linear in time between snapshots."""
@@ -108,12 +127,12 @@ class FlowTrajectory:
             raise WindowError(f"time {t} outside snapshot range [{times[0]}, {times[-1]}]")
         k = int(np.searchsorted(times, t))
         if k == 0:
-            return self.snapshots[0].u.copy()
+            return self.U[0].copy()
         if k == len(times):
-            return self.snapshots[-1].u.copy()
+            return self.U[-1].copy()
         t0, t1 = times[k - 1], times[k]
         lam = (t - t0) / (t1 - t0)
-        return (1.0 - lam) * self.snapshots[k - 1].u + lam * self.snapshots[k].u
+        return (1.0 - lam) * self.U[k - 1] + lam * self.U[k]
 
 
 @dataclass(frozen=True)
@@ -154,7 +173,16 @@ class DiagnosticReport:
 
 
 class _Stencil:
-    """Tridiagonal lap(w) rows plus the boundary-pinning bookkeeping."""
+    """Tridiagonal lap(w) rows plus the boundary-pinning bookkeeping.
+
+    These rows are the matrix the implicit solve inverts, and the explicit
+    half of the trapezoid corrector must apply that same matrix, so the
+    axis row uses two points and the matrix stays tridiagonal. This is not
+    geometry.laplacian_field, the measurement operator, which has
+    one-sided ends and an O(h^6) axis row. On interior rows the two agree
+    only to rounding (about 1.4 * eps * max|w| / h^2, never bitwise), so
+    merging them would change every evolved artifact.
+    """
 
     def __init__(self, grid: ConformalGrid):
         n = grid.n
@@ -265,23 +293,15 @@ def _advance(stepper, st: _Stencil, w: np.ndarray, t: float, dt: float):
     return w_new, u_new
 
 
-def _stat_mask(u: np.ndarray, rel: slice) -> np.ndarray:
-    mask = np.zeros(u.size, dtype=bool)
-    mask[rel] = True
-    mask &= u >= max(U_NOISE_FLOOR, CURVATURE_TRUST_FLOOR)
-    if not mask.any():
-        mask[int(np.argmax(u))] = True
-    return mask
-
-
 def trusted_mask(grid: ConformalGrid) -> np.ndarray:
     """Reliable-slice nodes whose conformal factor supports curvature statistics."""
-    return _stat_mask(grid.u, grid.reliable_slice())
+    return trust_mask(grid.u, grid.chart, CURVATURE_TRUST_FLOOR)
 
 
-def _masked_rmax(u: np.ndarray, lap: np.ndarray, rel: slice) -> float:
-    r = -lap / u
-    return float(r[_stat_mask(u, rel)].max())
+def _masked_rmax(grid: ConformalGrid, w: np.ndarray, u: np.ndarray) -> float:
+    """Curvature peak over the trusted nodes of the state w = log u on grid's layout."""
+    r = curvature_field(w, u, grid.nodes, grid.h, grid.chart)
+    return float(r[trust_mask(u, grid.chart, CURVATURE_TRUST_FLOOR)].max())
 
 
 def adaptive_dt(grid: ConformalGrid, cfl: float) -> float:
@@ -289,8 +309,7 @@ def adaptive_dt(grid: ConformalGrid, cfl: float) -> float:
     if not (0.0 < cfl <= 1.0):
         raise DomainError(f"cfl must lie in (0, 1], got {cfl}")
     cap = grid.h * grid.h * float(grid.u.min()) / 4.0
-    r = scalar_curvature(grid)
-    r_max = float(r[_stat_mask(grid.u, grid.reliable_slice())].max())
+    r_max = float(scalar_curvature(grid)[trusted_mask(grid)].max())
     if r_max > 0.0:
         cap = min(cap, 1.0 / r_max)
     return cfl * cap
@@ -356,11 +375,13 @@ def evolve(
     w = np.log(grid.u)
     u = grid.u.copy()
     t = grid.t
-    r_max = _masked_rmax(u, laplacian_field(w, grid.nodes, h, grid.chart), rel)
-    snapshots = [grid]
+    r_max = _masked_rmax(grid, w, u)
+    U = np.empty((targets.size, grid.n))
+    U[0] = grid.u
     steps: list[StepRecord] = []
 
-    for target in targets[1:]:
+    for k in range(1, targets.size):
+        target = targets[k]
         tol = 1e-12 * max(1.0, abs(target))
         while t < target - tol:
             if scheme == EXPLICIT_RK2:
@@ -376,7 +397,7 @@ def evolve(
             residual = float(np.abs(resid[rel]).max())
             w, u = w_new, u_new
             t = t + dt
-            r_max = _masked_rmax(u, laplacian_field(w, grid.nodes, h, grid.chart), rel)
+            r_max = _masked_rmax(grid, w, u)
             steps.append(StepRecord(t=t, dt=dt, residual=residual, r_max=r_max))
             if r_max > blow_up_threshold:
                 raise BlowUpError(
@@ -387,9 +408,9 @@ def evolve(
             if len(steps) >= max_steps:
                 raise GeomflowError(f"step budget {max_steps} exhausted at t={t}")
         t = float(target)
-        snapshots.append(ConformalGrid(grid.chart, grid.nodes.copy(), u.copy(), t, grid.provenance))
-
-    return FlowTrajectory(snapshots=tuple(snapshots), steps=tuple(steps), scheme=scheme)
+        U[k] = u
+    U.setflags(write=False)
+    return FlowTrajectory(grid.chart, grid.nodes, targets, U, grid.provenance, tuple(steps), scheme)
 
 
 def exact_trajectory(
@@ -402,32 +423,32 @@ def exact_trajectory(
     x_hi: float | None = None,
 ) -> FlowTrajectory:
     """Trajectory sampled straight from a family (no stepping, no error)."""
-    from .exact import sample_grid
-
     times = np.asarray(times, dtype=float)
     if times.size < 2 or np.any(np.diff(times) <= 0.0):
         raise WindowError("exact trajectory needs at least two strictly increasing times")
-    snaps = tuple(
-        sample_grid(spec, float(t), n=n, extent=extent, x_lo=x_lo, x_hi=x_hi) for t in times
-    )
-    return FlowTrajectory(snapshots=snaps, steps=(), scheme=EXACT)
+    grid = sample_grid(spec, float(times[0]), n=n, extent=extent, x_lo=x_lo, x_hi=x_hi)
+    U = np.empty((times.size, grid.n))
+    U[0] = grid.u
+    for k in range(1, times.size):
+        U[k] = u_profile(spec, grid.nodes, float(times[k]))
+    U.setflags(write=False)
+    return FlowTrajectory(grid.chart, grid.nodes, times, U, spec, (), EXACT)
 
 
 def rmax_series(traj: FlowTrajectory) -> RmaxSeries:
     """Per-snapshot masked curvature maximum and its worst drop."""
-    values = []
-    for g in traj.snapshots:
-        r = scalar_curvature(g)
-        rel = g.reliable_slice()
-        values.append((float(g.t), float(r[_stat_mask(g.u, rel)].max())))
+    values = tuple(
+        (float(t), float(traj.curvature(k)[traj.trusted(k)].max()))
+        for k, t in enumerate(traj.times)
+    )
     drops = [a[1] - b[1] for a, b in zip(values, values[1:])]
     defect = max(0.0, max(drops, default=0.0))
-    return RmaxSeries(values=tuple(values), monotonicity_defect=defect)
+    return RmaxSeries(values=values, monotonicity_defect=defect)
 
 
-def _tracked_circle_indices(grid: ConformalGrid, fractions) -> tuple[int, ...]:
-    rel = grid.reliable_slice()
-    lo = rel.start if grid.chart == CYLINDER else 1
+def _tracked_circle_indices(traj: FlowTrajectory, fractions) -> tuple[int, ...]:
+    rel = reliable_slice(traj.chart, traj.nodes.size)
+    lo = rel.start if traj.chart == CYLINDER else 1
     hi = rel.stop - 1
     if hi <= lo:
         raise WindowError("grid too small to track circles")
@@ -436,56 +457,61 @@ def _tracked_circle_indices(grid: ConformalGrid, fractions) -> tuple[int, ...]:
 
 
 def diagnostics(traj: FlowTrajectory, *, circle_fractions=(0.25, 0.5, 0.75)) -> DiagnosticReport:
-    """Measure conservation/monotonicity defects on a trajectory; needs >= 3 snapshots."""
-    if len(traj.snapshots) < 3:
-        raise WindowError("diagnostics needs at least three snapshots")
-    snaps = traj.snapshots
-    times = traj.times
-    u_all = np.stack([g.u for g in snaps])
-    w_all = np.log(u_all)
-    r_all = np.stack([scalar_curvature(g) for g in snaps])
-    rel = snaps[0].reliable_slice()
-    mask = _stat_mask(snaps[0].u, rel)
-    for g in snaps[1:]:
-        mask &= _stat_mask(g.u, rel)
-    if not mask.any():
-        mask = np.zeros(snaps[0].n, dtype=bool)
-        mask[rel] = True
+    """Measure conservation/monotonicity defects on a trajectory; needs >= 3 snapshots.
 
-    f_all = w_all - w_all[0]
-    r_int = cumulative_trapezoid(r_all, x=times, axis=0, initial=0.0)
-    f_defect = float(np.abs(f_all + r_int)[:, mask].max())
-    m_of_t = tuple(
-        (float(times[k]), float(f_all[k][mask].min())) for k in range(len(snaps))
-    )
+    Curvature is computed one snapshot at a time; only the current and the
+    previous row are held, never a (snapshots x nodes) array.
+    """
+    times = traj.times
+    count = times.size
+    if count < 3:
+        raise WindowError("diagnostics needs at least three snapshots")
+    mask = traj.trusted(0)
+    for k in range(1, count):
+        mask &= traj.trusted(k)
+    if not mask.any():
+        mask = np.zeros(traj.nodes.size, dtype=bool)
+        mask[reliable_slice(traj.chart, traj.nodes.size)] = True
 
     if times[0] > 0.0:
         shift = 0.0
     else:
         span = float(times[-1] - times[0])
         shift = span - float(times[0])
-    tr = ((times + shift)[:, None] * r_all)[:, mask]
-    increments = np.diff(tr, axis=0)
-    harnack_defect = max(0.0, -float(increments.min()))
 
-    grid0 = snaps[0]
-    idx = _tracked_circle_indices(grid0, circle_fractions)
+    idx = _tracked_circle_indices(traj, circle_fractions)
     cols = np.array(idx, dtype=int)
-    root_u = np.sqrt(u_all[:, cols])
-    if grid0.chart == RADIAL:
-        geom = math.pi * grid0.nodes[cols]
+    w0 = np.log(traj.U[0])
+    r = traj.curvature(0)
+    r_int = np.zeros_like(r)  # integral_0^t R dtau, trapezoid rule accumulated row by row
+    r_cols = [r[cols]]
+    m_of_t = [(float(times[0]), 0.0)]  # log(u/u0) vanishes at the first snapshot
+    f_defect = harnack_defect = 0.0
+    for k in range(1, count):
+        r_prev, r = r, traj.curvature(k)
+        f = np.log(traj.U[k]) - w0
+        r_int = r_int + (times[k] - times[k - 1]) * (r + r_prev) / 2.0
+        f_defect = max(f_defect, float(np.abs(f + r_int)[mask].max()))
+        m_of_t.append((float(times[k]), float(f[mask].min())))
+        increments = (times[k] + shift) * r - (times[k - 1] + shift) * r_prev
+        harnack_defect = max(harnack_defect, -float(increments[mask].min()))
+        r_cols.append(r[cols])
+
+    root_u = np.sqrt(traj.U[:, cols])
+    if traj.chart == RADIAL:
+        geom = math.pi * traj.nodes[cols]
     else:
         geom = math.pi * np.ones(cols.size)
     lengths = 2.0 * geom * root_u
     dldt = np.gradient(lengths, times, axis=0)
-    rhs = -geom * r_all[:, cols] * root_u
+    rhs = -geom * np.array(r_cols) * root_u
     err = np.abs(dldt - rhs)[1:-1]
     scale = np.maximum(np.abs(rhs)[1:-1], 1e-12)
     length_defect = float((err / scale).max())
 
     return DiagnosticReport(
         f_defect=f_defect,
-        m_of_t=m_of_t,
+        m_of_t=tuple(m_of_t),
         harnack_defect=harnack_defect,
         harnack_shift=shift,
         length_evolution_defect=length_defect,

@@ -92,6 +92,30 @@ def test_reliable_mask_degenerate_keeps_best_node():
     assert mask.sum() == 1 and mask[3]
 
 
+def test_one_trust_rule_with_two_floors():
+    # grid statistics keep u down to U_NOISE_FLOOR, curvature statistics on
+    # flows only down to CURVATURE_TRUST_FLOOR; both apply the same margin
+    from geomflow.solver import CURVATURE_TRUST_FLOOR, trusted_mask
+
+    u = np.ones(40)
+    u[10] = 0.1 * CURVATURE_TRUST_FLOOR
+    g = make_grid(n=40, chart=CYLINDER, u=u)
+    assert U_NOISE_FLOOR < u[10]
+    assert g.reliable_mask()[10] and not trusted_mask(g)[10]
+    for mask in (g.reliable_mask(), trusted_mask(g)):
+        assert not mask[:RELIABLE_MARGIN].any() and not mask[-RELIABLE_MARGIN:].any()
+
+
+def test_grid_shares_read_only_input_and_copies_writable_input():
+    nodes = np.linspace(0.0, 3.0, 32)
+    u = np.ones(32)
+    g = ConformalGrid(chart=RADIAL, nodes=nodes, u=u, t=0.0)
+    u[0] = 2.0
+    assert g.u[0] == 1.0
+    again = ConformalGrid(chart=RADIAL, nodes=g.nodes, u=g.u, t=1.0)
+    assert again.u is g.u and again.nodes is g.nodes
+
+
 def test_with_u_replaces_only_field_and_time():
     g = make_grid(n=32)
     g2 = g.with_u(2.0 * g.u, t=1.5)

@@ -10,7 +10,6 @@ from geomflow.errors import (
     ExtentError,
     WindowError,
 )
-from geomflow.grids import ConformalGrid
 
 
 def ladder_trajectory(j, h_target=0.05, snapshot_count=65):
@@ -82,11 +81,9 @@ def test_pick_needs_window_coverage():
 
 def test_pick_needs_strictly_backward_times():
     base = exact.sample_grid(exact.flat(), -1.0, n=64, extent=5.0)
-    snaps = (
-        ConformalGrid(base.chart, base.nodes.copy(), base.u.copy(), -1.0),
-        ConformalGrid(base.chart, base.nodes.copy(), base.u.copy(), 0.0),
-    )
-    traj = solver.FlowTrajectory(snapshots=snaps, steps=(), scheme=solver.EXACT)
+    times = np.array([-1.0, 0.0])
+    U = np.stack([base.u] * 2)
+    traj = solver.FlowTrajectory(base.chart, base.nodes, times, U, None, (), solver.EXACT)
     with pytest.raises(WindowError):
         rescaling.pick_point(traj, -1.0, 0.5)
 
@@ -101,11 +98,10 @@ def test_flat_pick_is_degenerate():
 def test_tied_scores_resolve_to_earliest_snapshot():
     # equal weights (-t)(t - T) at t = -3 and t = -1 for T = -4, identical u
     base = exact.sample_grid(exact.sphere(), -1.0, n=201, extent=10.0)
-    snaps = tuple(
-        ConformalGrid(base.chart, base.nodes.copy(), base.u.copy(), t)
-        for t in (-4.0, -3.0, -1.0)
+    traj = solver.FlowTrajectory(
+        base.chart, base.nodes, np.array([-4.0, -3.0, -1.0]), np.stack([base.u] * 3), None, (),
+        solver.EXACT,
     )
-    traj = solver.FlowTrajectory(snapshots=snaps, steps=(), scheme=solver.EXACT)
     pick = rescaling.pick_point(traj, -4.0, 0.5)
     assert pick.t_j == -3.0
 
@@ -138,7 +134,8 @@ def test_backward_pick_lands_mid_window_at_half_coth():
 def test_pick_attains_searched_supremum():
     traj, pick = ladder_pick(2)
     sup = 0.0
-    for grid in traj.snapshots:
+    for k in range(traj.times.size):
+        grid = traj.snapshot(k)
         t = float(grid.t)
         weight = (-t) * (t - pick.T_j)
         if weight <= 0.0:
@@ -188,7 +185,7 @@ def test_dilation_scales_conformal_factor():
     )
     grid = flow.grid_at(0.5)
     assert grid.t == 0.5
-    assert grid.chart == traj.grid0.chart
+    assert grid.chart == traj.chart
 
 
 def test_dilated_tip_curvature_is_two():
@@ -359,12 +356,7 @@ def test_classifier_is_scale_invariant():
     rep = rescaling.classify_type(traj)
     lam = 2.0
     scaled = solver.FlowTrajectory(
-        snapshots=tuple(
-            ConformalGrid(g.chart, g.nodes.copy(), lam * g.u, lam * float(g.t))
-            for g in traj.snapshots
-        ),
-        steps=(),
-        scheme=solver.EXACT,
+        traj.chart, traj.nodes, lam * traj.times, lam * traj.U, None, (), solver.EXACT
     )
     rep_scaled = rescaling.classify_type(scaled, t0=lam * rep.t0)
     assert rep_scaled.verdict == rep.verdict
@@ -380,5 +372,5 @@ def test_backward_trajectory_validation_and_layout():
     traj = rescaling.backward_rosenau_trajectory(1, h_target=0.5, snapshot_count=5)
     assert traj.grid0.n == 85
     assert traj.grid0.nodes[0] == -21.0
-    assert len(traj.snapshots) == 5
+    assert traj.U.shape == (5, 85)
     assert float(traj.times[0]) == -2.0

@@ -52,6 +52,14 @@ def test_json_text_sorted_and_newline_terminated():
     assert text == '{\n  "a": [\n    1.5,\n    2\n  ],\n  "b": 1\n}\n'
 
 
+def test_json_text_of_an_array_matches_its_tolist():
+    arr = np.array([[-0.0, 5e-324], [1e300, 0.1]])
+    payload = {"arr": arr, "flags": np.array([True, False]), "ints": np.arange(3)}
+    listed = {"arr": arr.tolist(), "flags": [True, False], "ints": [0, 1, 2]}
+    assert serialize.json_text(payload) == serialize.json_text(listed)
+    assert '-0.0' in serialize.json_text(payload) and "5e-324" in serialize.json_text(payload)
+
+
 def test_json_text_handles_numpy_scalars_and_arrays():
     payload = {"v": np.float64(0.25), "n": np.int32(4), "arr": np.array([1.0, 2.0])}
     parsed = json.loads(serialize.json_text(payload))

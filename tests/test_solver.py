@@ -114,12 +114,12 @@ def test_evolve_rosenau_tracks_exact_solution():
     assert traj.scheme == solver.SEMI_IMPLICIT
     assert np.array_equal(traj.times, np.linspace(-2.0, -1.0, 17))
     sup_rel = 0.0
-    for grid in traj.snapshots:
-        u_ref = exact.u_profile(spec, grid.nodes, grid.t)
-        sup_rel = max(sup_rel, float(np.abs(grid.u / u_ref - 1.0).max()))
+    for t, u in zip(traj.times, traj.U):
+        u_ref = exact.u_profile(spec, traj.nodes, t)
+        sup_rel = max(sup_rel, float(np.abs(u / u_ref - 1.0).max()))
     assert sup_rel < 5e-4
     assert all(record.dt > 0.0 for record in traj.steps)
-    assert all(np.all(grid.u > 0.0) for grid in traj.snapshots)
+    assert np.all(traj.U > 0.0)
 
 
 def test_evolve_rmax_matches_rosenau_curvature_maximum():
@@ -152,15 +152,15 @@ def test_convergence_order_two(scheme, extent, t1, n_pair):
     for n in n_pair:
         grid = exact.sample_grid(spec, -2.0, n=n, x_lo=-extent, x_hi=extent)
         traj = solver.evolve(grid, t1, cfl=0.4, scheme=scheme, output_times=[-2.0, t1])
-        u_ref = exact.u_profile(spec, traj.snapshots[-1].nodes, t1)
-        errs.append(float(np.abs(traj.snapshots[-1].u - u_ref).max()))
+        u_ref = exact.u_profile(spec, traj.nodes, t1)
+        errs.append(float(np.abs(traj.U[-1] - u_ref).max()))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0
 
 
 def test_u_decreases_toward_extinction():
     traj = rosenau_run(n=300, t1=-1.5, snapshots=3)
-    assert np.all(traj.snapshots[-1].u < traj.snapshots[0].u)
+    assert np.all(traj.U[-1] < traj.U[0])
 
 
 def test_blow_up_aborts_with_structured_error():
@@ -238,17 +238,41 @@ def test_diagnostics_needs_three_snapshots():
 
 
 def test_trajectory_validation():
-    g_rad = exact.sample_grid(exact.cigar(4.0), 0.0, n=64, extent=5.0)
-    g_cyl = exact.sample_grid(exact.rosenau(), -1.0, n=64, extent=5.0)
+    g = exact.sample_grid(exact.cigar(4.0), 0.0, n=64, extent=5.0)
+
+    def make(times=(0.0, 1.0), U=None, nodes=g.nodes, chart=g.chart, scheme=solver.EXACT):
+        U = np.stack([g.u] * len(times)) if U is None else U
+        return solver.FlowTrajectory(chart, nodes, np.asarray(times), U, None, (), scheme)
+
+    assert make().h == g.h
     with pytest.raises(DomainError):
-        solver.FlowTrajectory(snapshots=(g_rad, g_cyl), steps=(), scheme=solver.EXACT)
-    g2 = exact.sample_grid(exact.cigar(4.0), -1.0, n=64, extent=5.0)
-    with pytest.raises(WindowError):
-        solver.FlowTrajectory(snapshots=(g_rad, g2), steps=(), scheme=solver.EXACT)
+        make(U=np.ones((2, 63)))
     with pytest.raises(DomainError):
-        solver.FlowTrajectory(snapshots=(g_rad,), steps=(), scheme="Magic")
+        make(U=np.ones((3, 64)))
+    with pytest.raises(DomainError):
+        make(nodes=g.nodes + 1.0)  # radial nodes must start at the axis
+    with pytest.raises(DomainError):
+        make(chart="sphere")
+    with pytest.raises(DomainError):
+        make(U=np.stack([g.u, -g.u]))
     with pytest.raises(WindowError):
-        solver.FlowTrajectory(snapshots=(), steps=(), scheme=solver.EXACT)
+        make(times=(1.0, 0.0))
+    with pytest.raises(WindowError):
+        make(times=(0.0, 0.0))
+    with pytest.raises(DomainError):
+        make(scheme="Magic")
+    with pytest.raises(WindowError):
+        make(times=(), U=np.ones((0, 64)))
+
+
+def test_trajectory_keeps_a_private_read_only_copy():
+    g = exact.sample_grid(exact.cigar(4.0), 0.0, n=64, extent=5.0)
+    U = np.stack([g.u, g.u])
+    traj = solver.FlowTrajectory(g.chart, g.nodes, np.array([0.0, 1.0]), U, None, (), solver.EXACT)
+    U[1] = 1.0
+    assert np.array_equal(traj.U[1], g.u)
+    with pytest.raises(ValueError):
+        traj.U[0, 0] = 1.0
 
 
 def test_trajectory_u_at_interpolates_linearly():
@@ -256,10 +280,10 @@ def test_trajectory_u_at_interpolates_linearly():
         exact.rosenau(), [-2.0, -1.5, -1.0], n=64, extent=5.0
     )
     mid = traj.u_at(-1.75)
-    expected = 0.5 * (traj.snapshots[0].u + traj.snapshots[1].u)
+    expected = 0.5 * (traj.U[0] + traj.U[1])
     assert np.abs(mid - expected).max() <= 1e-15
-    assert np.array_equal(traj.u_at(-2.0), traj.snapshots[0].u)
-    assert np.array_equal(traj.u_at(-1.0), traj.snapshots[-1].u)
+    assert np.array_equal(traj.u_at(-2.0), traj.U[0])
+    assert np.array_equal(traj.u_at(-1.0), traj.U[-1])
     with pytest.raises(WindowError):
         traj.u_at(-3.0)
     with pytest.raises(WindowError):
@@ -274,7 +298,20 @@ def test_exact_trajectory_validation():
     traj = solver.exact_trajectory(exact.rosenau(), [-2.0, -1.0], n=64, extent=5.0)
     assert traj.scheme == solver.EXACT
     assert traj.steps == ()
-    assert traj.snapshots[0].provenance is not None
+    assert traj.provenance == exact.rosenau()
+
+
+def test_exact_trajectory_rows_match_sampled_grids():
+    times = [-2.0, -1.5, -1.0]
+    traj = solver.exact_trajectory(exact.rosenau(), times, n=64, extent=5.0)
+    for k, t in enumerate(times):
+        grid = exact.sample_grid(exact.rosenau(), t, n=64, extent=5.0)
+        snap = traj.snapshot(k)
+        assert np.array_equal(traj.U[k], grid.u)
+        assert np.array_equal(snap.nodes, grid.nodes)
+        assert (snap.t, snap.provenance, snap.chart) == (grid.t, grid.provenance, grid.chart)
+        assert np.array_equal(traj.curvature(k), geometry.scalar_curvature(grid))
+        assert np.array_equal(traj.trusted(k), solver.trusted_mask(grid))
 
 
 def test_evolve_validations():
@@ -297,3 +334,21 @@ def test_step_record_validation():
         solver.StepRecord(t=0.0, dt=0.0, residual=0.0, r_max=1.0)
     with pytest.raises(DomainError):
         solver.StepRecord(t=0.0, dt=1e-3, residual=-1.0, r_max=1.0)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        exact.sample_grid(exact.cigar(4.0), 0.0, n=2000, extent=50.0),
+        exact.sample_grid(exact.rosenau(), -2.0, n=2000, extent=20.0),
+    ],
+    ids=["radial", "cylinder"],
+)
+def test_stencil_matches_measurement_laplacian_on_interior_rows(grid):
+    # the solve matrix and the measurement operator share interior rows up to
+    # rounding; only their boundary and axis rows differ by design
+    w = np.log(grid.u)
+    implicit = solver._Stencil(grid).apply(w)
+    measured = geometry.laplacian_field(w, grid.nodes, grid.h, grid.chart)
+    gap = np.abs(implicit - measured)[1:-1].max()
+    assert gap <= 4.0 * np.finfo(float).eps * np.abs(w).max() / grid.h**2
