@@ -79,13 +79,7 @@ def _soliton_grid():
 @lru_cache(maxsize=None)
 def _accuracy_run():
     grid = exact.sample_grid(exact.rosenau(), -2.0, n=2000, x_lo=-20.0, x_hi=20.0)
-    return solver.evolve(
-        grid,
-        -1.0,
-        cfl=0.4,
-        scheme=solver.SEMI_IMPLICIT,
-        output_times=np.linspace(-2.0, -1.0, 65),
-    )
+    return solver.evolve(grid, -1.0, cfl=0.4, output_times=np.linspace(-2.0, -1.0, 65))
 
 
 @lru_cache(maxsize=None)

@@ -71,7 +71,6 @@ class ScenarioConfig:
     t1: float
     output_times: tuple[float, ...] | None
     cfl: float
-    scheme: str
     tasks: tuple[str, ...]
     tolerances: tuple[tuple[str, float], ...]
     out: str
@@ -92,10 +91,6 @@ class ScenarioConfig:
         unknown = [t for t in self.tasks if t not in TASKS]
         if unknown:
             raise DomainError(f"unknown tasks {unknown}; expected subset of {list(TASKS)}")
-        if self.scheme not in solver.SCHEMES:
-            raise DomainError(
-                f"unknown scheme {self.scheme!r}; expected one of {list(solver.SCHEMES)}"
-            )
         bad_tol = [k for k, _ in self.tolerances if k not in DEFAULT_TOLERANCES]
         if bad_tol:
             raise DomainError(
@@ -111,7 +106,8 @@ class ScenarioConfig:
         return {**DEFAULT_TOLERANCES, **dict(self.tolerances)}
 
 
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
+# "scheme" names the time stepper; configs may still spell out the only one
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig)) + ("scheme",)
 
 
 def config_from_payload(payload: dict) -> ScenarioConfig:
@@ -125,7 +121,13 @@ def config_from_payload(payload: dict) -> ScenarioConfig:
     tolerances = payload.get("tolerances") or {}
     if not isinstance(params, dict) or not isinstance(tolerances, dict):
         raise DomainError("params and tolerances must be JSON objects")
+    scheme = payload.get("scheme", solver.SEMI_IMPLICIT)
+    if scheme != solver.SEMI_IMPLICIT:
+        raise DomainError(f"unknown scheme {scheme!r}; the only scheme is {solver.SEMI_IMPLICIT!r}")
+    tasks = payload.get("tasks", [])
     times = payload.get("output_times")
+    if not isinstance(tasks, (list, tuple)) or not isinstance(times, (list, tuple, type(None))):
+        raise DomainError("tasks and output_times must be JSON arrays")
     try:
         return ScenarioConfig(
             name=str(payload.get("name", "")),
@@ -138,8 +140,7 @@ def config_from_payload(payload: dict) -> ScenarioConfig:
             t1=float(payload.get("t1", -1.0)),
             output_times=None if times is None else tuple(float(t) for t in times),
             cfl=float(payload.get("cfl", 0.4)),
-            scheme=str(payload.get("scheme", solver.SEMI_IMPLICIT)),
-            tasks=tuple(payload.get("tasks", ())),
+            tasks=tuple(tasks),
             tolerances=tuple(sorted((k, float(v)) for k, v in tolerances.items())),
             out=str(payload.get("out", "out")),
         )
@@ -157,8 +158,8 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise DomainError(f"config {path} is not valid JSON: {err}") from err
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise DomainError(f"config {path} is not valid UTF-8 JSON: {err}") from err
     return config_from_payload(payload)
 
 
@@ -202,9 +203,7 @@ def _task_verify(config: ScenarioConfig, out_dir: str) -> int:
 def _task_simulate(config: ScenarioConfig, out_dir: str) -> int:
     grid0 = _initial_grid(config)
     spec = grid0.provenance
-    traj = solver.evolve(
-        grid0, config.t1, cfl=config.cfl, scheme=config.scheme, output_times=config.output_times
-    )
+    traj = solver.evolve(grid0, config.t1, cfl=config.cfl, output_times=config.output_times)
     for k in range(traj.times.size):
         path = os.path.join(out_dir, f"checkpoint_{k:04d}.json")
         serialize.save_checkpoint(path, traj.snapshot(k))
@@ -375,7 +374,6 @@ def _inline_config(task: str, args: argparse.Namespace) -> ScenarioConfig:
         t1=args.t1,
         output_times=None,
         cfl=args.cfl,
-        scheme=solver.SEMI_IMPLICIT,
         tasks=(task,),
         tolerances=(),
         out=args.out,

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import secrets
 
 import numpy as np
 
@@ -70,13 +71,22 @@ def json_text(payload) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file and rename, so readers never see partial files."""
+    """Write via a temp file and rename, so readers never see partial files.
+
+    The temp file name is unique per call, so concurrent writers of one path
+    never share it, and a failed write removes it.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -125,8 +135,8 @@ def load_checkpoint(path: str) -> ConformalGrid:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise DomainError(f"checkpoint is not valid JSON: {err}") from err
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise DomainError(f"checkpoint is not valid UTF-8 JSON: {err}") from err
     return grid_from_payload(payload)
 
 

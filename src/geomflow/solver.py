@@ -12,11 +12,11 @@ mirror closure (zero normal derivative of w). Pointwise statistics skip
 the outer margin either way, so the closure choice only has to keep the
 interior stable.
 
-Two schemes are provided: an explicit midpoint rule whose stable step
-scales like h^2 * u_min (prohibitive when the far field is tiny), and a
-semi-implicit midpoint rule (backward Euler predictor for the frozen
-diffusion coefficient, then a trapezoid corrector) whose step is limited
-only by accuracy, dt ~ h.
+Each step is a semi-implicit midpoint rule: a backward Euler predictor
+for the frozen diffusion coefficient, then a trapezoid corrector. Its
+step is limited only by accuracy, dt = cfl * min(h, 1 / R_max); an
+explicit rule would need dt ~ h^2 * u_min, prohibitive when the far field
+is tiny.
 """
 
 from __future__ import annotations
@@ -29,15 +29,12 @@ from scipy.linalg import LinAlgError, solve_banded
 
 from .errors import BlowUpError, DomainError, GeomflowError, StepRejectedError, WindowError
 from .exact import ExactSolutionSpec, check_time, log_u_profile, sample_grid, u_profile
-from .geometry import curvature_field, scalar_curvature
+from .geometry import curvature_field
 from .grids import CYLINDER, RADIAL, ConformalGrid, check_layout, check_positive, readonly
 from .grids import reliable_slice, trust_mask
 
-EXPLICIT_RK2 = "ExplicitRK2"
+# the one time stepper's name, as scenario configs may spell it
 SEMI_IMPLICIT = "SemiImplicit"
-SCHEMES = (EXPLICIT_RK2, SEMI_IMPLICIT)
-# trajectories sampled straight from a family, no stepping involved
-EXACT = "exact"
 
 BLOW_UP_RMAX = 1.0e3
 DEFAULT_OUTPUT_COUNT = 17
@@ -82,12 +79,9 @@ class FlowTrajectory:
     U: np.ndarray
     provenance: ExactSolutionSpec | None
     steps: tuple[StepRecord, ...]
-    scheme: str
     h: float = field(init=False)
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES and self.scheme != EXACT:
-            raise DomainError(f"unknown scheme {self.scheme!r}")
         nodes, times, U = readonly(self.nodes), readonly(self.times), readonly(self.U)
         if nodes.ndim != 1 or times.ndim != 1 or U.shape != (times.size, nodes.size):
             raise DomainError("U must have shape (len(times), len(nodes))")
@@ -245,16 +239,6 @@ class _Stencil:
         return solve_banded((1, 1), ab, rhs, check_finite=False)
 
 
-def _step_explicit(st: _Stencil, w: np.ndarray, t: float, dt: float) -> np.ndarray:
-    f0 = np.exp(-w) * st.apply(w)
-    w_mid = w + (0.5 * dt) * f0
-    st.pin(w_mid, t + 0.5 * dt)
-    f1 = np.exp(-w_mid) * st.apply(w_mid)
-    w_new = w + dt * f1
-    st.pin(w_new, t + dt)
-    return w_new
-
-
 def _step_semi_implicit(st: _Stencil, w: np.ndarray, t: float, dt: float) -> np.ndarray:
     lap0 = st.apply(w)
     rhs = w.copy()
@@ -264,9 +248,6 @@ def _step_semi_implicit(st: _Stencil, w: np.ndarray, t: float, dt: float) -> np.
     rhs = w + (0.5 * dt) * d_mid * lap0
     st.pin(rhs, t + dt)
     return st.solve_shifted((0.5 * dt) * d_mid, rhs)
-
-
-_STEPPERS = {EXPLICIT_RK2: _step_explicit, SEMI_IMPLICIT: _step_semi_implicit}
 
 
 def _check_state(w_new: np.ndarray, u_new: np.ndarray, t: float) -> None:
@@ -279,13 +260,13 @@ def _check_state(w_new: np.ndarray, u_new: np.ndarray, t: float) -> None:
         )
 
 
-def _advance(stepper, st: _Stencil, w: np.ndarray, t: float, dt: float):
+def _advance(st: _Stencil, w: np.ndarray, t: float, dt: float):
     """Run one stage-complete step and adjudicate validity of the result."""
     # overflow/invalid are expected failure modes for oversized steps; they are
     # silenced here and judged by _check_state instead of leaking as warnings
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w_new = stepper(st, w, t, dt)
+            w_new = _step_semi_implicit(st, w, t, dt)
             u_new = np.exp(w_new)
     except LinAlgError:
         raise StepRejectedError(f"linear solve failed during step toward t={t + dt}") from None
@@ -304,26 +285,11 @@ def _masked_rmax(grid: ConformalGrid, w: np.ndarray, u: np.ndarray) -> float:
     return float(r[trust_mask(u, grid.chart, CURVATURE_TRUST_FLOOR)].max())
 
 
-def adaptive_dt(grid: ConformalGrid, cfl: float) -> float:
-    """Stable explicit step: cfl * min(h^2 * u_min / 4, 1 / R_max)."""
-    if not (0.0 < cfl <= 1.0):
-        raise DomainError(f"cfl must lie in (0, 1], got {cfl}")
-    cap = grid.h * grid.h * float(grid.u.min()) / 4.0
-    r_max = float(scalar_curvature(grid)[trusted_mask(grid)].max())
-    if r_max > 0.0:
-        cap = min(cap, 1.0 / r_max)
-    return cfl * cap
-
-
-def step(grid: ConformalGrid, dt: float, scheme: str = EXPLICIT_RK2) -> ConformalGrid:
+def step(grid: ConformalGrid, dt: float) -> ConformalGrid:
     """Advance one step of w_t = exp(-w) lap(w) and return the new grid."""
-    if scheme not in _STEPPERS:
-        raise DomainError(f"unknown scheme {scheme!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"step needs dt > 0, got {dt}")
-    st = _Stencil(grid)
-    w = np.log(grid.u)
-    _, u_new = _advance(_STEPPERS[scheme], st, w, grid.t, dt)
+    _, u_new = _advance(_Stencil(grid), np.log(grid.u), grid.t, dt)
     return grid.with_u(u_new, t=grid.t + dt)
 
 
@@ -352,28 +318,33 @@ def evolve(
     t_end: float,
     cfl: float = 0.5,
     *,
-    scheme: str = EXPLICIT_RK2,
     output_times=None,
     blow_up_threshold: float = BLOW_UP_RMAX,
     max_steps: int = 2_000_000,
 ) -> FlowTrajectory:
-    """Evolve to t_end, snapshotting at the requested output times."""
-    if scheme not in _STEPPERS:
-        raise DomainError(f"unknown scheme {scheme!r}")
+    """Evolve to t_end, snapshotting at the requested output times.
+
+    Steps never exceed cfl * h, so a run that needs more than max_steps of
+    them is rejected before anything is allocated.
+    """
     if not (0.0 < cfl <= 1.0):
         raise DomainError(f"cfl must lie in (0, 1], got {cfl}")
     if not (math.isfinite(t_end) and t_end > grid.t):
         raise DomainError(f"t_end must exceed the initial time {grid.t}, got {t_end}")
     if grid.provenance is not None:
         check_time(grid.provenance, t_end)
+    h = grid.h
+    fewest_steps = (t_end - grid.t) / (cfl * h)
+    if fewest_steps > max_steps:
+        raise DomainError(
+            f"reaching t={t_end} takes at least {fewest_steps:.3g} steps, over the budget {max_steps}"
+        )
     targets = _resolve_output_times(grid.t, float(t_end), output_times)
 
     st = _Stencil(grid)
-    stepper = _STEPPERS[scheme]
     rel = grid.reliable_slice()
-    h = grid.h
     w = np.log(grid.u)
-    u = grid.u.copy()
+    u = grid.u
     t = grid.t
     r_max = _masked_rmax(grid, w, u)
     U = np.empty((targets.size, grid.n))
@@ -384,14 +355,9 @@ def evolve(
         target = targets[k]
         tol = 1e-12 * max(1.0, abs(target))
         while t < target - tol:
-            if scheme == EXPLICIT_RK2:
-                cap = h * h * float(u.min()) / 4.0
-            else:
-                cap = h
-            if r_max > 0.0:
-                cap = min(cap, 1.0 / r_max)
+            cap = min(h, 1.0 / r_max) if r_max > 0.0 else h
             dt = min(cfl * cap, target - t)
-            w_new, u_new = _advance(stepper, st, w, t, dt)
+            w_new, u_new = _advance(st, w, t, dt)
             w_mid = 0.5 * (w + w_new)
             resid = (w_new - w) / dt - np.exp(-w_mid) * st.apply(w_mid)
             residual = float(np.abs(resid[rel]).max())
@@ -410,7 +376,7 @@ def evolve(
         t = float(target)
         U[k] = u
     U.setflags(write=False)
-    return FlowTrajectory(grid.chart, grid.nodes, targets, U, grid.provenance, tuple(steps), scheme)
+    return FlowTrajectory(grid.chart, grid.nodes, targets, U, grid.provenance, tuple(steps))
 
 
 def exact_trajectory(
@@ -432,7 +398,7 @@ def exact_trajectory(
     for k in range(1, times.size):
         U[k] = u_profile(spec, grid.nodes, float(times[k]))
     U.setflags(write=False)
-    return FlowTrajectory(grid.chart, grid.nodes, times, U, spec, (), EXACT)
+    return FlowTrajectory(grid.chart, grid.nodes, times, U, spec, ())
 
 
 def rmax_series(traj: FlowTrajectory) -> RmaxSeries:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from geomflow import cli, exact, serialize
+from geomflow import cli, exact, serialize, solver
 from geomflow.errors import DomainError
 from geomflow.geometry import FIELD_ORDER
 
@@ -49,7 +49,7 @@ def base_payload():
         "t1": 2.0,
         "output_times": [1.0, 1.5, 2.0],
         "cfl": 0.5,
-        "scheme": "ExplicitRK2",
+        "scheme": "SemiImplicit",
         "tasks": ["simulate", "invariants"],
         "tolerances": {"sup_rel_err": 0.01},
         "out": "artifacts",
@@ -67,7 +67,7 @@ def test_config_round_trip_is_identity():
 def test_config_defaults_fill_in():
     config = cli.config_from_payload({"name": "n", "family": "flat", "tasks": ["embed"]})
     assert config.resolution == 2000
-    assert config.scheme == "SemiImplicit"
+    assert "scheme" not in cli.config_to_payload(config)
     assert config.output_times is None
     assert config.out == "out"
 
@@ -89,6 +89,9 @@ def test_config_defaults_fill_in():
         {"tolerances": {"sup_norm": 1.0}},
         {"unknown_key": 1},
         {"resolution": "many"},
+        {"tasks": "embed"},
+        {"output_times": "123"},
+        {"scheme": "ExplicitRK2"},
     ],
 )
 def test_config_validation_rejects(overrides):
@@ -108,6 +111,37 @@ def test_run_with_malformed_json_exits_2(tmp_path, capsys):
 def test_run_with_missing_file_exits_2(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "absent.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_run_with_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    assert cli.main(["run", str(path)]) == 2
+    assert_one_line_error(capsys)
+
+
+def test_run_with_non_utf8_checkpoint_exits_2(tmp_path, capsys):
+    checkpoint = tmp_path / "binary.json"
+    checkpoint.write_bytes(b'{"chart": "\xff"}')
+    path = write_config(tmp_path, family=None, checkpoint=str(checkpoint))
+    assert cli.main(["run", path]) == 2
+    assert_one_line_error(capsys)
+
+
+def test_simulate_over_step_budget_exits_2_before_stepping(tmp_path, capsys, monkeypatch):
+    def no_stepping(*args):
+        raise AssertionError("stepped although the budget check should have failed first")
+
+    monkeypatch.setattr(solver, "_Stencil", no_stepping)
+    args = ["simulate", "--family", "flat", "--t0", "0", "--t1", "1e6", "--n", "64"]
+    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+    assert_one_line_error(capsys)
 
 
 def test_unknown_family_exits_2(tmp_path, capsys):

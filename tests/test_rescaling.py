@@ -83,7 +83,7 @@ def test_pick_needs_strictly_backward_times():
     base = exact.sample_grid(exact.flat(), -1.0, n=64, extent=5.0)
     times = np.array([-1.0, 0.0])
     U = np.stack([base.u] * 2)
-    traj = solver.FlowTrajectory(base.chart, base.nodes, times, U, None, (), solver.EXACT)
+    traj = solver.FlowTrajectory(base.chart, base.nodes, times, U, None, ())
     with pytest.raises(WindowError):
         rescaling.pick_point(traj, -1.0, 0.5)
 
@@ -99,8 +99,7 @@ def test_tied_scores_resolve_to_earliest_snapshot():
     # equal weights (-t)(t - T) at t = -3 and t = -1 for T = -4, identical u
     base = exact.sample_grid(exact.sphere(), -1.0, n=201, extent=10.0)
     traj = solver.FlowTrajectory(
-        base.chart, base.nodes, np.array([-4.0, -3.0, -1.0]), np.stack([base.u] * 3), None, (),
-        solver.EXACT,
+        base.chart, base.nodes, np.array([-4.0, -3.0, -1.0]), np.stack([base.u] * 3), None, ()
     )
     pick = rescaling.pick_point(traj, -4.0, 0.5)
     assert pick.t_j == -3.0
@@ -265,13 +264,7 @@ def test_profile_distance_ladder_approaches_cigar():
 
 def test_solver_path_pick_matches_exact_magnitude():
     grid0 = exact.sample_grid(exact.rosenau(), -4.0, n=881, x_lo=-22.0, x_hi=22.0)
-    traj = solver.evolve(
-        grid0,
-        -0.01,
-        cfl=0.4,
-        scheme=solver.SEMI_IMPLICIT,
-        output_times=np.linspace(-4.0, -0.01, 65),
-    )
+    traj = solver.evolve(grid0, -0.01, cfl=0.4, output_times=np.linspace(-4.0, -0.01, 65))
     pick = rescaling.pick_point(traj, -4.0, rescaling.default_gamma(2), j=2)
     assert pick.t_j == pytest.approx(-1.7556, abs=1e-3)
     assert pick.x_j == pytest.approx(-13.2, abs=0.3)
@@ -355,9 +348,7 @@ def test_classifier_is_scale_invariant():
     traj = classifier_rosenau_trajectory()
     rep = rescaling.classify_type(traj)
     lam = 2.0
-    scaled = solver.FlowTrajectory(
-        traj.chart, traj.nodes, lam * traj.times, lam * traj.U, None, (), solver.EXACT
-    )
+    scaled = solver.FlowTrajectory(traj.chart, traj.nodes, lam * traj.times, lam * traj.U, None, ())
     rep_scaled = rescaling.classify_type(scaled, t0=lam * rep.t0)
     assert rep_scaled.verdict == rep.verdict
     assert len(rep_scaled.samples) == len(rep.samples)

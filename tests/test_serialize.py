@@ -75,6 +75,16 @@ def test_atomic_write_leaves_no_temp_file(tmp_path):
     assert sorted(os.listdir(os.path.dirname(path))) == ["report.csv"]
 
 
+def test_failed_atomic_write_keeps_target_and_removes_temp_file(tmp_path):
+    path = os.path.join(tmp_path, "report.csv")
+    serialize.atomic_write_text(path, "x,y\n1,2\n")
+    with pytest.raises(UnicodeEncodeError):
+        serialize.atomic_write_text(path, "x,y\n\ud800,2\n")  # lone surrogate
+    with open(path, "rb") as fh:
+        assert fh.read() == b"x,y\n1,2\n"
+    assert os.listdir(tmp_path) == ["report.csv"]
+
+
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     grid = exact.sample_grid(exact.rosenau(), -1.5, n=400, x_lo=-9.0, x_hi=11.0)
     path = os.path.join(tmp_path, "checkpoint.json")
@@ -128,6 +138,14 @@ def test_invalid_json_checkpoint_rejected(tmp_path):
     with open(path, "w") as fh:
         fh.write("{not json")
     with pytest.raises(DomainError):
+        serialize.load_checkpoint(path)
+
+
+def test_non_utf8_checkpoint_rejected(tmp_path):
+    path = os.path.join(tmp_path, "binary.json")
+    with open(path, "wb") as fh:
+        fh.write(b'{"chart": "\xff"}')
+    with pytest.raises(DomainError, match="UTF-8"):
         serialize.load_checkpoint(path)
 
 

@@ -20,50 +20,14 @@ def free_radial_grid(n=64, extent=10.0):
 
 def rosenau_run(n=800, cfl=0.4, t0=-2.0, t1=-1.0, snapshots=17):
     grid = rosenau_grid(n=n)
-    return solver.evolve(
-        grid,
-        t1,
-        cfl=cfl,
-        scheme=solver.SEMI_IMPLICIT,
-        output_times=np.linspace(t0, t1, snapshots),
-    )
+    return solver.evolve(grid, t1, cfl=cfl, output_times=np.linspace(t0, t1, snapshots))
 
 
-def test_adaptive_dt_flat_grid_is_cfl_h2_over_4():
-    grid = exact.sample_grid(exact.flat(), 0.0, n=128, extent=10.0)
-    for cfl in (0.25, 0.5, 1.0):
-        assert solver.adaptive_dt(grid, cfl) == cfl * grid.h**2 / 4.0
-
-
-def test_adaptive_dt_takes_min_of_both_caps():
-    # note the curvature cap is provably dormant for this discretization:
-    # R_max * h^2 * u_min = |d2w| * exp(w_min - w_0) <= 2/e at the curvature
-    # argmax, so the diffusion cap always binds; the formula is still wired
-    # with both terms and this pins the arithmetics down
-    grid = exact.sample_grid(exact.sphere(), -0.25, n=200, extent=10.0)
-    r = geometry.scalar_curvature(grid)
-    mask = np.zeros(grid.n, dtype=bool)
-    mask[grid.reliable_slice()] = True
-    mask &= grid.u >= solver.CURVATURE_TRUST_FLOOR
-    r_max = float(r[mask].max())
-    expected = 0.7 * min(grid.h**2 * float(grid.u.min()) / 4.0, 1.0 / r_max)
-    assert solver.adaptive_dt(grid, 0.7) == pytest.approx(expected, rel=1e-14)
-    assert 1.0 / r_max > grid.h**2 * float(grid.u.min()) / 4.0
-
-
-@pytest.mark.parametrize("cfl", [0.0, -0.5, 1.5, float("nan")])
-def test_adaptive_dt_rejects_bad_cfl(cfl):
-    grid = exact.sample_grid(exact.flat(), 0.0, n=64, extent=5.0)
-    with pytest.raises(DomainError):
-        solver.adaptive_dt(grid, cfl)
-
-
-@pytest.mark.parametrize("scheme", [solver.EXPLICIT_RK2, solver.SEMI_IMPLICIT])
-def test_step_tracks_exact_solution_one_step(scheme):
+def test_step_tracks_exact_solution_one_step():
     spec = exact.rosenau()
     grid = exact.sample_grid(spec, -2.0, n=400, x_lo=-6.0, x_hi=6.0)
     dt = 1e-4
-    stepped = solver.step(grid, dt, scheme=scheme)
+    stepped = solver.step(grid, dt)
     assert stepped.t == grid.t + dt
     u_ref = exact.u_profile(spec, stepped.nodes, stepped.t)
     err = np.abs(stepped.u - u_ref).max()
@@ -77,41 +41,32 @@ def test_step_rejects_bad_dt(dt):
         solver.step(grid, dt)
 
 
-def test_step_rejects_unknown_scheme():
-    grid = rosenau_grid(n=64, extent=5.0)
-    with pytest.raises(DomainError):
-        solver.step(grid, 1e-3, scheme="LeapFrog")
-    with pytest.raises(DomainError):
-        solver.evolve(grid, -1.9, scheme="LeapFrog")
-
-
-def test_explicit_overflow_step_is_rejected_with_node():
-    grid = free_radial_grid()
+def test_invalid_state_is_rejected_with_first_bad_node():
+    w = np.zeros(8)
+    w[5] = w[6] = np.nan
     with pytest.raises(StepRejectedError) as excinfo:
-        solver.step(grid, 1e8, scheme=solver.EXPLICIT_RK2)
-    assert excinfo.value.node == 0
+        solver._check_state(w, np.exp(w), 1.0)
+    assert excinfo.value.node == 5
 
 
 def test_semi_implicit_huge_step_stays_positive():
     grid = free_radial_grid()
-    stepped = solver.step(grid, 1e8, scheme=solver.SEMI_IMPLICIT)
+    stepped = solver.step(grid, 1e8)
     assert np.all(np.isfinite(stepped.u))
     assert np.all(stepped.u > 0.0)
 
 
-@pytest.mark.parametrize("scheme", [solver.EXPLICIT_RK2, solver.SEMI_IMPLICIT])
-def test_flat_data_is_stationary(scheme):
+def test_flat_data_is_stationary():
     sampled = exact.sample_grid(exact.flat(), 0.0, n=64, extent=5.0)
     free = ConformalGrid(CYLINDER, np.linspace(-5.0, 5.0, 64), np.ones(64), 0.0)
     for grid in (sampled, free):
-        stepped = solver.step(grid, 0.01, scheme=scheme)
+        stepped = solver.step(grid, 0.01)
         assert np.abs(stepped.u - 1.0).max() <= 1e-15
 
 
 def test_evolve_rosenau_tracks_exact_solution():
     spec = exact.rosenau()
     traj = rosenau_run(n=800)
-    assert traj.scheme == solver.SEMI_IMPLICIT
     assert np.array_equal(traj.times, np.linspace(-2.0, -1.0, 17))
     sup_rel = 0.0
     for t, u in zip(traj.times, traj.U):
@@ -139,19 +94,13 @@ def test_rmax_series_constant_on_exact_cigar():
     assert series.monotonicity_defect <= 1e-8
 
 
-@pytest.mark.parametrize(
-    "scheme, extent, t1, n_pair",
-    [
-        (solver.EXPLICIT_RK2, 6.0, -1.995, (250, 500)),
-        (solver.SEMI_IMPLICIT, 20.0, -1.5, (250, 500)),
-    ],
-)
-def test_convergence_order_two(scheme, extent, t1, n_pair):
+def test_convergence_order_two():
     spec = exact.rosenau()
+    t1 = -1.5
     errs = []
-    for n in n_pair:
-        grid = exact.sample_grid(spec, -2.0, n=n, x_lo=-extent, x_hi=extent)
-        traj = solver.evolve(grid, t1, cfl=0.4, scheme=scheme, output_times=[-2.0, t1])
+    for n in (250, 500):
+        grid = exact.sample_grid(spec, -2.0, n=n, x_lo=-20.0, x_hi=20.0)
+        traj = solver.evolve(grid, t1, cfl=0.4, output_times=[-2.0, t1])
         u_ref = exact.u_profile(spec, traj.nodes, t1)
         errs.append(float(np.abs(traj.U[-1] - u_ref).max()))
     ratio = errs[0] / errs[1]
@@ -166,17 +115,14 @@ def test_u_decreases_toward_extinction():
 def test_blow_up_aborts_with_structured_error():
     grid = exact.sample_grid(exact.rosenau(), -0.01, n=64, x_lo=-3.0, x_hi=3.0)
     with pytest.raises(BlowUpError) as excinfo:
-        solver.evolve(grid, -1e-5, cfl=0.5, scheme=solver.SEMI_IMPLICIT)
+        solver.evolve(grid, -1e-5, cfl=0.5)
     assert excinfo.value.r_max > 1e3
     assert -1e-2 < excinfo.value.t < 0.0
 
 
 def test_sphere_rmax_tracks_inverse_time():
     grid = exact.sample_grid(exact.sphere(), -1.0, n=500, extent=30.0)
-    traj = solver.evolve(
-        grid, -0.5, cfl=0.4, scheme=solver.SEMI_IMPLICIT,
-        output_times=np.linspace(-1.0, -0.5, 5),
-    )
+    traj = solver.evolve(grid, -0.5, cfl=0.4, output_times=np.linspace(-1.0, -0.5, 5))
     for t, rm in solver.rmax_series(traj).values:
         assert abs(rm * abs(t) - 1.0) < 0.01
 
@@ -185,9 +131,7 @@ def test_residual_records_shrink_with_cfl():
     grid = rosenau_grid(n=500)
     runs = {}
     for cfl in (0.4, 0.1):
-        traj = solver.evolve(
-            grid, -1.9, cfl=cfl, scheme=solver.SEMI_IMPLICIT, output_times=[-2.0, -1.9]
-        )
+        traj = solver.evolve(grid, -1.9, cfl=cfl, output_times=[-2.0, -1.9])
         residuals = [record.residual for record in traj.steps]
         assert all(math.isfinite(r) and r >= 0.0 for r in residuals)
         runs[cfl] = max(residuals)
@@ -222,9 +166,7 @@ def test_diagnostics_exact_soliton_harnack_clean():
 
 def test_diagnostics_flat_run_all_zero():
     grid = exact.sample_grid(exact.flat(), 0.0, n=128, extent=10.0)
-    traj = solver.evolve(
-        grid, 1.0, cfl=0.5, scheme=solver.EXPLICIT_RK2, output_times=np.linspace(0.0, 1.0, 5)
-    )
+    traj = solver.evolve(grid, 1.0, cfl=0.5, output_times=np.linspace(0.0, 1.0, 5))
     report = solver.diagnostics(traj)
     assert report.f_defect == 0.0
     assert report.harnack_defect == 0.0
@@ -240,9 +182,9 @@ def test_diagnostics_needs_three_snapshots():
 def test_trajectory_validation():
     g = exact.sample_grid(exact.cigar(4.0), 0.0, n=64, extent=5.0)
 
-    def make(times=(0.0, 1.0), U=None, nodes=g.nodes, chart=g.chart, scheme=solver.EXACT):
+    def make(times=(0.0, 1.0), U=None, nodes=g.nodes, chart=g.chart):
         U = np.stack([g.u] * len(times)) if U is None else U
-        return solver.FlowTrajectory(chart, nodes, np.asarray(times), U, None, (), scheme)
+        return solver.FlowTrajectory(chart, nodes, np.asarray(times), U, None, ())
 
     assert make().h == g.h
     with pytest.raises(DomainError):
@@ -259,8 +201,6 @@ def test_trajectory_validation():
         make(times=(1.0, 0.0))
     with pytest.raises(WindowError):
         make(times=(0.0, 0.0))
-    with pytest.raises(DomainError):
-        make(scheme="Magic")
     with pytest.raises(WindowError):
         make(times=(), U=np.ones((0, 64)))
 
@@ -268,7 +208,7 @@ def test_trajectory_validation():
 def test_trajectory_keeps_a_private_read_only_copy():
     g = exact.sample_grid(exact.cigar(4.0), 0.0, n=64, extent=5.0)
     U = np.stack([g.u, g.u])
-    traj = solver.FlowTrajectory(g.chart, g.nodes, np.array([0.0, 1.0]), U, None, (), solver.EXACT)
+    traj = solver.FlowTrajectory(g.chart, g.nodes, np.array([0.0, 1.0]), U, None, ())
     U[1] = 1.0
     assert np.array_equal(traj.U[1], g.u)
     with pytest.raises(ValueError):
@@ -296,7 +236,6 @@ def test_exact_trajectory_validation():
     with pytest.raises(WindowError):
         solver.exact_trajectory(exact.rosenau(), [-1.0, -1.0], n=64, extent=5.0)
     traj = solver.exact_trajectory(exact.rosenau(), [-2.0, -1.0], n=64, extent=5.0)
-    assert traj.scheme == solver.EXACT
     assert traj.steps == ()
     assert traj.provenance == exact.rosenau()
 
@@ -322,11 +261,25 @@ def test_evolve_validations():
         solver.evolve(grid, grid.t)
     # boundary pinning needs the family alive through t_end
     with pytest.raises(DomainError):
-        solver.evolve(grid, 1.0, scheme=solver.SEMI_IMPLICIT)
+        solver.evolve(grid, 1.0)
     with pytest.raises(WindowError):
         solver.evolve(grid, -1.9, output_times=[-2.0, -1.5])
     with pytest.raises(DomainError):
         solver.evolve(grid, -1.9, cfl=0.0)
+
+
+def test_evolve_rejects_a_run_over_the_step_budget_up_front(monkeypatch):
+    grid = exact.sample_grid(exact.flat(), 0.0, n=64, extent=5.0)
+
+    def no_stepping(*args):
+        raise AssertionError("stepped although the budget check should have failed first")
+
+    monkeypatch.setattr(solver, "_Stencil", no_stepping)
+    with pytest.raises(DomainError, match="budget"):
+        solver.evolve(grid, 1e9)
+    # steps are at most cfl * h = 0.5 * 5 / 63, so 100 time units need at least 2520
+    with pytest.raises(DomainError, match="budget"):
+        solver.evolve(grid, 100.0, max_steps=2519)
 
 
 def test_step_record_validation():
