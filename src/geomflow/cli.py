@@ -30,6 +30,8 @@ CLASSIFY_SNAPSHOTS = 253
 # families whose backward tip width stays above a fixed uniform grid step;
 # the soliton families collapse like exp(beta*t) and alias into garbage
 BACKWARD_RESOLVABLE = ("Rosenau", "Sphere", "Flat")
+# 65x the 16,000-node grid of the largest benchmark run; bounds a run's memory
+MAX_RESOLUTION = 2**20
 
 COLUMN_NOTES = """\
 artifact files and their columns:
@@ -80,8 +82,8 @@ class ScenarioConfig:
             raise DomainError("config needs a nonempty name")
         if (self.family is None) == (self.checkpoint is None):
             raise DomainError("config needs exactly one of family or checkpoint")
-        if self.resolution < 16:
-            raise DomainError(f"resolution must be >= 16, got {self.resolution}")
+        if not 16 <= self.resolution <= MAX_RESOLUTION:
+            raise DomainError(f"resolution must lie in [16, {MAX_RESOLUTION}], got {self.resolution}")
         if not self.extent > 0.0:
             raise DomainError(f"extent must be > 0, got {self.extent}")
         if not 0.0 < self.cfl <= 1.0:
@@ -128,6 +130,11 @@ def config_from_payload(payload: dict) -> ScenarioConfig:
     times = payload.get("output_times")
     if not isinstance(tasks, (list, tuple)) or not isinstance(times, (list, tuple, type(None))):
         raise DomainError("tasks and output_times must be JSON arrays")
+    if not all(isinstance(payload.get(key), (str, type(None))) for key in ("family", "checkpoint")):
+        raise DomainError("family and checkpoint must be strings")
+    resolution = payload.get("resolution", 2000)
+    if not (isinstance(resolution, int) or isinstance(resolution, float) and resolution.is_integer()):
+        raise DomainError(f"resolution must be a finite integral number, got {resolution!r}")
     try:
         return ScenarioConfig(
             name=str(payload.get("name", "")),
@@ -135,7 +142,7 @@ def config_from_payload(payload: dict) -> ScenarioConfig:
             params=tuple(sorted((k, float(v)) for k, v in params.items())),
             checkpoint=payload.get("checkpoint"),
             extent=float(payload.get("extent", 20.0)),
-            resolution=int(payload.get("resolution", 2000)),
+            resolution=int(resolution),
             t0=float(payload.get("t0", -2.0)),
             t1=float(payload.get("t1", -1.0)),
             output_times=None if times is None else tuple(float(t) for t in times),
@@ -144,7 +151,7 @@ def config_from_payload(payload: dict) -> ScenarioConfig:
             tolerances=tuple(sorted((k, float(v)) for k, v in tolerances.items())),
             out=str(payload.get("out", "out")),
         )
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise DomainError(f"malformed config value: {err}") from err
 
 

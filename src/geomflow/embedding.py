@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     DegenerateSurfaceError,
@@ -25,7 +24,7 @@ from .errors import (
     ExtentError,
 )
 from .geometry import TWO_PI, circle_length_profile, s_profile
-from .grids import RADIAL, ConformalGrid
+from .grids import RADIAL, ConformalGrid, cumulative_trapezoid
 
 # h' beyond [-OBSTRUCTION_TOL, 1 + OBSTRUCTION_TOL] blocks the embedding;
 # inside the band, excursions are discretization slack and get clamped to

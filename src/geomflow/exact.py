@@ -77,6 +77,8 @@ class ExactSolutionSpec:
             raise DomainError(f"{self.family} does not take params {sorted(extra)}")
         for key, default in allowed.items():
             value = float(params.get(key, default))
+            if not math.isfinite(value):
+                raise DomainError(f"{self.family} requires a finite {key}, got {value}")
             if key in ("r0", "beta", "delta") and value <= 0.0:
                 raise DomainError(f"{self.family} requires {key} > 0")
             params[key] = value

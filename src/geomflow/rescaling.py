@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     DegeneratePickError,
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .exact import rosenau
 from .geometry import scalar_curvature
-from .grids import RADIAL, ConformalGrid
+from .grids import RADIAL, ConformalGrid, cumulative_trapezoid
 from .solver import FlowTrajectory, exact_trajectory, trusted_mask
 
 DIVERGING = "Diverging"

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from numpy.linalg import LinAlgError
 
 from .errors import BlowUpError, DomainError, GeomflowError, StepRejectedError, WindowError
 from .exact import ExactSolutionSpec, check_time, log_u_profile, sample_grid, u_profile
@@ -38,6 +38,9 @@ SEMI_IMPLICIT = "SemiImplicit"
 
 BLOW_UP_RMAX = 1.0e3
 DEFAULT_OUTPUT_COUNT = 17
+# float64 cells of one trajectory's snapshot array (512 MiB); 86x the largest
+# benchmark trajectory, 253 snapshots of ~3,085 nodes
+MAX_TRAJECTORY_CELLS = 2**26
 
 # Trust region for curvature statistics on evolved data. R = -lap(w)/u divides
 # a second difference by u, so the smooth O(h^2 + dt^2) integration error in w
@@ -211,6 +214,10 @@ class _Stencil:
         self.pinned = np.array(pinned, dtype=int)
         self.pinned_nodes = grid.nodes[self.pinned]
         self.provenance = grid.provenance
+        # deferred: scipy.linalg takes ~0.3 s to import and only the implicit solve needs it
+        from scipy.linalg import solve_banded
+
+        self._solve_banded = solve_banded
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         lap = self.dia * w
@@ -236,7 +243,7 @@ class _Stencil:
         ab[0, 1:] = -(c * self.sup)[:-1]
         ab[1, :] = 1.0 - c * self.dia
         ab[2, :-1] = -(c * self.sub)[1:]
-        return solve_banded((1, 1), ab, rhs, check_finite=False)
+        return self._solve_banded((1, 1), ab, rhs, check_finite=False)
 
 
 def _step_semi_implicit(st: _Stencil, w: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -313,6 +320,13 @@ def _resolve_output_times(t0: float, t_end: float, output_times) -> np.ndarray:
     return times
 
 
+def _check_trajectory_size(times: int, n: int) -> None:
+    if times * n > MAX_TRAJECTORY_CELLS:
+        raise DomainError(
+            f"{times} snapshots x {n} nodes exceed the limit of {MAX_TRAJECTORY_CELLS} values"
+        )
+
+
 def evolve(
     grid: ConformalGrid,
     t_end: float,
@@ -325,7 +339,8 @@ def evolve(
     """Evolve to t_end, snapshotting at the requested output times.
 
     Steps never exceed cfl * h, so a run that needs more than max_steps of
-    them is rejected before anything is allocated.
+    them, or more than MAX_TRAJECTORY_CELLS snapshot values, is rejected
+    before anything is allocated.
     """
     if not (0.0 < cfl <= 1.0):
         raise DomainError(f"cfl must lie in (0, 1], got {cfl}")
@@ -340,6 +355,7 @@ def evolve(
             f"reaching t={t_end} takes at least {fewest_steps:.3g} steps, over the budget {max_steps}"
         )
     targets = _resolve_output_times(grid.t, float(t_end), output_times)
+    _check_trajectory_size(targets.size, grid.n)
 
     st = _Stencil(grid)
     rel = grid.reliable_slice()
@@ -392,6 +408,7 @@ def exact_trajectory(
     times = np.asarray(times, dtype=float)
     if times.size < 2 or np.any(np.diff(times) <= 0.0):
         raise WindowError("exact trajectory needs at least two strictly increasing times")
+    _check_trajectory_size(times.size, int(n))
     grid = sample_grid(spec, float(times[0]), n=n, extent=extent, x_lo=x_lo, x_hi=x_hi)
     U = np.empty((times.size, grid.n))
     U[0] = grid.u

@@ -2,10 +2,13 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import geomflow
 from geomflow import cli, exact, serialize, solver
 from geomflow.errors import DomainError
 from geomflow.geometry import FIELD_ORDER
@@ -92,6 +95,12 @@ def test_config_defaults_fill_in():
         {"tasks": "embed"},
         {"output_times": "123"},
         {"scheme": "ExplicitRK2"},
+        {"family": None, "checkpoint": 0},
+        {"family": 5},
+        {"resolution": 1e999},
+        {"resolution": 256.5},
+        {"resolution": cli.MAX_RESOLUTION + 1},
+        {"extent": 10**400},
     ],
 )
 def test_config_validation_rejects(overrides):
@@ -117,6 +126,7 @@ def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 def test_run_with_non_utf8_config_exits_2(tmp_path, capsys):
@@ -142,6 +152,28 @@ def test_simulate_over_step_budget_exits_2_before_stepping(tmp_path, capsys, mon
     args = ["simulate", "--family", "flat", "--t0", "0", "--t1", "1e6", "--n", "64"]
     assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
     assert_one_line_error(capsys)
+
+
+def test_classify_over_the_trajectory_limit_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled although the size check should have failed first")
+
+    monkeypatch.setattr(solver, "sample_grid", no_sampling)
+    args = ["classify", "--family", "sphere", "--n", str(cli.MAX_RESOLUTION)]
+    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+    assert "exceed the limit" in assert_one_line_error(capsys)
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(geomflow.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = "import sys, geomflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, cwd=tmp_path, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_family_exits_2(tmp_path, capsys):

@@ -146,6 +146,10 @@ def test_parameter_validation():
     with pytest.raises(DomainError):
         exact.ds_soliton(beta=-1.0)
     with pytest.raises(DomainError):
+        exact.cigar(math.inf)
+    with pytest.raises(DomainError):
+        exact.ds_soliton(delta=math.nan)
+    with pytest.raises(DomainError):
         exact.ExactSolutionSpec("Cigar", (("bogus", 1.0),))
     with pytest.raises(DomainError):
         exact.ExactSolutionSpec("DSSoliton", (("x0", 0.5),))

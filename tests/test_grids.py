@@ -8,6 +8,7 @@ from geomflow.grids import (
     RELIABLE_MARGIN,
     U_NOISE_FLOOR,
     ConformalGrid,
+    cumulative_trapezoid,
 )
 
 
@@ -132,3 +133,16 @@ def test_index_of():
     assert g.index_of(1.04) == 10  # nearest node at 1.0
     with pytest.raises(ExtentError):
         g.index_of(3.5)
+
+
+@pytest.mark.parametrize("n", [2, 17, 3085])
+def test_cumulative_trapezoid_is_bit_identical_to_scipy(n):
+    from scipy import integrate
+
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.1, 1.0, n))
+    y = rng.normal(size=n)
+    assert np.array_equal(cumulative_trapezoid(y, x), integrate.cumulative_trapezoid(y, x))
+    assert np.array_equal(
+        cumulative_trapezoid(y, x, initial=0.0), integrate.cumulative_trapezoid(y, x, initial=0.0)
+    )

@@ -49,6 +49,15 @@ def test_invalid_state_is_rejected_with_first_bad_node():
     assert excinfo.value.node == 5
 
 
+def test_failed_linear_solve_is_a_rejected_step(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr("scipy.linalg.solve_banded", singular)
+    with pytest.raises(StepRejectedError, match="linear solve failed"):
+        solver.step(free_radial_grid(), 1e-3)
+
+
 def test_semi_implicit_huge_step_stays_positive():
     grid = free_radial_grid()
     stepped = solver.step(grid, 1e8)
@@ -238,6 +247,22 @@ def test_exact_trajectory_validation():
     traj = solver.exact_trajectory(exact.rosenau(), [-2.0, -1.0], n=64, extent=5.0)
     assert traj.steps == ()
     assert traj.provenance == exact.rosenau()
+
+
+def test_trajectories_over_the_size_limit_are_rejected_before_allocating(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("allocated although the size check should have failed first")
+
+    monkeypatch.setattr(solver, "sample_grid", no_work)
+    times = np.linspace(-2.0, -1.0, 65)
+    with pytest.raises(DomainError, match="limit"):
+        solver.exact_trajectory(exact.rosenau(), times, n=solver.MAX_TRAJECTORY_CELLS // 64, extent=5.0)
+
+    grid = exact.sample_grid(exact.flat(), 0.0, n=4097, extent=5.0)
+    monkeypatch.setattr(solver, "_Stencil", no_work)
+    count = solver.MAX_TRAJECTORY_CELLS // grid.n + 1
+    with pytest.raises(DomainError, match="limit"):
+        solver.evolve(grid, 1.0, output_times=np.linspace(0.0, 1.0, count))
 
 
 def test_exact_trajectory_rows_match_sampled_grids():
