@@ -240,10 +240,11 @@ def _task_invariants(config: ScenarioConfig, out_dir: str) -> int:
         times = config.output_times
         if times is None:
             times = np.linspace(config.t0, config.t1, solver.DEFAULT_OUTPUT_COUNT)
-        grids = [
+        solver.check_trajectory_size(len(times), config.resolution)
+        grids = (
             exact.sample_grid(spec, float(t), n=config.resolution, extent=config.extent)
             for t in times
-        ]
+        )
     header, rows = serialize.invariant_table(invariant_report(g) for g in grids)
     serialize.write_csv(os.path.join(out_dir, "invariants.csv"), header, rows)
     return 0

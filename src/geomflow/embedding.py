@@ -111,7 +111,7 @@ def embed(profile: RevolutionProfile) -> EmbeddedSurface:
     _check_slopes(profile.hprime, profile.s)
     slope = np.clip(profile.hprime, 0.0, 1.0)
     slope[profile.hprime >= 1.0 - CLAMP_TOL] = 1.0
-    z = cumulative_trapezoid(np.sqrt(1.0 - slope**2), profile.s, initial=0.0)
+    z = cumulative_trapezoid(np.sqrt(1.0 - slope**2), profile.s)
     return EmbeddedSurface(s=profile.s.copy(), r=profile.hcirc.copy(), z=z)
 
 

@@ -78,7 +78,7 @@ def scalar_curvature(grid: ConformalGrid) -> np.ndarray:
 
 def s_profile(grid: ConformalGrid) -> np.ndarray:
     """Geodesic distance from node 0 along the generator line (trapezoid)."""
-    return cumulative_trapezoid(np.sqrt(grid.u), grid.nodes, initial=0.0)
+    return cumulative_trapezoid(np.sqrt(grid.u), grid.nodes)
 
 
 def geodesic_radius(grid: ConformalGrid, coord: float) -> float:
@@ -106,7 +106,7 @@ def ball_area_profile(grid: ConformalGrid) -> np.ndarray:
         integrand = grid.u * grid.nodes
     else:
         integrand = grid.u
-    return TWO_PI * cumulative_trapezoid(integrand, grid.nodes, initial=0.0)
+    return TWO_PI * cumulative_trapezoid(integrand, grid.nodes)
 
 
 def ball_area(grid: ConformalGrid, coord: float) -> float:
@@ -288,7 +288,7 @@ def _cumulative_curvature(grid: ConformalGrid) -> np.ndarray:
         integrand = r_field * grid.u * grid.nodes
     else:
         integrand = r_field * grid.u
-    return TWO_PI * cumulative_trapezoid(integrand, grid.nodes, initial=0.0)
+    return TWO_PI * cumulative_trapezoid(integrand, grid.nodes)
 
 
 def average_curvature_k(grid: ConformalGrid, r: float) -> float:

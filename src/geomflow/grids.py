@@ -46,12 +46,9 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def cumulative_trapezoid(y: np.ndarray, x: np.ndarray, initial: float | None = None) -> np.ndarray:
-    """Running trapezoid integral of y over x, bit-identical to scipy's formula."""
-    res = np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
-    if initial is None:
-        return res
-    return np.concatenate(([float(initial)], res))
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x from 0 at x[0], bit-identical to scipy's formula."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def check_layout(chart: str, nodes: np.ndarray) -> float:

@@ -268,7 +268,7 @@ def rescaled_profile(flow: DilatedFlow, span: float, *, t: float = 0.0) -> Resca
         )
     mask = trusted_mask(grid)
     mask[node] = True
-    arc = cumulative_trapezoid(np.sqrt(grid.u), grid.nodes, initial=0.0)
+    arc = cumulative_trapezoid(np.sqrt(grid.u), grid.nodes)
     arc_tip = _tip_arc_position(grid, mask, node, arc)
     s_hat = np.abs(arc - arc_tip) * math.sqrt(r_tip)
     reach = float(s_hat[mask].max())

@@ -320,7 +320,8 @@ def _resolve_output_times(t0: float, t_end: float, output_times) -> np.ndarray:
     return times
 
 
-def _check_trajectory_size(times: int, n: int) -> None:
+def check_trajectory_size(times: int, n: int) -> None:
+    """Reject times x n snapshot values above MAX_TRAJECTORY_CELLS before allocating them."""
     if times * n > MAX_TRAJECTORY_CELLS:
         raise DomainError(
             f"{times} snapshots x {n} nodes exceed the limit of {MAX_TRAJECTORY_CELLS} values"
@@ -355,7 +356,7 @@ def evolve(
             f"reaching t={t_end} takes at least {fewest_steps:.3g} steps, over the budget {max_steps}"
         )
     targets = _resolve_output_times(grid.t, float(t_end), output_times)
-    _check_trajectory_size(targets.size, grid.n)
+    check_trajectory_size(targets.size, grid.n)
 
     st = _Stencil(grid)
     rel = grid.reliable_slice()
@@ -408,7 +409,7 @@ def exact_trajectory(
     times = np.asarray(times, dtype=float)
     if times.size < 2 or np.any(np.diff(times) <= 0.0):
         raise WindowError("exact trajectory needs at least two strictly increasing times")
-    _check_trajectory_size(times.size, int(n))
+    check_trajectory_size(times.size, int(n))
     grid = sample_grid(spec, float(times[0]), n=n, extent=extent, x_lo=x_lo, x_hi=x_hi)
     U = np.empty((times.size, grid.n))
     U[0] = grid.u

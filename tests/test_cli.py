@@ -164,6 +164,26 @@ def test_classify_over_the_trajectory_limit_exits_2_before_sampling(tmp_path, ca
     assert "exceed the limit" in assert_one_line_error(capsys)
 
 
+def test_invariants_over_the_trajectory_limit_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled although the size check should have failed first")
+
+    monkeypatch.setattr(exact, "sample_grid", no_sampling)
+    count = solver.MAX_TRAJECTORY_CELLS // cli.MAX_RESOLUTION + 1
+    payload = {
+        "name": "large",
+        "family": "sphere",
+        "resolution": cli.MAX_RESOLUTION,
+        "output_times": [-2.0 + k / count for k in range(count)],
+        "tasks": ["invariants"],
+        "out": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["run", str(path)]) == 2
+    assert "exceed the limit" in assert_one_line_error(capsys)
+
+
 def test_importing_the_cli_loads_no_scipy(tmp_path):
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(geomflow.__file__)))
     env = dict(os.environ)
