@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -98,6 +99,9 @@ class ScenarioConfig:
             raise DomainError(
                 f"unknown tolerance keys {bad_tol}; expected subset of {sorted(DEFAULT_TOLERANCES)}"
             )
+        bad_tol = [k for k, v in self.tolerances if not (math.isfinite(v) and v > 0.0)]
+        if bad_tol:
+            raise DomainError(f"tolerances {bad_tol} must be finite numbers > 0")
 
     def spec(self) -> exact.ExactSolutionSpec | None:
         if self.family is None:

@@ -147,8 +147,9 @@ def _ds_params(spec: ExactSolutionSpec) -> tuple[float, float]:
 
 def _ds_shift(beta: float, delta: float, t: float) -> float:
     arg = math.log(delta) + 2.0 * beta * t
-    if arg > _EXP_MAX:
-        raise DomainError("soliton time shift overflows float64; rescale first")
+    # past -_EXP_MAX the shift underflows toward 0 and log u is -inf on the axis
+    if not -_EXP_MAX <= arg <= _EXP_MAX:
+        raise DomainError(f"soliton time shift exp({arg}) leaves the float64 range; rescale first")
     return math.exp(arg)
 
 

@@ -1,8 +1,9 @@
 """Deterministic artifact files: canonical CSV/JSON text and grid checkpoints.
 
-Identical data must produce identical bytes, so every cell goes through one
-fixed float format, JSON keys are sorted, line endings are fixed to "\\n",
-and payloads never include wall-clock data. Files are written atomically
+Identical data must produce identical bytes, so every CSV cell goes through
+one fixed float format (17 significant digits), JSON floats are Python's
+shortest round-trip repr, JSON keys are sorted, line endings are fixed to
+"\\n", and payloads never include wall-clock data. Files are written atomically
 (temp file in the target directory, then rename) so concurrent scenario
 runs never expose half-written artifacts.
 """
@@ -10,6 +11,7 @@ runs never expose half-written artifacts.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -50,24 +52,49 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+class _Rendered(str):
+    """JSON text `_encode` already rendered at the depth where it is used."""
+
+
+def _encode(obj, level: int) -> str:
+    """JSON text of obj at nesting depth level, byte for byte as
+    `json.dumps(..., sort_keys=True, indent=2)` renders it.
+
+    With an indent, `json.dumps` falls back to its pure-Python encoder, so
+    containers are laid out here and scalars go through `json.dumps` (C). A
+    list of finite floats is one C join of their reprs, the text that encoder
+    writes for each of them.
+    """
+    if type(obj) is _Rendered:
+        return obj
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        obj = obj.tolist()
+    if isinstance(obj, (dict, list, tuple)):
+        if not obj:
+            return "{}" if isinstance(obj, dict) else "[]"
+        inner = "\n" + "  " * (level + 1)
+        sep, close = "," + inner, "\n" + "  " * level
+        if isinstance(obj, dict):
+            items = {str(k): v for k, v in obj.items()}
+            body = sep.join(json.dumps(k) + ": " + _encode(items[k], level + 1) for k in sorted(items))
+            return "{" + inner + body + close + "}"
+        if set(map(type, obj)) == {float}:
+            body = sep.join(map(float.__repr__, obj))
+            # a finite repr has no "n"; "nan" and "inf" must become NaN and Infinity
+            if "n" not in body:
+                return "[" + inner + body + close + "]"
+        return "[" + inner + sep.join(_encode(v, level + 1) for v in obj) + close + "]"
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
+        obj = bool(obj)
+    elif isinstance(obj, (int, np.integer)):
+        obj = int(obj)
+    elif isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+    return json.dumps(obj)
 
 
 def json_text(payload) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    return _encode(payload, 0) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -111,8 +138,20 @@ def checkpoint_payload(grid: ConformalGrid) -> dict:
     return payload
 
 
+@functools.lru_cache(maxsize=1)
+def _nodes_text(nodes: bytes) -> _Rendered:
+    """Checkpoint nodes rendered from their float64 bytes.
+
+    The checkpoints of one trajectory share their nodes, so they render them
+    once; the key is the bytes themselves, so equal keys mean equal text.
+    """
+    return _Rendered(_encode(np.frombuffer(nodes), 1))
+
+
 def save_checkpoint(path: str, grid: ConformalGrid) -> None:
-    write_json(path, checkpoint_payload(grid))
+    payload = checkpoint_payload(grid)
+    payload["nodes"] = _nodes_text(grid.nodes.tobytes())
+    write_json(path, payload)
 
 
 def grid_from_payload(payload: dict) -> ConformalGrid:

@@ -226,11 +226,10 @@ class _Stencil:
         return lap
 
     def pin_values(self, t: float) -> np.ndarray:
+        """log u at the pinned nodes at time t (empty when nothing is pinned)."""
+        if not self.pinned.size:
+            return np.empty(0)
         return log_u_profile(self.provenance, self.pinned_nodes, t)
-
-    def pin(self, w: np.ndarray, t: float) -> None:
-        if self.pinned.size:
-            w[self.pinned] = self.pin_values(t)
 
     def solve_shifted(self, coeff: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - diag(coeff) L) w = rhs with pinned rows forced to identity."""
@@ -247,13 +246,14 @@ class _Stencil:
 
 
 def _step_semi_implicit(st: _Stencil, w: np.ndarray, t: float, dt: float) -> np.ndarray:
+    pins = st.pin_values(t + dt)
     lap0 = st.apply(w)
     rhs = w.copy()
-    st.pin(rhs, t + dt)
+    rhs[st.pinned] = pins
     w_star = st.solve_shifted(dt * np.exp(-w), rhs)
     d_mid = np.exp(-0.5 * (w + w_star))
     rhs = w + (0.5 * dt) * d_mid * lap0
-    st.pin(rhs, t + dt)
+    rhs[st.pinned] = pins
     return st.solve_shifted((0.5 * dt) * d_mid, rhs)
 
 

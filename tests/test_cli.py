@@ -101,6 +101,9 @@ def test_config_defaults_fill_in():
         {"resolution": 256.5},
         {"resolution": cli.MAX_RESOLUTION + 1},
         {"extent": 10**400},
+        {"tolerances": {"max_ratio": math.nan}},
+        {"tolerances": {"sup_rel_err": math.inf}},
+        {"tolerances": {"min_ratio": 0}},
     ],
 )
 def test_config_validation_rejects(overrides):
@@ -184,16 +187,32 @@ def test_invariants_over_the_trajectory_limit_exits_2_before_sampling(tmp_path, 
     assert "exceed the limit" in assert_one_line_error(capsys)
 
 
-def test_importing_the_cli_loads_no_scipy(tmp_path):
+def run_python(tmp_path, *args):
+    """Run a child interpreter in tmp_path that imports this checkout's package."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(geomflow.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    code = "import sys, geomflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=env, cwd=tmp_path, text=True
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=env, cwd=tmp_path, text=True
     )
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    code = "import sys, geomflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = run_python(tmp_path, "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_underflowing_soliton_shift_exits_2_with_one_line(tmp_path):
+    # a subprocess, so a numpy RuntimeWarning would reach stderr as it does for users
+    path = write_config(
+        tmp_path, family="dssoliton", params={"beta": 1e308}, t0=-1.0, tasks=["invariants"]
+    )
+    proc = run_python(tmp_path, "-m", "geomflow.cli", "run", path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "time shift" in proc.stderr
 
 
 def test_unknown_family_exits_2(tmp_path, capsys):

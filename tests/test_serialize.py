@@ -4,6 +4,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from geomflow import exact, serialize
 from geomflow.errors import DomainError
@@ -60,6 +63,59 @@ def test_json_text_of_an_array_matches_its_tolist():
     assert '-0.0' in serialize.json_text(payload) and "5e-324" in serialize.json_text(payload)
 
 
+def _stdlib_jsonable(obj):
+    """The conversion json_text used to run before `json.dumps`: the reference."""
+    if isinstance(obj, dict):
+        return {str(k): _stdlib_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_stdlib_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    return obj
+
+
+def _stdlib_json_text(payload) -> str:
+    return json.dumps(_stdlib_jsonable(payload), sort_keys=True, indent=2) + "\n"
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1])
+_FLOATS = st.floats() | _EDGE_FLOATS
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _FLOATS
+    | st.text()
+    | _FLOATS.map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | hnp.arrays(np.float64, _SHAPES, elements=_FLOATS)
+    | hnp.arrays(np.int64, _SHAPES)
+    | hnp.arrays(np.bool_, _SHAPES)
+    | st.lists(_FLOATS, max_size=8)
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_json_text_matches_the_stdlib_indented_encoder(payload):
+    assert serialize.json_text(payload) == _stdlib_json_text(payload)
+
+
 def test_json_text_handles_numpy_scalars_and_arrays():
     payload = {"v": np.float64(0.25), "n": np.int32(4), "arr": np.array([1.0, 2.0])}
     parsed = json.loads(serialize.json_text(payload))
@@ -106,6 +162,21 @@ def test_checkpoint_rerender_is_byte_identical(tmp_path):
         assert fh.read() == first
     second = serialize.json_text(serialize.checkpoint_payload(serialize.load_checkpoint(path)))
     assert second == first
+
+
+def test_checkpoints_with_shared_nodes_never_reuse_stale_text(tmp_path):
+    from geomflow.grids import ConformalGrid
+
+    a = exact.sample_grid(exact.rosenau(), -1.5, n=64, x_lo=-9.0, x_hi=11.0)
+    b = ConformalGrid(a.chart, a.nodes.copy(), a.u * 2.0, -1.2, a.provenance)
+    nodes = a.nodes.copy()
+    nodes[17] = np.nextafter(nodes[17], np.inf)
+    c = ConformalGrid(a.chart, nodes, a.u, a.t, a.provenance)
+    for i, grid in enumerate((a, b, c, a)):
+        path = os.path.join(tmp_path, f"checkpoint_{i}.json")
+        serialize.save_checkpoint(path, grid)
+        with open(path) as fh:
+            assert fh.read() == _stdlib_json_text(serialize.checkpoint_payload(grid))
 
 
 def test_checkpoint_without_provenance_loads_as_plain_grid(tmp_path):

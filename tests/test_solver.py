@@ -34,6 +34,20 @@ def test_step_tracks_exact_solution_one_step():
     assert 0.0 < err < 5e-9
 
 
+@pytest.mark.parametrize("grid,calls", [(rosenau_grid(n=64, extent=5.0), 1), (free_radial_grid(), 0)])
+def test_step_evaluates_the_pinned_boundary_once(monkeypatch, grid, calls):
+    seen = []
+
+    def counted(spec, coords, t):
+        seen.append(t)
+        return exact.log_u_profile(spec, coords, t)
+
+    monkeypatch.setattr(solver, "log_u_profile", counted)
+    stepped = solver.step(grid, 1e-3)
+    assert seen == [grid.t + 1e-3] * calls
+    assert np.all(np.isfinite(stepped.u))
+
+
 @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
 def test_step_rejects_bad_dt(dt):
     grid = rosenau_grid(n=64, extent=5.0)
