@@ -2,175 +2,8 @@
 
 Closed-form solution families of du/dt = lap(log u), discrete curvature and
 asymptotic invariants, flow integration, blow-up rescaling analysis, and
-isometric embedding of rotationally symmetric metrics.
+isometric embedding of rotationally symmetric metrics. The package root
+holds only __version__; import the submodules (geomflow.exact, ...).
 """
 
-from .errors import (
-    BlowUpError,
-    DegeneratePickError,
-    DegenerateSurfaceError,
-    DomainError,
-    EmbeddingObstructionError,
-    ExtentError,
-    GeomflowError,
-    StepRejectedError,
-    WindowError,
-)
-from .exact import (
-    CIGAR,
-    DS_SOLITON,
-    FAMILIES,
-    FLAT,
-    ROSENAU,
-    SPHERE,
-    ExactSolutionSpec,
-    cigar,
-    ds_soliton,
-    flat,
-    rosenau,
-    rosenau_rmax,
-    sample_grid,
-    spec_from_name,
-    sphere,
-)
-from .geometry import (
-    ApertureResult,
-    CircumferenceResult,
-    InvariantReport,
-    TotalCurvatureResult,
-    VolumeRatioResult,
-    aperture,
-    asymptotic_volume_ratio,
-    average_curvature_k,
-    ball_area,
-    cigar_cylinder_grid,
-    circle_length,
-    circumference_at_infinity,
-    curvature_bump_grid,
-    geodesic_radius,
-    invariant_report,
-    scalar_curvature,
-    total_curvature,
-)
-from .embedding import (
-    EmbeddedSurface,
-    RevolutionProfile,
-    circumference_and_width,
-    embed,
-    level_lengths,
-    profile_from_metric,
-)
-from .grids import CHARTS, CYLINDER, RADIAL, ConformalGrid
-from .rescaling import (
-    BOUNDED,
-    DIVERGING,
-    VERDICT_BASIS,
-    ClassificationReport,
-    DilatedFlow,
-    RescaledProfile,
-    RescalingPick,
-    backward_rosenau_trajectory,
-    cigar_profile,
-    classify_type,
-    default_gamma,
-    default_window,
-    dilate,
-    pick_point,
-    profile_distance,
-    rescaled_profile,
-)
-from .solver import (
-    DiagnosticReport,
-    FlowTrajectory,
-    RmaxSeries,
-    StepRecord,
-    diagnostics,
-    evolve,
-    exact_trajectory,
-    rmax_series,
-    step,
-    trusted_mask,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlowUpError",
-    "DegeneratePickError",
-    "DegenerateSurfaceError",
-    "DomainError",
-    "EmbeddingObstructionError",
-    "ExtentError",
-    "GeomflowError",
-    "StepRejectedError",
-    "WindowError",
-    "CIGAR",
-    "DS_SOLITON",
-    "FAMILIES",
-    "FLAT",
-    "ROSENAU",
-    "SPHERE",
-    "ExactSolutionSpec",
-    "cigar",
-    "ds_soliton",
-    "flat",
-    "rosenau",
-    "rosenau_rmax",
-    "sample_grid",
-    "spec_from_name",
-    "sphere",
-    "ApertureResult",
-    "CircumferenceResult",
-    "InvariantReport",
-    "TotalCurvatureResult",
-    "VolumeRatioResult",
-    "aperture",
-    "asymptotic_volume_ratio",
-    "average_curvature_k",
-    "ball_area",
-    "cigar_cylinder_grid",
-    "circle_length",
-    "circumference_at_infinity",
-    "curvature_bump_grid",
-    "geodesic_radius",
-    "invariant_report",
-    "scalar_curvature",
-    "total_curvature",
-    "EmbeddedSurface",
-    "RevolutionProfile",
-    "circumference_and_width",
-    "embed",
-    "level_lengths",
-    "profile_from_metric",
-    "CHARTS",
-    "CYLINDER",
-    "RADIAL",
-    "ConformalGrid",
-    "DiagnosticReport",
-    "FlowTrajectory",
-    "RmaxSeries",
-    "StepRecord",
-    "diagnostics",
-    "evolve",
-    "exact_trajectory",
-    "rmax_series",
-    "step",
-    "trusted_mask",
-    "BOUNDED",
-    "DIVERGING",
-    "VERDICT_BASIS",
-    "ClassificationReport",
-    "DilatedFlow",
-    "RescaledProfile",
-    "RescalingPick",
-    "backward_rosenau_trajectory",
-    "cigar_profile",
-    "classify_type",
-    "default_gamma",
-    "default_window",
-    "dilate",
-    "pick_point",
-    "profile_distance",
-    "rescaled_profile",
-    "__version__",
-]

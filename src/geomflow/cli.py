@@ -116,6 +116,16 @@ class ScenarioConfig:
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig)) + ("scheme",)
 
 
+def _number(key: str, value) -> float:
+    """A JSON number that is not a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{key} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as err:
+        raise DomainError(f"{key} is out of range: {err}") from err
+
+
 def config_from_payload(payload: dict) -> ScenarioConfig:
     """Build a config from a parsed JSON document, rejecting unknown keys."""
     if not isinstance(payload, dict):
@@ -136,33 +146,33 @@ def config_from_payload(payload: dict) -> ScenarioConfig:
         raise DomainError("tasks and output_times must be JSON arrays")
     if not all(isinstance(payload.get(key), (str, type(None))) for key in ("family", "checkpoint")):
         raise DomainError("family and checkpoint must be strings")
-    resolution = payload.get("resolution", 2000)
-    if not (isinstance(resolution, int) or isinstance(resolution, float) and resolution.is_integer()):
+    if not all(isinstance(payload.get(key, ""), str) for key in ("name", "out")):
+        raise DomainError("name and out must be strings")
+
+    def number(key: str, default: float) -> float:
+        return _number(key, payload.get(key, default))
+
+    def numbers(key: str, values: dict) -> tuple[tuple[str, float], ...]:
+        return tuple(sorted((k, _number(f"{key}.{k}", v)) for k, v in values.items()))
+
+    resolution = number("resolution", 2000)
+    if not resolution.is_integer():
         raise DomainError(f"resolution must be a finite integral number, got {resolution!r}")
-    try:
-        return ScenarioConfig(
-            name=str(payload.get("name", "")),
-            family=payload.get("family"),
-            params=tuple(sorted((k, float(v)) for k, v in params.items())),
-            checkpoint=payload.get("checkpoint"),
-            extent=float(payload.get("extent", 20.0)),
-            resolution=int(resolution),
-            t0=float(payload.get("t0", -2.0)),
-            t1=float(payload.get("t1", -1.0)),
-            output_times=None if times is None else tuple(float(t) for t in times),
-            cfl=float(payload.get("cfl", 0.4)),
-            tasks=tuple(tasks),
-            tolerances=tuple(sorted((k, float(v)) for k, v in tolerances.items())),
-            out=str(payload.get("out", "out")),
-        )
-    except (TypeError, ValueError, OverflowError) as err:
-        raise DomainError(f"malformed config value: {err}") from err
-
-
-def config_to_payload(config: ScenarioConfig) -> dict:
-    payload = dataclasses.asdict(config)
-    payload.update(params=dict(config.params), tolerances=dict(config.tolerances))
-    return payload
+    return ScenarioConfig(
+        name=payload.get("name", ""),
+        family=payload.get("family"),
+        params=numbers("params", params),
+        checkpoint=payload.get("checkpoint"),
+        extent=number("extent", 20.0),
+        resolution=int(resolution),
+        t0=number("t0", -2.0),
+        t1=number("t1", -1.0),
+        output_times=None if times is None else tuple(_number("output_times item", t) for t in times),
+        cfl=number("cfl", 0.4),
+        tasks=tuple(tasks),
+        tolerances=numbers("tolerances", tolerances),
+        out=payload.get("out", "out"),
+    )
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -328,7 +338,7 @@ _TASK_RUNNERS = {
 }
 
 
-def resolve_out_dir(configured: str) -> str:
+def resolve_out_dir(configured: str | None) -> str | None:
     return os.environ.get("GEOMFLOW_OUT") or configured
 
 
@@ -375,20 +385,18 @@ def verify_all(out_dir: str | None = None) -> int:
 
 
 def _inline_config(task: str, args: argparse.Namespace) -> ScenarioConfig:
-    return ScenarioConfig(
-        name=f"{args.family}-{task}",
-        family=args.family,
-        params=(),
-        checkpoint=None,
-        extent=args.extent,
-        resolution=args.n,
-        t0=args.t0,
-        t1=args.t1,
-        output_times=None,
-        cfl=args.cfl,
-        tasks=(task,),
-        tolerances=(),
-        out=args.out,
+    return config_from_payload(
+        {
+            "name": f"{args.family}-{task}",
+            "family": args.family,
+            "extent": args.extent,
+            "resolution": args.n,
+            "t0": args.t0,
+            "t1": args.t1,
+            "cfl": args.cfl,
+            "tasks": [task],
+            "out": args.out,
+        }
     )
 
 
@@ -425,7 +433,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            out_dir = os.environ.get("GEOMFLOW_OUT") or args.out
+            out_dir = resolve_out_dir(args.out)
             if out_dir is not None:
                 os.makedirs(out_dir, exist_ok=True)
             return verify_all(out_dir)

@@ -81,23 +81,11 @@ def s_profile(grid: ConformalGrid) -> np.ndarray:
     return cumulative_trapezoid(np.sqrt(grid.u), grid.nodes)
 
 
-def geodesic_radius(grid: ConformalGrid, coord: float) -> float:
-    """Intrinsic distance from node 0 to the circle at the given coordinate."""
-    _check_extent(grid, coord)
-    return float(np.interp(coord, grid.nodes, s_profile(grid)))
-
-
 def circle_length_profile(grid: ConformalGrid) -> np.ndarray:
     root = np.sqrt(grid.u)
     if grid.chart == RADIAL:
         return TWO_PI * grid.nodes * root
     return TWO_PI * root
-
-
-def circle_length(grid: ConformalGrid, coord: float) -> float:
-    """Length of the coordinate circle through the given node coordinate."""
-    _check_extent(grid, coord)
-    return float(np.interp(coord, grid.nodes, circle_length_profile(grid)))
 
 
 def ball_area_profile(grid: ConformalGrid) -> np.ndarray:
@@ -107,17 +95,6 @@ def ball_area_profile(grid: ConformalGrid) -> np.ndarray:
     else:
         integrand = grid.u
     return TWO_PI * cumulative_trapezoid(integrand, grid.nodes)
-
-
-def ball_area(grid: ConformalGrid, coord: float) -> float:
-    _check_extent(grid, coord)
-    return float(np.interp(coord, grid.nodes, ball_area_profile(grid)))
-
-
-def _check_extent(grid: ConformalGrid, coord: float) -> None:
-    lo, hi = float(grid.nodes[0]), float(grid.nodes[-1])
-    if not (lo - 1e-12 <= coord <= hi + 1e-12):
-        raise ExtentError(f"coordinate {coord} outside sampled extent [{lo}, {hi}]")
 
 
 def _reliable_outer_index(grid: ConformalGrid) -> int:
@@ -304,14 +281,6 @@ def average_curvature_k(grid: ConformalGrid, r: float) -> float:
     return num / den
 
 
-def average_curvature_samples(
-    grid: ConformalGrid, fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
-) -> tuple[tuple[float, float], ...]:
-    s = s_profile(grid)
-    s_max = s[_reliable_outer_index(grid)]
-    return tuple((float(f * s_max), average_curvature_k(grid, f * s_max)) for f in fractions)
-
-
 def sup_r_times_k(grid: ConformalGrid) -> float:
     """sup over sampled radii of r * k(o, r)."""
     s = s_profile(grid)
@@ -344,7 +313,6 @@ class InvariantReport:
     circumference: float | None
     avr: float | None
     r_max: float
-    k_samples: tuple[tuple[float, float], ...]
     hartman_defect_length: float | None
     hartman_defect_area: float | None
     warnings: tuple[str, ...] = ()
@@ -362,7 +330,6 @@ def invariant_report(grid: ConformalGrid) -> InvariantReport:
     r_field = scalar_curvature(grid)
     mask = grid.reliable_mask()
     r_max = float(r_field[mask].max())
-    k_samples = average_curvature_samples(grid)
     extras = {"tau_flux": tau_res.flux, "tau_disagreement": tau_res.disagreement}
     if grid.chart == RADIAL:
         ap = aperture(grid)
@@ -394,7 +361,6 @@ def invariant_report(grid: ConformalGrid) -> InvariantReport:
             circumference=circ.value,
             avr=avr.value,
             r_max=r_max,
-            k_samples=k_samples,
             hartman_defect_length=float(defect_len),
             hartman_defect_area=float(defect_area),
             warnings=tuple(warnings),
@@ -408,7 +374,6 @@ def invariant_report(grid: ConformalGrid) -> InvariantReport:
         circumference=None,
         avr=None,
         r_max=r_max,
-        k_samples=k_samples,
         hartman_defect_length=None,
         hartman_defect_area=None,
         warnings=tuple(warnings),

@@ -180,14 +180,6 @@ class DilatedFlow:
     def grid_at(self, t: float) -> ConformalGrid:
         return ConformalGrid(self.traj.chart, self.traj.nodes, self.u_at(t), float(t))
 
-    def magnitude_bound(self, t: float) -> float:
-        """Upper bound on the dilated curvature magnitude inside the window."""
-        p = self.pick
-        lo, hi = self.window
-        if not lo < t < hi:
-            raise WindowError(f"dilated time {t} outside ({lo}, {hi})")
-        return p.alpha_j * p.omega_j / (p.gamma_j * (p.alpha_j + t) * (p.omega_j - t))
-
 
 def dilate(traj: FlowTrajectory, pick: RescalingPick) -> DilatedFlow:
     """Dilated-trajectory evaluator about the picked event."""

