@@ -56,20 +56,96 @@ def test_step_rejects_bad_dt(dt):
 
 
 def test_invalid_state_is_rejected_with_first_bad_node():
-    w = np.zeros(8)
-    w[5] = w[6] = np.nan
-    with pytest.raises(StepRejectedError) as excinfo:
-        solver._check_state(w, np.exp(w), 1.0)
-    assert excinfo.value.node == 5
+    # u = exp(w): NaN stays NaN, +inf and w > 709.78 give u = inf, -inf and
+    # w < -745.2 give u = 0; each is a bad node, and the first one is named
+    cases = [
+        ({5: np.nan, 6: np.nan}, 5),
+        ({3: np.inf}, 3),
+        ({2: -np.inf}, 2),
+        ({1: 800.0}, 1),
+        ({1: -800.0}, 1),
+        ({6: np.nan, 4: -np.inf, 7: np.inf, 5: 1.0}, 4),
+    ]
+    for bad, first in cases:
+        w = np.zeros(8)
+        for node, value in bad.items():
+            w[node] = value
+        with np.errstate(over="ignore"):
+            u = np.exp(w)
+        with pytest.raises(StepRejectedError) as excinfo:
+            solver._check_state(w, u, 1.0)
+        assert excinfo.value.node == first
+    solver._check_state(np.zeros(8), np.ones(8), 1.0)
 
 
 def test_failed_linear_solve_is_a_rejected_step(monkeypatch):
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
+    # gtsv reports an exactly zero pivot through info > 0
+    def singular_gtsv(dl, d, du, b, *overwrite):
+        return dl, d, du, b, 1
 
-    monkeypatch.setattr("scipy.linalg.solve_banded", singular)
+    monkeypatch.setattr("scipy.linalg.get_lapack_funcs", lambda names, arrays: singular_gtsv)
     with pytest.raises(StepRejectedError, match="linear solve failed"):
         solver.step(free_radial_grid(), 1e-3)
+
+
+def _reference_step(st, w, t, dt):
+    """The step as first written: solve_banded on a (3, n) band, out-of-place arithmetic."""
+    from scipy.linalg import solve_banded
+
+    def solve_shifted(coeff, rhs):
+        c = coeff
+        if st.pinned.size:
+            c = coeff.copy()
+            c[st.pinned] = 0.0
+        ab = np.zeros((3, rhs.size))
+        ab[0, 1:] = -(c * st.sup)[:-1]
+        ab[1, :] = 1.0 - c * st.dia
+        ab[2, :-1] = -(c * st.sub)[1:]
+        return solve_banded((1, 1), ab, rhs, check_finite=False)
+
+    pins = st.pin_values(t + dt)
+    lap0 = st.apply(w)
+    rhs = w.copy()
+    rhs[st.pinned] = pins
+    w_star = solve_shifted(dt * np.exp(-w), rhs)
+    d_mid = np.exp(-0.5 * (w + w_star))
+    rhs = w + (0.5 * dt) * d_mid * lap0
+    rhs[st.pinned] = pins
+    return solve_shifted((0.5 * dt) * d_mid, rhs)
+
+
+@pytest.mark.parametrize(
+    "grid,t_end",
+    [
+        (exact.sample_grid(exact.cigar(4.0), 0.0, n=400, extent=30.0), 0.5),
+        (rosenau_grid(n=800), -1.5),
+        (free_radial_grid(n=200), 0.5),
+    ],
+    ids=["pinned-radial", "pinned-cylinder", "free"],
+)
+def test_lean_step_matches_reference_formulation(monkeypatch, grid, t_end):
+    # the in-place step and gtsv call must reproduce the band formulation bit for bit
+    output_times = np.linspace(grid.t, t_end, 3)
+    lean = solver.evolve(grid, t_end, cfl=0.4, output_times=output_times)
+
+    taken = []
+
+    def reference(st, w, t, dt):
+        w_new = _reference_step(st, w, t, dt)
+        taken.append((st, w, w_new, dt))
+        return w_new
+
+    monkeypatch.setattr(solver, "_step_semi_implicit", reference)
+    ref = solver.evolve(grid, t_end, cfl=0.4, output_times=output_times)
+    assert np.array_equal(lean.U, ref.U)
+    assert lean.steps == ref.steps
+    rel = grid.reliable_slice()
+    residuals = []
+    for st, w, w_new, dt in taken:
+        w_mid = 0.5 * (w + w_new)
+        resid = (w_new - w) / dt - np.exp(-w_mid) * st.apply(w_mid)
+        residuals.append(float(np.abs(resid[rel]).max()))
+    assert [record.residual for record in lean.steps] == residuals
 
 
 def test_semi_implicit_huge_step_stays_positive():
