@@ -12,11 +12,18 @@ mirror closure (zero normal derivative of w). Pointwise statistics skip
 the outer margin either way, so the closure choice only has to keep the
 interior stable.
 
-Each step is a semi-implicit midpoint rule: a backward Euler predictor
-for the frozen diffusion coefficient, then a trapezoid corrector. Its
-step is limited only by accuracy, dt = cfl * min(h, 1 / R_max); an
-explicit rule would need dt ~ h^2 * u_min, prohibitive when the far field
-is tiny.
+Each step is TR-BDF2 with gamma = 2 - sqrt(2) (Bank et al. 1985; Hosea &
+Shampine 1996), linearized and in increment form: a trapezoid stage over
+gamma * dt, then a BDF2 stage to t + dt. Both stages solve with the same
+matrix I - theta J, theta = gamma * dt / 2, where J is the exact
+tridiagonal Jacobian of f = exp(-w) L w at the step's start, so one
+factorization serves both (see _Stencil). The scheme is second order and
+L-stable: stiff far-field modes are damped, not left ringing. The rate f of
+the accepted state is carried into the next step, so a step applies L
+twice, and it also yields the step's curvature peak and its embedded error
+estimate. The step is limited only by accuracy, dt = cfl * min(h, 1 / R_max);
+an explicit rule would need dt ~ h^2 * u_min, prohibitive when the far
+field is tiny.
 """
 
 from __future__ import annotations
@@ -36,6 +43,14 @@ from .grids import reliable_slice, trust_mask
 # the one time stepper's name, as scenario configs may spell it
 SEMI_IMPLICIT = "SemiImplicit"
 
+# TR-BDF2 stage fraction; with it both stages share the matrix I - (GAMMA dt / 2) J
+GAMMA = 2.0 - math.sqrt(2.0)
+# the BDF2 stage in increment form: w_new - w_g = BDF2_CARRY (w_g - w) + (GAMMA dt / 2) f(w_new)
+BDF2_CARRY = (1.0 - GAMMA) ** 2 / (GAMMA * (2.0 - GAMMA))
+# embedded error estimate: 2|C| dt |f / g - f_g / (g (1 - g)) + f_new / (1 - g)|,
+# C = (-3 g^2 + 4 g - 2) / (12 (2 - g)) (Hosea & Shampine 1996)
+ERR_SCALE = 2.0 * abs(-3.0 * GAMMA**2 + 4.0 * GAMMA - 2.0) / (12.0 * (2.0 - GAMMA))
+
 BLOW_UP_RMAX = 1.0e3
 DEFAULT_OUTPUT_COUNT = 17
 # float64 cells of one trajectory's snapshot array (512 MiB); 86x the largest
@@ -52,7 +67,19 @@ CURVATURE_TRUST_FLOOR = 1.0e-5
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One accepted step: time reached, step size, PDE residual, curvature max."""
+    """One accepted step: time reached, step size, error estimate, curvature max.
+
+    residual is the step's embedded TR-BDF2 local error estimate in w = log u
+    (Hosea & Shampine 1996), the max over the trusted nodes of
+    2|C| dt |f_n / gamma - f_gamma / (gamma (1 - gamma)) + f_{n+1} / (1 - gamma)|,
+    C = (-3 gamma^2 + 4 gamma - 2) / (12 (2 - gamma)); a backward Euler
+    fallback step records its first-order estimate dt/2 |f_{n+1} - f_n|.
+    The untrusted far field is left out because there f = exp(-w) L w is
+    rounding amplified by 1/u, not truncation error.
+    r_max is the curvature maximum -f_{n+1} over the trusted nodes, taken
+    from the stepper's own stencil; rmax_series and rmax.csv measure it with
+    the measurement operator instead, so the two can differ near the axis.
+    """
 
     t: float
     dt: float
@@ -170,20 +197,29 @@ class DiagnosticReport:
 
 
 class _Stencil:
-    """Tridiagonal lap(w) rows plus the boundary-pinning bookkeeping.
+    """Tridiagonal lap(w) rows, their symmetric scaled form and the pinned rows.
 
-    These rows are the matrix the implicit solve inverts, and the explicit
-    half of the trapezoid corrector must apply that same matrix, so the
-    axis row uses two points and the matrix stays tridiagonal. This is not
-    geometry.laplacian_field, the measurement operator, which has
-    one-sided ends and an O(h^6) axis row. On interior rows the two agree
-    only to rounding (about 1.4 * eps * max|w| / h^2, never bitwise), so
-    merging them would change every evolved artifact.
+    L (sub, dia, sup) is the operator the stepper integrates and
+    differentiates: the axis row uses two points and the ends close by
+    mirroring, so L stays tridiagonal. This is not
+    geometry.laplacian_field, the measurement operator, which has one-sided
+    ends and an O(h^6) axis row. On interior rows the two agree only to
+    rounding (about 1.4 * eps * max|w| / h^2, never bitwise).
 
-    The solve hands its three diagonals straight to LAPACK's gtsv (the
-    routine scipy.linalg.solve_banded dispatches to for one sub- and one
-    super-diagonal) and lets it overwrite them, so a solve costs LAPACK's
-    own arithmetic, about 390 us at n = 16000, plus three products.
+    Row i of L times a weight omega_i is symmetric: omega is 1 on cylinder
+    interior rows, rho_i on radial interior rows, h/8 on the axis row, 1/2 at
+    a cylinder mirror end and (rho_{n-2} + h/2)/2 at the radial mirror end,
+    so that -omega L is the graph Laplacian with conductance
+    k_i = omega_i sup_i between nodes i and i+1. Row i of I - theta J, with
+    the Jacobian J = diag(exp(-w)) L - diag(f) of f = exp(-w) L w, scaled by
+    omega_i exp(w_i) / theta is then symmetric with the constant
+    off-diagonal -k and the diagonal omega u (1/theta + f) + k_{i-1} + k_i.
+    It is positive definite whenever theta R < 1 at every node (f = -R),
+    which the step cap dt <= cfl / R_max keeps on the trusted nodes, so
+    LAPACK's pttrf factors it as L D L^T once per step and pttrs solves each
+    stage against those factors; a step where pttrf reports otherwise falls
+    back to backward Euler. A pinned node is an identity row; its coupling
+    into the neighbouring row moves to the right-hand side.
     """
 
     def __init__(self, grid: ConformalGrid):
@@ -207,25 +243,42 @@ class _Stencil:
             dia[-1] = -2.0 * inv_h2
             sub[-1] = 2.0 * inv_h2
             pinned = [n - 1] if grid.provenance is not None else []
+            weights = grid.nodes.copy()
+            weights[0] = h / 8.0
+            weights[-1] = 0.5 * (grid.nodes[-2] + 0.5 * h)
+            # rho_i sup_i = (rho_i + h/2) / h^2 = rho_{i+1} sub_{i+1}, the axis row included
+            cond = (grid.nodes[:-1] + 0.5 * h) * inv_h2
         else:
             dia[0] = -2.0 * inv_h2
             sup[0] = 2.0 * inv_h2
             dia[-1] = -2.0 * inv_h2
             sub[-1] = 2.0 * inv_h2
             pinned = [0, n - 1] if grid.provenance is not None else []
+            weights = np.ones(n)
+            weights[0] = weights[-1] = 0.5
+            cond = np.full(n - 1, inv_h2)
         self.sub = sub
         self.dia = dia
         self.sup = sup
-        # the solve's off-diagonals are -c*sub and -c*sup; (-a)*b == -(a*b) exactly
-        self.neg_sub = -sub[1:]
-        self.neg_sup = -sup[:-1]
+        self.weights = weights
+        # -omega * dia: the row sums of the conductances
+        self.cond_sums = np.zeros(n)
+        self.cond_sums[:-1] += cond
+        self.cond_sums[1:] += cond
         self.pinned = np.array(pinned, dtype=int)
         self.pinned_nodes = grid.nodes[self.pinned]
         self.provenance = grid.provenance
+        # a pinned node's edge, its neighbour and the conductance that moves to the rhs
+        edges = np.minimum(self.pinned, n - 2)
+        self.pin_nbrs = np.where(self.pinned == 0, 1, n - 2)
+        self.pin_cond = cond[edges]
+        self.off = -cond
+        self.off[edges] = 0.0
+        self.rel = grid.reliable_slice()
         # deferred: scipy.linalg takes ~0.3 s to import and only the implicit solve needs it
         from scipy.linalg import get_lapack_funcs
 
-        self._gtsv = get_lapack_funcs("gtsv", (dia,))
+        self._pttrf, self._pttrs = get_lapack_funcs(("pttrf", "pttrs"), (dia,))
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         lap = self.dia * w
@@ -233,53 +286,99 @@ class _Stencil:
         lap[:-1] += self.sup[:-1] * w[1:]
         return lap
 
+    def rate(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u = exp(w) and the flow's rate f = exp(-w) L w."""
+        u = np.exp(w)
+        f = self.apply(w)
+        f /= u
+        return u, f
+
     def pin_values(self, t: float) -> np.ndarray:
         """log u at the pinned nodes at time t (empty when nothing is pinned)."""
         if not self.pinned.size:
             return np.empty(0)
         return log_u_profile(self.provenance, self.pinned_nodes, t)
 
-    def solve_shifted(self, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - diag(c) L) w = rhs with pinned rows forced to identity.
+    def factor(self, wu: np.ndarray, shift):
+        """pttrf factors of the scaled matrix with diagonal wu * shift + k_{i-1} + k_i.
 
-        Consumes both arrays: c's pinned entries are zeroed and c then holds
-        the main diagonal; the solution is returned in rhs's storage.
+        Returns None when the matrix is not positive definite.
         """
-        c[self.pinned] = 0.0
-        dl = self.neg_sub * c[1:]
-        du = self.neg_sup * c[:-1]
-        d = c
-        d *= self.dia
-        np.subtract(1.0, d, out=d)
-        # every overwrite flag set: gtsv works in the arrays given, f2py copies nothing
-        x, info = self._gtsv(dl, d, du, rhs, True, True, True, True)[3:]
+        d = wu * shift
+        d += self.cond_sums
+        d[self.pinned] = 1.0
+        d, e, info = self._pttrf(d, self.off, overwrite_d=1)
+        if info < 0:
+            raise LinAlgError(f"malformed pttrf argument {-info}")
+        return (d, e) if info == 0 else None
+
+    def solve(self, factors, rhs: np.ndarray, pin_delta: np.ndarray) -> np.ndarray:
+        """Solve the factored system for a scaled rhs (consumed), given the pinned increments."""
+        rhs[self.pinned] = pin_delta
+        rhs[self.pin_nbrs] += self.pin_cond * pin_delta
+        x, info = self._pttrs(*factors, rhs, overwrite_b=1)
         if info != 0:
-            # info > 0: an exactly zero pivot; info < 0 would be a malformed argument
-            raise LinAlgError(f"tridiagonal solve failed (gtsv info {info})")
+            raise LinAlgError(f"tridiagonal solve failed (pttrs info {info})")
         return x
 
+    def trusted_max(self, values: np.ndarray, u: np.ndarray) -> float:
+        """Maximum of values over the trusted nodes of u (the rule of grids.trust_mask)."""
+        rel = self.rel
+        top = float(np.where(u[rel] >= CURVATURE_TRUST_FLOOR, values[rel], -math.inf).max())
+        # no trusted node: trust_mask keeps the best-conditioned one
+        return top if top > -math.inf else float(values[np.argmax(u)])
 
-def _step_semi_implicit(st: _Stencil, w: np.ndarray, t: float, dt: float) -> np.ndarray:
-    pins = st.pin_values(t + dt)
-    lap0 = st.apply(w)
-    rhs = w.copy()
-    rhs[st.pinned] = pins
-    c = np.negative(w)
-    np.exp(c, out=c)
-    c *= dt
-    # d_mid = exp(-0.5 * (w + w_star)), built in w_star's storage
-    d_mid = st.solve_shifted(c, rhs)
-    d_mid += w
-    d_mid *= -0.5
-    np.exp(d_mid, out=d_mid)
-    c = d_mid
-    c *= 0.5 * dt
-    # rhs = w + (0.5 * dt) * d_mid * lap0, built in lap0's storage
-    rhs = lap0
-    rhs *= c
-    rhs += w
-    rhs[st.pinned] = pins
-    return st.solve_shifted(c, rhs)
+
+def _step_tr_bdf2(st: _Stencil, w: np.ndarray, u: np.ndarray, f: np.ndarray, t: float, dt: float):
+    """One TR-BDF2 step from w, u = exp(w) and f = exp(-w) L w.
+
+    Returns w, u and f at t + dt and the embedded error estimate per node.
+    """
+    theta = 0.5 * GAMMA * dt
+    wu = st.weights * u
+    factors = st.factor(wu, f + 1.0 / theta)
+    if factors is None:
+        return _step_backward_euler(st, w, f, wu, t, dt)
+    # stage 1, trapezoid over gamma dt: (I - theta J) d1 = gamma dt f, rows scaled by omega u / theta
+    rhs = wu * f
+    rhs *= 2.0
+    d1 = st.solve(factors, rhs, st.pin_values(t + GAMMA * dt) - w[st.pinned])
+    # stage 2, BDF2 from w and w_g: (I - theta J) d2 = BDF2_CARRY d1 + theta f_g, scaled alike
+    rhs = d1 * (BDF2_CARRY / theta)
+    w_g = np.add(d1, w, out=d1)
+    u_g, f_g = st.rate(w_g)
+    rhs += f_g
+    rhs *= wu
+    w_new = st.solve(factors, rhs, st.pin_values(t + dt) - w_g[st.pinned])
+    w_new += w_g
+    u_new, f_new = st.rate(w_new)
+    # err = ERR_SCALE dt |f / g - f_g / (g (1 - g)) + f_new / (1 - g)|, built in f_g's and u_g's storage
+    err = f_g
+    err *= -1.0 / (GAMMA * (1.0 - GAMMA))
+    err += np.multiply(f, 1.0 / GAMMA, out=u_g)
+    err += np.multiply(f_new, 1.0 / (1.0 - GAMMA), out=u_g)
+    np.abs(err, out=err)
+    err *= ERR_SCALE * dt
+    return w_new, u_new, f_new, err
+
+
+def _step_backward_euler(st: _Stencil, w: np.ndarray, f: np.ndarray, wu: np.ndarray, t: float, dt: float):
+    """Frozen-coefficient backward Euler, (I - dt diag(exp(-w)) L) d = dt f.
+
+    The fallback for a step so long that I - theta J is not positive
+    definite: this matrix, scaled by omega u / dt, is positive definite for
+    every dt and keeps a maximum principle. Its error estimate is the
+    first-order one, dt/2 |f_new - f|.
+    """
+    factors = st.factor(wu, 1.0 / dt)
+    if factors is None:
+        raise LinAlgError("backward Euler matrix is not positive definite")
+    w_new = st.solve(factors, wu * f, st.pin_values(t + dt) - w[st.pinned])
+    w_new += w
+    u_new, f_new = st.rate(w_new)
+    err = np.abs(f_new - f)
+    err *= 0.5 * dt
+    return w_new, u_new, f_new, err
 
 
 def _check_state(w_new: np.ndarray, u_new: np.ndarray, t: float) -> None:
@@ -296,18 +395,17 @@ def _check_state(w_new: np.ndarray, u_new: np.ndarray, t: float) -> None:
     )
 
 
-def _advance(st: _Stencil, w: np.ndarray, t: float, dt: float):
-    """Run one stage-complete step and adjudicate validity of the result."""
+def _advance(st: _Stencil, w: np.ndarray, u: np.ndarray, f: np.ndarray, t: float, dt: float):
+    """Run one step and adjudicate validity: (w, u, f, error estimate per node) at t + dt."""
     # overflow/invalid are expected failure modes for oversized steps; they are
     # silenced here and judged by _check_state instead of leaking as warnings
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w_new = _step_semi_implicit(st, w, t, dt)
-            u_new = np.exp(w_new)
+            state = _step_tr_bdf2(st, w, u, f, t, dt)
     except LinAlgError:
         raise StepRejectedError(f"linear solve failed during step toward t={t + dt}") from None
-    _check_state(w_new, u_new, t + dt)
-    return w_new, u_new
+    _check_state(state[0], state[1], t + dt)
+    return state
 
 
 def trusted_mask(grid: ConformalGrid) -> np.ndarray:
@@ -315,17 +413,13 @@ def trusted_mask(grid: ConformalGrid) -> np.ndarray:
     return trust_mask(grid.u, grid.chart, CURVATURE_TRUST_FLOOR)
 
 
-def _masked_rmax(grid: ConformalGrid, w: np.ndarray, u: np.ndarray) -> float:
-    """Curvature peak over the trusted nodes of the state w = log u on grid's layout."""
-    r = curvature_field(w, u, grid.nodes, grid.h, grid.chart)
-    return float(r[trust_mask(u, grid.chart, CURVATURE_TRUST_FLOOR)].max())
-
-
 def step(grid: ConformalGrid, dt: float) -> ConformalGrid:
     """Advance one step of w_t = exp(-w) lap(w) and return the new grid."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"step needs dt > 0, got {dt}")
-    _, u_new = _advance(_Stencil(grid), np.log(grid.u), grid.t, dt)
+    st = _Stencil(grid)
+    w = np.log(grid.u)
+    u_new = _advance(st, w, grid.u, st.apply(w) / grid.u, grid.t, dt)[1]
     return grid.with_u(u_new, t=grid.t + dt)
 
 
@@ -388,17 +482,14 @@ def evolve(
     check_trajectory_size(targets.size, grid.n)
 
     st = _Stencil(grid)
-    rel = grid.reliable_slice()
     w = np.log(grid.u)
     u = grid.u
+    f = st.apply(w) / u
     t = grid.t
-    r_max = _masked_rmax(grid, w, u)
+    r_max = st.trusted_max(-f, u)
     U = np.empty((targets.size, grid.n))
     U[0] = grid.u
     steps: list[StepRecord] = []
-    # residual buffers, reused every step
-    w_mid = np.empty(grid.n)
-    resid = np.empty(grid.n)
 
     for k in range(1, targets.size):
         target = targets[k]
@@ -406,23 +497,10 @@ def evolve(
         while t < target - tol:
             cap = min(h, 1.0 / r_max) if r_max > 0.0 else h
             dt = min(cfl * cap, target - t)
-            w_new, u_new = _advance(st, w, t, dt)
-            # resid = (w_new - w) / dt - exp(-w_mid) * L w_mid, w_mid = 0.5 * (w + w_new)
-            np.add(w, w_new, out=w_mid)
-            w_mid *= 0.5
-            lap = st.apply(w_mid)
-            np.negative(w_mid, out=w_mid)
-            np.exp(w_mid, out=w_mid)
-            lap *= w_mid
-            np.subtract(w_new, w, out=resid)
-            resid /= dt
-            resid -= lap
-            np.abs(resid, out=resid)
-            residual = float(resid[rel].max())
-            w, u = w_new, u_new
+            w, u, f, err = _advance(st, w, u, f, t, dt)
             t = t + dt
-            r_max = _masked_rmax(grid, w, u)
-            steps.append(StepRecord(t=t, dt=dt, residual=residual, r_max=r_max))
+            r_max = st.trusted_max(-f, u)
+            steps.append(StepRecord(t=t, dt=dt, residual=st.trusted_max(err, u), r_max=r_max))
             if r_max > blow_up_threshold:
                 raise BlowUpError(
                     f"curvature maximum {r_max:.6g} crossed {blow_up_threshold:.6g} at t={t:.6g}",

@@ -369,3 +369,25 @@ def test_backward_trajectory_validation_and_layout():
     assert traj.grid0.nodes[0] == -21.0
     assert traj.U.shape == (5, 85)
     assert float(traj.times[0]) == -2.0
+
+
+def test_evolved_backward_data_reproduces_the_exact_pick_and_profile():
+    # the backward analysis on evolved data, not only on the closed form: row 0
+    # of the exact j = 4 trajectory, evolved over the same snapshot times, must
+    # pick the same point and stay within 2x of the exact profile distance
+    # (measured 1.65e-5 against 1.45e-5; the trapezoid-corrector stepper read
+    # 8.5e-4 and picked the mirror node)
+    j = 4
+    exact_traj = rescaling.backward_rosenau_trajectory(j)
+    evolved = solver.evolve(
+        exact_traj.grid0, float(exact_traj.times[-1]), cfl=0.4, output_times=exact_traj.times
+    )
+    assert np.array_equal(evolved.times, exact_traj.times)
+    window, gamma = rescaling.default_window(j), rescaling.default_gamma(j)
+    picks, dists = [], []
+    for traj in (exact_traj, evolved):
+        pick = rescaling.pick_point(traj, window, gamma, j=j)
+        picks.append((pick.t_j, pick.node))
+        dists.append(rescaling.profile_distance(rescaling.dilate(traj, pick), 3.0))
+    assert picks[1] == picks[0]
+    assert dists[1] <= 2.0 * dists[0]
