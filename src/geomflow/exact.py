@@ -153,10 +153,24 @@ def _ds_shift(beta: float, delta: float, t: float) -> float:
     return math.exp(arg)
 
 
-def log_u_profile(spec: ExactSolutionSpec, coords: np.ndarray, t: float) -> np.ndarray:
-    """log u along the generator line (rho or x nodes) at time t."""
-    check_time(spec, t)
+def log_u_profile(
+    spec: ExactSolutionSpec, coords: np.ndarray, t: float | tuple[float, ...]
+) -> np.ndarray:
+    """log u along the generator line (rho or x nodes) at time t.
+
+    t may also be a tuple of times; row k of the result is then the profile
+    at t[k], bitwise as if evaluated alone.
+    """
     c = np.asarray(coords, dtype=float)
+    if isinstance(t, tuple):
+        if spec.family != ROSENAU:
+            return np.array([log_u_profile(spec, c, s) for s in t])
+        for s in t:
+            check_time(spec, s)
+        # the Rosenau time terms broadcast over the rows
+        t = np.array(t)[:, None]
+    else:
+        check_time(spec, t)
     fam = spec.family
     if fam == FLAT:
         return np.zeros_like(c)

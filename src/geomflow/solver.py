@@ -28,8 +28,13 @@ field is tiny.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -196,6 +201,32 @@ class DiagnosticReport:
                 raise DomainError(f"{name} must be nonnegative, got {value}")
 
 
+@functools.cache
+def _lapack_pt():
+    """LAPACK's dpttrf and dpttrs, loaded from scipy's compiled _flapack extension.
+
+    Importing scipy.linalg to reach them (get_lapack_funcs) takes about 0.25 s
+    and 20 MB, so the extension module is loaded on its own, without running
+    scipy/linalg/__init__.py. It is registered under its own name, so a later
+    import of scipy.linalg reuses it and get_lapack_funcs returns these very
+    function objects.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+
+        stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+        path = next((stem + s for s in EXTENSION_SUFFIXES if os.path.isfile(stem + s)), None)
+        if path is None:
+            raise ImportError(f"scipy's LAPACK extension {stem + EXTENSION_SUFFIXES[0]} not found")
+        loader = ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        sys.modules[name] = module
+        loader.exec_module(module)
+    return module.dpttrf, module.dpttrs
+
+
 class _Stencil:
     """Tridiagonal lap(w) rows, their symmetric scaled form and the pinned rows.
 
@@ -275,10 +306,8 @@ class _Stencil:
         self.off = -cond
         self.off[edges] = 0.0
         self.rel = grid.reliable_slice()
-        # deferred: scipy.linalg takes ~0.3 s to import and only the implicit solve needs it
-        from scipy.linalg import get_lapack_funcs
-
-        self._pttrf, self._pttrs = get_lapack_funcs(("pttrf", "pttrs"), (dia,))
+        # loaded on first use and without scipy.linalg's import (see _lapack_pt)
+        self._pttrf, self._pttrs = _lapack_pt()
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         lap = self.dia * w
@@ -293,11 +322,11 @@ class _Stencil:
         f /= u
         return u, f
 
-    def pin_values(self, t: float) -> np.ndarray:
-        """log u at the pinned nodes at time t (empty when nothing is pinned)."""
+    def pin_values(self, *times: float) -> np.ndarray:
+        """log u at the pinned nodes, one row per time (no columns when nothing is pinned)."""
         if not self.pinned.size:
-            return np.empty(0)
-        return log_u_profile(self.provenance, self.pinned_nodes, t)
+            return np.empty((len(times), 0))
+        return log_u_profile(self.provenance, self.pinned_nodes, times)
 
     def factor(self, wu: np.ndarray, shift):
         """pttrf factors of the scaled matrix with diagonal wu * shift + k_{i-1} + k_i.
@@ -321,12 +350,20 @@ class _Stencil:
             raise LinAlgError(f"tridiagonal solve failed (pttrs info {info})")
         return x
 
-    def trusted_max(self, values: np.ndarray, u: np.ndarray) -> float:
-        """Maximum of values over the trusted nodes of u (the rule of grids.trust_mask)."""
-        rel = self.rel
-        top = float(np.where(u[rel] >= CURVATURE_TRUST_FLOOR, values[rel], -math.inf).max())
+    def trusted(self, u: np.ndarray) -> np.ndarray:
+        """Trust mask of u over the reliable slice (the rule of grids.trust_mask)."""
+        return u[self.rel] >= CURVATURE_TRUST_FLOOR
+
+    def curvature_peak(self, f: np.ndarray, u: np.ndarray, mask: np.ndarray) -> float:
+        """Curvature maximum, max(-f), over the trusted nodes of u."""
+        top = -float(np.min(f[self.rel], where=mask, initial=math.inf))
         # no trusted node: trust_mask keeps the best-conditioned one
-        return top if top > -math.inf else float(values[np.argmax(u)])
+        return top if top > -math.inf else -float(f[np.argmax(u)])
+
+    def error_peak(self, err: np.ndarray, u: np.ndarray, mask: np.ndarray) -> float:
+        """Maximum of the error estimate over the trusted nodes of u."""
+        top = float(np.max(err[self.rel], where=mask, initial=-math.inf))
+        return top if top > -math.inf else float(err[np.argmax(u)])
 
 
 def _step_tr_bdf2(st: _Stencil, w: np.ndarray, u: np.ndarray, f: np.ndarray, t: float, dt: float):
@@ -339,17 +376,18 @@ def _step_tr_bdf2(st: _Stencil, w: np.ndarray, u: np.ndarray, f: np.ndarray, t: 
     factors = st.factor(wu, f + 1.0 / theta)
     if factors is None:
         return _step_backward_euler(st, w, f, wu, t, dt)
+    pins = st.pin_values(t + GAMMA * dt, t + dt)
     # stage 1, trapezoid over gamma dt: (I - theta J) d1 = gamma dt f, rows scaled by omega u / theta
     rhs = wu * f
     rhs *= 2.0
-    d1 = st.solve(factors, rhs, st.pin_values(t + GAMMA * dt) - w[st.pinned])
+    d1 = st.solve(factors, rhs, pins[0] - w[st.pinned])
     # stage 2, BDF2 from w and w_g: (I - theta J) d2 = BDF2_CARRY d1 + theta f_g, scaled alike
     rhs = d1 * (BDF2_CARRY / theta)
     w_g = np.add(d1, w, out=d1)
     u_g, f_g = st.rate(w_g)
     rhs += f_g
     rhs *= wu
-    w_new = st.solve(factors, rhs, st.pin_values(t + dt) - w_g[st.pinned])
+    w_new = st.solve(factors, rhs, pins[1] - w_g[st.pinned])
     w_new += w_g
     u_new, f_new = st.rate(w_new)
     # err = ERR_SCALE dt |f / g - f_g / (g (1 - g)) + f_new / (1 - g)|, built in f_g's and u_g's storage
@@ -373,7 +411,7 @@ def _step_backward_euler(st: _Stencil, w: np.ndarray, f: np.ndarray, wu: np.ndar
     factors = st.factor(wu, 1.0 / dt)
     if factors is None:
         raise LinAlgError("backward Euler matrix is not positive definite")
-    w_new = st.solve(factors, wu * f, st.pin_values(t + dt) - w[st.pinned])
+    w_new = st.solve(factors, wu * f, st.pin_values(t + dt)[0] - w[st.pinned])
     w_new += w
     u_new, f_new = st.rate(w_new)
     err = np.abs(f_new - f)
@@ -486,7 +524,7 @@ def evolve(
     u = grid.u
     f = st.apply(w) / u
     t = grid.t
-    r_max = st.trusted_max(-f, u)
+    r_max = st.curvature_peak(f, u, st.trusted(u))
     U = np.empty((targets.size, grid.n))
     U[0] = grid.u
     steps: list[StepRecord] = []
@@ -499,8 +537,9 @@ def evolve(
             dt = min(cfl * cap, target - t)
             w, u, f, err = _advance(st, w, u, f, t, dt)
             t = t + dt
-            r_max = st.trusted_max(-f, u)
-            steps.append(StepRecord(t=t, dt=dt, residual=st.trusted_max(err, u), r_max=r_max))
+            mask = st.trusted(u)
+            r_max = st.curvature_peak(f, u, mask)
+            steps.append(StepRecord(t=t, dt=dt, residual=st.error_peak(err, u, mask), r_max=r_max))
             if r_max > blow_up_threshold:
                 raise BlowUpError(
                     f"curvature maximum {r_max:.6g} crossed {blow_up_threshold:.6g} at t={t:.6g}",

@@ -207,6 +207,27 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_stepping_loads_lapack_without_scipy_linalg(tmp_path):
+    # the stepper loads scipy's compiled _flapack on its own; a later
+    # scipy.linalg import reuses that module, so get_lapack_funcs hands back
+    # the very routines the stepper used
+    code = """
+import sys
+import numpy as np
+from geomflow import exact, solver
+grid = exact.sample_grid(exact.rosenau(), -2.0, n=200, x_lo=-10.0, x_hi=10.0)
+traj = solver.evolve(grid, -1.9, cfl=0.4)
+assert traj.steps and grid.provenance is not None
+print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+from scipy.linalg import get_lapack_funcs
+pair = get_lapack_funcs(("pttrf", "pttrs"), (np.zeros(1),))
+print(all(a is b for a, b in zip(pair, solver._lapack_pt())))
+"""
+    proc = run_python(tmp_path, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["['scipy.linalg._flapack']", "True"]
+
+
 def test_readme_api_example_runs(tmp_path):
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:

@@ -68,6 +68,17 @@ def test_time_derivative_matches_finite_difference(spec, coords, ts):
         assert np.allclose(fd, dudt, rtol=1e-6, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "spec, coords, ts", ALL_CASES + [(exact.rosenau(), CYLINDER_COORDS, (-2.0, -5e-4))]
+)
+def test_profile_at_several_times_is_bitwise_one_row_per_time(spec, coords, ts):
+    # the stepper pins both stage times with one call; each row must equal the single-time profile
+    rows = exact.log_u_profile(spec, coords, ts)
+    assert rows.shape == (len(ts), coords.size)
+    for row, t in zip(rows, ts):
+        assert np.array_equal(row, exact.log_u_profile(spec, coords, t))
+
+
 def test_rosenau_even_in_x():
     x = np.linspace(0.0, 20.0, 50)
     spec = exact.rosenau()

@@ -1,4 +1,8 @@
 import math
+import os
+import re
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
@@ -45,8 +49,8 @@ def test_step_evaluates_the_pinned_boundary_once(monkeypatch, grid, calls):
     monkeypatch.setattr(solver, "log_u_profile", counted)
     dt = 1e-3
     stepped = solver.step(grid, dt)
-    # once per stage: the trapezoid stage ends at t + gamma dt, the BDF2 stage at t + dt
-    assert seen == [grid.t + solver.GAMMA * dt, grid.t + dt] * calls
+    # one call for both stages: the trapezoid stage ends at t + gamma dt, the BDF2 stage at t + dt
+    assert seen == [(grid.t + solver.GAMMA * dt, grid.t + dt)] * calls
     assert np.all(np.isfinite(stepped.u))
 
 
@@ -84,9 +88,7 @@ def test_failed_linear_solve_is_a_rejected_step(monkeypatch):
     # LAPACK reports failure through info > 0: pttrf for a matrix that is not
     # positive definite (here also the backward Euler fallback's), pttrs never
     # in practice; either way the step is rejected, not returned
-    from scipy.linalg import get_lapack_funcs
-
-    real_pttrf, real_pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.zeros(1),))
+    real_pttrf, real_pttrs = solver._lapack_pt()
 
     def failed_pttrf(d, e, overwrite_d=0):
         return d, e, 1
@@ -95,17 +97,25 @@ def test_failed_linear_solve_is_a_rejected_step(monkeypatch):
         return b, 1
 
     for pair in ((failed_pttrf, real_pttrs), (real_pttrf, failed_pttrs)):
-        monkeypatch.setattr("scipy.linalg.get_lapack_funcs", lambda names, arrays, pair=pair: pair)
+        monkeypatch.setattr(solver, "_lapack_pt", lambda pair=pair: pair)
         with pytest.raises(StepRejectedError, match="linear solve failed"):
             solver.step(free_radial_grid(), 1e-3)
+
+
+def test_missing_lapack_extension_names_the_file(monkeypatch, tmp_path):
+    import scipy
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    expected = os.path.join(str(tmp_path), "linalg", "_flapack" + EXTENSION_SUFFIXES[0])
+    with pytest.raises(ImportError, match=re.escape(expected)):
+        solver._lapack_pt.__wrapped__()
 
 
 def test_step_factors_once_and_solves_twice(monkeypatch):
     # one L D L^T factorization serves both stages, and the per-step curvature
     # peak comes from the carried rate, not from the measurement operator
-    from scipy.linalg import get_lapack_funcs
-
-    real_pttrf, real_pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.zeros(1),))
+    real_pttrf, real_pttrs = solver._lapack_pt()
     calls = {"pttrf": 0, "pttrs": 0}
 
     def pttrf(*args, **kwargs):
@@ -119,7 +129,7 @@ def test_step_factors_once_and_solves_twice(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a step used the measurement operator or rebuilt the trust mask")
 
-    monkeypatch.setattr("scipy.linalg.get_lapack_funcs", lambda names, arrays: (pttrf, pttrs))
+    monkeypatch.setattr(solver, "_lapack_pt", lambda: (pttrf, pttrs))
     monkeypatch.setattr(solver, "curvature_field", forbidden)
     monkeypatch.setattr(solver, "trust_mask", forbidden)
     traj = solver.evolve(rosenau_grid(n=400), -1.9, cfl=0.4, output_times=[-2.0, -1.9])
@@ -153,11 +163,12 @@ def _reference_step(st, w, f, t, dt):
     def rate(v):
         return np.exp(-v) * st.apply(v)
 
-    d1 = solve(g * dt * f, st.pin_values(t + g * dt) - w[st.pinned])
+    pins = st.pin_values(t + g * dt, t + dt)
+    d1 = solve(g * dt * f, pins[0] - w[st.pinned])
     w_g = w + d1
     f_g = rate(w_g)
     carry = (1.0 - g) ** 2 / (g * (2.0 - g))
-    d2 = solve(carry * d1 + theta * f_g, st.pin_values(t + dt) - w_g[st.pinned])
+    d2 = solve(carry * d1 + theta * f_g, pins[1] - w_g[st.pinned])
     w_new = w + d1 + d2
     f_new = rate(w_new)
     C = (-3.0 * g**2 + 4.0 * g - 2.0) / (12.0 * (2.0 - g))
