@@ -117,13 +117,17 @@ _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig)) + ("sch
 
 
 def _number(key: str, value) -> float:
-    """A JSON number that is not a bool, as a float."""
+    """A finite JSON number that is not a bool, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{key} must be a JSON number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError as err:
         raise DomainError(f"{key} is out of range: {err}") from err
+    # Python's JSON parser also reads NaN and Infinity, which are not JSON numbers
+    if not math.isfinite(number):
+        raise DomainError(f"{key} must be finite, got {number}")
+    return number
 
 
 def config_from_payload(payload: dict) -> ScenarioConfig:
@@ -153,7 +157,8 @@ def config_from_payload(payload: dict) -> ScenarioConfig:
         return _number(key, payload.get(key, default))
 
     def numbers(key: str, values: dict) -> tuple[tuple[str, float], ...]:
-        return tuple(sorted((k, _number(f"{key}.{k}", v)) for k, v in values.items()))
+        # the key's repr keeps a key with a line break on the message's one line
+        return tuple(sorted((k, _number(f"{key}[{k!r}]", v)) for k, v in values.items()))
 
     resolution = number("resolution", 2000)
     if not resolution.is_integer():
@@ -212,7 +217,8 @@ def _task_verify(config: ScenarioConfig, out_dir: str) -> int:
         lap = laplacian_field(np.log(grid.u), grid.nodes, grid.h, grid.chart)
         residual = exact.dudt_profile(spec, grid.nodes, config.t0) - lap
         err = float(np.abs(residual[grid.reliable_slice()]).max())
-        ratio = None if not errors else errors[-1] / err
+        # an exact residual (the flat family's is 0) has no convergence ratio to judge
+        ratio = None if not errors or err == 0.0 else errors[-1] / err
         if ratio is not None and not tol["min_ratio"] <= ratio <= tol["max_ratio"]:
             failures += 1
         errors.append(err)

@@ -39,6 +39,9 @@ FAMILIES = (CIGAR, ROSENAU, SPHERE, FLAT, DS_SOLITON)
 _LOG2 = math.log(2.0)
 # exp overflow threshold for float64; beyond it log-space paths are mandatory
 _EXP_MAX = 700.0
+# closest approach to a finite singular time: curvature ~ 1/|t| and its square
+# stay inside the float64 range
+_SINGULAR_MARGIN = math.sqrt(np.finfo(float).tiny)
 
 
 def _logcosh(y):
@@ -52,11 +55,13 @@ def _logsinh(y):
     if np.any(y <= 0.0):
         raise DomainError("logsinh expects positive argument")
     small = y < 1e-3
-    out = y + np.log1p(-np.exp(-2.0 * y)) - _LOG2
-    if np.any(small):
-        ys = np.where(small, y, 1.0)
-        out = np.where(small, np.log(ys) + ys * ys / 6.0, out)
-    return out
+    if not np.any(small):
+        return y + np.log1p(-np.exp(-2.0 * y)) - _LOG2
+    # each branch sees only its own arguments: log1p(-exp(-2y)) is -inf for y below ~1e-17
+    ys = np.where(small, y, 1.0)
+    yl = np.where(small, 1.0, y)
+    large = yl + np.log1p(-np.exp(-2.0 * yl)) - _LOG2
+    return np.where(small, np.log(ys) + ys * ys / 6.0, large)
 
 
 @dataclass(frozen=True)
@@ -136,6 +141,11 @@ def check_time(spec: ExactSolutionSpec, t: float) -> None:
     lo, hi = spec.existence_interval()
     if not (lo < t < hi):
         raise DomainError(f"{spec.family} is only defined for t in ({lo}, {hi}); got t={t}")
+    if hi - t < _SINGULAR_MARGIN:
+        raise DomainError(
+            f"t={t} is within {_SINGULAR_MARGIN:.3g} of the singular time {hi}, "
+            "where curvature leaves the float64 range"
+        )
 
 
 def _ds_params(spec: ExactSolutionSpec) -> tuple[float, float]:
@@ -147,8 +157,9 @@ def _ds_params(spec: ExactSolutionSpec) -> tuple[float, float]:
 
 def _ds_shift(beta: float, delta: float, t: float) -> float:
     arg = math.log(delta) + 2.0 * beta * t
-    # past -_EXP_MAX the shift underflows toward 0 and log u is -inf on the axis
-    if not -_EXP_MAX <= arg <= _EXP_MAX:
+    # the profiles square the shift (dudt divides by (rho^2 + shift)^2), so it stays
+    # within half the exp range: no overflow, and no underflow to 0 on the axis
+    if not -_EXP_MAX / 2.0 <= arg <= _EXP_MAX / 2.0:
         raise DomainError(f"soliton time shift exp({arg}) leaves the float64 range; rescale first")
     return math.exp(arg)
 

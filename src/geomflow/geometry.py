@@ -32,42 +32,49 @@ DIVERGENCE_RATIO = 1.5
 DIVERGENCE_APERTURE = TWO_PI / 20.0
 
 
-def _axis_laplacian(w: np.ndarray, h: float) -> float:
+def _axis_laplacian(w: np.ndarray, h: float):
     # even extension through rho=0: lap w(0) = 2 w''(0); the weights satisfy
     # sum c_k k^2 = 1, sum c_k k^4 = sum c_k k^6 = 0, so the truncation error
     # is O(h^6) and axis curvature is resolved to ~1e-8 at desk resolutions
-    d1, d2, d3 = w[1] - w[0], w[2] - w[0], w[3] - w[0]
+    w0 = w[..., 0]
+    d1, d2, d3 = w[..., 1] - w0, w[..., 2] - w0, w[..., 3] - w0
     return (4.0 / (h * h)) * (1.5 * d1 - 0.15 * d2 + d3 / 90.0)
 
 
-def _one_sided_second(w4: np.ndarray, h: float) -> float:
-    # w4 ordered boundary-first; second-order one-sided second derivative
-    return (2.0 * w4[0] - 5.0 * w4[1] + 4.0 * w4[2] - w4[3]) / (h * h)
+def _one_sided_second(w4: np.ndarray, h: float):
+    # w4 ordered boundary-first along the last axis; second-order one-sided second derivative
+    return (2.0 * w4[..., 0] - 5.0 * w4[..., 1] + 4.0 * w4[..., 2] - w4[..., 3]) / (h * h)
 
 
-def _one_sided_first(w3: np.ndarray, h: float) -> float:
-    return (3.0 * w3[0] - 4.0 * w3[1] + w3[2]) / (2.0 * h)
+def _one_sided_first(w3: np.ndarray, h: float):
+    return (3.0 * w3[..., 0] - 4.0 * w3[..., 1] + w3[..., 2]) / (2.0 * h)
 
 
 def laplacian_field(w: np.ndarray, nodes: np.ndarray, h: float, chart: str) -> np.ndarray:
-    """Flat-chart Laplacian of a rotationally symmetric field."""
+    """Flat-chart Laplacian of a rotationally symmetric field.
+
+    w is one row of node values or a (rows, nodes) block; the stencil runs
+    along the last axis, and each row of a block is bitwise its 1-d result.
+    """
     lap = np.empty_like(w)
-    lap[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)
+    lap[..., 1:-1] = (w[..., 2:] - 2.0 * w[..., 1:-1] + w[..., :-2]) / (h * h)
     if chart == RADIAL:
-        lap[1:-1] += (w[2:] - w[:-2]) / (2.0 * h) / nodes[1:-1]
-        lap[0] = _axis_laplacian(w, h)
-        lap[-1] = _one_sided_second(w[-1:-5:-1], h) + _one_sided_first(w[-1:-4:-1], h) / nodes[-1]
+        lap[..., 1:-1] += (w[..., 2:] - w[..., :-2]) / (2.0 * h) / nodes[1:-1]
+        lap[..., 0] = _axis_laplacian(w, h)
+        tail = w[..., -1:-5:-1]
+        lap[..., -1] = _one_sided_second(tail, h) + _one_sided_first(tail, h) / nodes[-1]
     else:
-        lap[0] = _one_sided_second(w[:4], h)
-        lap[-1] = _one_sided_second(w[-1:-5:-1], h)
+        lap[..., 0] = _one_sided_second(w[..., :4], h)
+        lap[..., -1] = _one_sided_second(w[..., -1:-5:-1], h)
     return lap
 
 
 def curvature_field(
     w: np.ndarray, u: np.ndarray, nodes: np.ndarray, h: float, chart: str
 ) -> np.ndarray:
-    """R = -lap(w)/u for one row of u, given w = log u (the solver passes its
-    own log state, which can differ from np.log(u) in the last bit)."""
+    """R = -lap(w)/u for one row of u or a (rows, nodes) block, given w = log u
+    (the solver passes its own log state, which can differ from np.log(u) in
+    the last bit)."""
     return -laplacian_field(w, nodes, h, chart) / u
 
 

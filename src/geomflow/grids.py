@@ -68,7 +68,8 @@ def check_layout(chart: str, nodes: np.ndarray) -> float:
 
 
 def check_positive(u: np.ndarray) -> None:
-    if not np.all(np.isfinite(u)) or not np.all(u > 0.0):
+    # NaN fails both comparisons, so two reductions decide; no mask the size of u
+    if not (u.min() > 0.0 and u.max() < np.inf):
         raise DomainError("conformal factor must be finite and positive")
 
 
@@ -80,16 +81,17 @@ def reliable_slice(chart: str, n: int) -> slice:
 
 
 def trust_mask(u: np.ndarray, chart: str, floor: float) -> np.ndarray:
-    """Reliable-slice nodes of one row of u with u >= floor.
+    """Reliable-slice nodes of u with u >= floor, for one row or a (rows, nodes) block.
 
     A row with no such node keeps its best-conditioned node (the argmax of u),
     so maxima over the mask are always defined.
     """
-    mask = np.zeros(u.size, dtype=bool)
-    mask[reliable_slice(chart, u.size)] = True
-    mask &= u >= floor
-    if not mask.any():
-        mask[int(np.argmax(u))] = True
+    mask = np.zeros(u.shape, dtype=bool)
+    rel = reliable_slice(chart, u.shape[-1])
+    mask[..., rel] = u[..., rel] >= floor
+    empty = ~mask.any(axis=-1)
+    if empty.any():
+        mask[empty, np.argmax(u[empty], axis=-1)] = True
     return mask
 
 

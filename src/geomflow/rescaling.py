@@ -33,7 +33,7 @@ from .errors import (
 from .exact import rosenau
 from .geometry import scalar_curvature
 from .grids import RADIAL, ConformalGrid, cumulative_trapezoid
-from .solver import FlowTrajectory, exact_trajectory, trusted_mask
+from .solver import FlowTrajectory, exact_trajectory, row_blocks, trusted_mask
 
 DIVERGING = "Diverging"
 BOUNDED = "Bounded"
@@ -93,6 +93,21 @@ def _masked_magnitude(traj: FlowTrajectory, k: int) -> np.ndarray:
     return magnitude
 
 
+def _peak_magnitudes(traj: FlowTrajectory, start: int, stop: int) -> np.ndarray:
+    """Trusted-node maximum of M = |R|/2 for snapshots start..stop-1.
+
+    Entry i equals _masked_magnitude(traj, start + i).max(). The snapshots
+    are scanned in row blocks (solver.row_blocks), so one curvature pass
+    serves a block and no temporary grows with the trajectory.
+    """
+    peaks = np.empty(stop - start)
+    for rows in row_blocks(start, stop, traj.nodes.size):
+        magnitude = 0.5 * np.abs(traj.curvature(rows))
+        out = peaks[rows.start - start : rows.stop - start]
+        np.max(magnitude, axis=-1, where=traj.trusted(rows), initial=-np.inf, out=out)
+    return peaks
+
+
 def pick_point(
     traj: FlowTrajectory, T_j: float, gamma_j: float, *, j: int | None = None
 ) -> RescalingPick:
@@ -116,15 +131,17 @@ def pick_point(
     if not float(times[-1]) < 0.0:
         raise WindowError("backward pick needs snapshot times strictly before 0")
 
+    # a positive weight needs t > T_j, so the scored snapshots are a suffix
+    first = int(np.searchsorted(times, T_j, side="right"))
+    peaks = _peak_magnitudes(traj, first, times.size)
     snapshot_sups = []
     sup = 0.0
-    for k, t in enumerate(times.tolist()):
-        if t < T_j - tol:
-            continue
+    for k in range(first, times.size):
+        t = float(times[k])
         weight = (-t) * (t - T_j)
         if weight <= 0.0:
             continue
-        peak = weight * float(_masked_magnitude(traj, k).max())
+        peak = weight * float(peaks[k - first])
         snapshot_sups.append((k, weight, peak))
         sup = max(sup, peak)
     if not sup > 0.0:
@@ -321,13 +338,11 @@ def classify_type(traj: FlowTrajectory, t0: float = CLASSIFIER_T0) -> Classifica
             f"need {MIN_WINDOWS} dyadic windows inside the trajectory, only {len(windows)} fit"
         )
 
-    sample_times = []
-    sample_values = []
-    for k, t in enumerate(times.tolist()):
-        if t > t0 + tol:
-            continue
-        sample_times.append(t)
-        sample_values.append(abs(t) * float(_masked_magnitude(traj, k).max()))
+    # the sampled snapshots are the prefix with t <= t0 + tol
+    count = int(np.searchsorted(times, t0 + tol, side="right"))
+    sample_times = times[:count].tolist()
+    peaks = _peak_magnitudes(traj, 0, count).tolist()
+    sample_values = [abs(t) * peak for t, peak in zip(sample_times, peaks)]
 
     samples = []
     for T in windows:

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .errors import BlowUpError, DomainError, GeomflowError, StepRejectedError, WindowError
-from .exact import ExactSolutionSpec, check_time, log_u_profile, sample_grid, u_profile
+from .exact import ExactSolutionSpec, check_time, log_u_profile, sample_grid
 from .geometry import curvature_field
 from .grids import CYLINDER, RADIAL, ConformalGrid, check_layout, check_positive, readonly
 from .grids import reliable_slice, trust_mask
@@ -68,6 +68,10 @@ MAX_TRAJECTORY_CELLS = 2**26
 # accuracy the statistics promise (measured on boundary-pinned runs), while the
 # discarded tail carries curvature within 1e-6 of the retained region's values.
 CURVATURE_TRUST_FLOOR = 1.0e-5
+
+# float64 values in one row block (256 KiB) of a blocked snapshot scan: every
+# temporary of the scan is this size, never the size of a trajectory's U
+BLOCK_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -139,13 +143,14 @@ class FlowTrajectory:
     def grid0(self) -> ConformalGrid:
         return self.snapshot(0)
 
-    def curvature(self, k: int) -> np.ndarray:
-        """Scalar curvature of snapshot k."""
+    def curvature(self, k: int | slice) -> np.ndarray:
+        """Scalar curvature of snapshot k, or of a slice of snapshots as a row block."""
         u = self.U[k]
         return curvature_field(np.log(u), u, self.nodes, self.h, self.chart)
 
-    def trusted(self, k: int) -> np.ndarray:
-        """Nodes of snapshot k that support curvature statistics (see trusted_mask)."""
+    def trusted(self, k: int | slice) -> np.ndarray:
+        """Nodes of snapshot k (or of a row block) that support curvature statistics
+        (see trusted_mask)."""
         return trust_mask(self.U[k], self.chart, CURVATURE_TRUST_FLOOR)
 
     def u_at(self, t: float) -> np.ndarray:
@@ -462,23 +467,35 @@ def step(grid: ConformalGrid, dt: float) -> ConformalGrid:
 
 
 def _resolve_output_times(t0: float, t_end: float, output_times) -> np.ndarray:
-    if output_times is None:
-        return np.linspace(t0, t_end, DEFAULT_OUTPUT_COUNT)
-    times = np.unique(np.asarray(output_times, dtype=float))
-    if times.size == 0 or not np.all(np.isfinite(times)):
-        raise WindowError("output times must be a nonempty finite collection")
     tol = 1e-9 * max(1.0, abs(t0), abs(t_end))
-    if times[0] < t0 - tol or times[-1] > t_end + tol:
-        raise WindowError(
-            f"output times must lie in [{t0}, {t_end}], got [{times[0]}, {times[-1]}]"
-        )
-    if times[0] > t0 + tol:
-        times = np.concatenate(([t0], times))
-    times[0] = t0
-    if times[-1] < t_end - tol:
-        times = np.concatenate((times, [t_end]))
-    times[-1] = t_end
+    if output_times is None:
+        times = np.linspace(t0, t_end, DEFAULT_OUTPUT_COUNT)
+    else:
+        times = np.unique(np.asarray(output_times, dtype=float))
+        if times.size == 0 or not np.all(np.isfinite(times)):
+            raise WindowError("output times must be a nonempty finite collection")
+        if times[0] < t0 - tol or times[-1] > t_end + tol:
+            raise WindowError(
+                f"output times must lie in [{t0}, {t_end}], got [{times[0]}, {times[-1]}]"
+            )
+        if times[0] > t0 + tol:
+            times = np.concatenate(([t0], times))
+        times[0] = t0
+        if times[-1] < t_end - tol:
+            times = np.concatenate((times, [t_end]))
+        times[-1] = t_end
+    # closer snapshots are one time to this tolerance, and time differences of
+    # them (np.gradient in diagnostics) would underflow
+    if times.size < 2 or np.diff(times).min() <= tol:
+        raise WindowError(f"snapshot times must lie more than {tol:.3g} apart")
     return times
+
+
+def row_blocks(start: int, stop: int, n: int) -> list[slice]:
+    """Slices covering rows start..stop-1 of n values each, at most BLOCK_CELLS values
+    (and at least one row) per slice."""
+    rows = max(1, BLOCK_CELLS // n)
+    return [slice(a, min(a + rows, stop)) for a in range(start, stop, rows)]
 
 
 def check_trajectory_size(times: int, n: int) -> None:
@@ -571,8 +588,8 @@ def exact_trajectory(
     grid = sample_grid(spec, float(times[0]), n=n, extent=extent, x_lo=x_lo, x_hi=x_hi)
     U = np.empty((times.size, grid.n))
     U[0] = grid.u
-    for k in range(1, times.size):
-        U[k] = u_profile(spec, grid.nodes, float(times[k]))
+    for rows in row_blocks(1, times.size, grid.n):
+        np.exp(log_u_profile(spec, grid.nodes, tuple(times[rows].tolist())), out=U[rows])
     U.setflags(write=False)
     return FlowTrajectory(grid.chart, grid.nodes, times, U, spec, ())
 

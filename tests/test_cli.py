@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import geomflow
 from geomflow import cli, exact, serialize, solver
@@ -107,6 +109,10 @@ def test_config_defaults_fill_in():
         {"name": 5},
         {"out": 5},
         {"resolution": True},
+        {"t0": math.inf},
+        {"t1": -math.nan},
+        {"extent": math.inf},
+        {"output_times": [1.0, math.nan]},
     ],
 )
 def test_config_validation_rejects(overrides):
@@ -148,6 +154,12 @@ def test_run_with_non_utf8_checkpoint_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, family=None, checkpoint=str(checkpoint))
     assert cli.main(["run", path]) == 2
     assert_one_line_error(capsys)
+
+
+def test_config_error_naming_a_key_with_a_line_break_stays_on_one_line(tmp_path, capsys):
+    path = write_config(tmp_path, params={"be\nta": "2"})
+    assert cli.main(["run", path]) == 2
+    assert "params['be\\nta']" in assert_one_line_error(capsys)
 
 
 def test_simulate_over_step_budget_exits_2_before_stepping(tmp_path, capsys, monkeypatch):
@@ -287,6 +299,15 @@ def test_flat_invariants_row(tmp_path):
     assert circ == math.inf
     assert avr == pytest.approx(1.0, abs=1e-6)
     assert r_max == pytest.approx(0.0, abs=1e-9)
+
+
+def test_flat_verify_task_has_no_ratio_to_judge(tmp_path):
+    # the flat residual is exactly 0 at every resolution
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, family="flat", t0=0.0, t1=1.0, tasks=["verify"], out=out)
+    assert cli.main(["run", path]) == 0
+    _, rows = read_csv(os.path.join(out, "convergence.csv"))
+    assert [(float(r[1]), r[2]) for r in rows] == [(0.0, "")] * 4
 
 
 def test_cigar_supported_tasks_full_artifact_set(tmp_path):
@@ -436,3 +457,80 @@ def test_help_documents_csv_columns():
         "GEOMFLOW_OUT",
     ):
         assert needle in text
+
+
+# Scenario payloads for the property test below: mostly well-formed configs,
+# each key drawn from its own range, with up to two keys set to an edge value
+# or to arbitrary JSON, or an unknown key added. Values are bounded so that no
+# example asks for more than a few thousand grid values or solver steps.
+_JSON_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 256) | st.floats(-1e3, 1e3) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+_SCENARIO_VALUES = {
+    "name": st.text(min_size=1, max_size=8),
+    "family": st.sampled_from(exact.FAMILIES),
+    "checkpoint": st.just("checkpoint_0000.json"),
+    "params": st.dictionaries(st.sampled_from(["r0", "beta", "delta"]), st.floats(0.5, 6.0), max_size=2),
+    "extent": st.floats(4.0, 40.0),
+    "resolution": st.integers(16, 256),
+    "t0": st.floats(-3.0, 1.0),
+    "t1": st.floats(-2.0, 2.0),
+    "output_times": st.lists(st.floats(-3.0, 2.0), max_size=3),
+    "cfl": st.floats(0.2, 1.0),
+    "scheme": st.just(solver.SEMI_IMPLICIT),
+    "tasks": st.lists(st.sampled_from(cli.TASKS), min_size=1, max_size=3),
+    "tolerances": st.dictionaries(st.sampled_from(sorted(cli.DEFAULT_TOLERANCES)), st.floats(0.01, 10.0), max_size=2),
+    "out": st.text(max_size=8),
+}
+_EDGE_VALUES = {
+    "name": st.just(""),
+    "family": st.sampled_from(["rosenau", "cone", ""]),
+    "checkpoint": st.sampled_from(["missing.json", "config.json", ""]),
+    "params": st.dictionaries(st.sampled_from(["r0", "x0", "k"]), st.floats(-2.0, 2.0), max_size=2),
+    "extent": st.sampled_from([0.0, -1.0, math.nan, math.inf]),
+    "resolution": st.sampled_from([-2, 0, 15, 16.5, 1e300]),
+    "t0": st.sampled_from([0.0, -1e-3, math.inf, math.nan]),
+    "t1": st.sampled_from([0.0, -1e-3, -math.inf, math.nan]),
+    "output_times": st.lists(st.sampled_from([0.0, -5.0, 5.0, math.nan]), max_size=3),
+    "cfl": st.sampled_from([0.0, 1.5, math.inf]),
+    "scheme": st.just("ExplicitRK2"),
+    "tasks": st.lists(st.sampled_from(cli.TASKS + ("plot",)), max_size=3),
+    "tolerances": st.dictionaries(st.sampled_from(["sup_rel_err", "atol"]), st.floats(-1.0, 1.0), max_size=2),
+    "out": st.just(""),
+}
+
+
+@st.composite
+def _scenarios(draw):
+    source = draw(st.sampled_from(["family", "checkpoint"]))
+    payload = {key: draw(_SCENARIO_VALUES[key]) for key in ("name", "tasks", source)}
+    for key, values in _SCENARIO_VALUES.items():
+        if key not in payload and key not in ("family", "checkpoint") and draw(st.booleans()):
+            payload[key] = draw(values)
+    for key in draw(st.lists(st.sampled_from(sorted(_SCENARIO_VALUES) + ["plot"]), max_size=2)):
+        payload[key] = draw(_EDGE_VALUES.get(key, _JSON_ANY) | _JSON_ANY)
+    return payload
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(payload=_scenarios())
+def test_any_bounded_config_exits_0_1_or_2_without_a_traceback(payload, tmp_path, monkeypatch, capsys):
+    # artifacts and relative checkpoint paths stay inside tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GEOMFLOW_OUT", str(tmp_path / "out"))
+    serialize.save_checkpoint(
+        str(tmp_path / "checkpoint_0000.json"), exact.sample_grid(exact.cigar(), 0.0, n=64, extent=8.0)
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["run", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -119,6 +119,28 @@ def test_ancient_families_reject_nonnegative_time(spec):
     exact.u_profile(spec, np.array([0.0, 1.0]), -1e-9)
 
 
+@pytest.mark.parametrize("spec", [exact.rosenau(), exact.sphere()])
+def test_times_at_the_singular_time_to_float64_precision_are_rejected(spec):
+    x = np.array([0.0, 1.0, 30.0])
+    # curvature ~ 1/|t| would overflow; the check says so instead of emitting inf
+    for t in (-2.2e-309, -1e-300, -1e-160):
+        with pytest.raises(DomainError, match="singular time"):
+            exact.u_profile(spec, x, t)
+    # nearer the singular time than 1e-17, exp(-2|t|) rounds to 1: still finite, no warning
+    r = exact.r_profile(spec, x, -1e-20)
+    assert np.all(np.isfinite(r)) and np.all(r >= 1e19)
+
+
+def test_soliton_shift_stays_where_its_square_is_a_float64():
+    # the cigar's shift is e^{4t}: dudt squares it, which overflows past e^{354}
+    x = np.array([0.0, 1.0, 30.0])
+    for t in (-87.0, 87.0):
+        assert np.all(np.isfinite(exact.dudt_profile(exact.cigar(4.0), x, t)))
+    for t in (-89.0, 89.0):
+        with pytest.raises(DomainError, match="time shift"):
+            exact.dudt_profile(exact.cigar(4.0), x, t)
+
+
 @pytest.mark.parametrize("spec", [exact.cigar(4.0), exact.ds_soliton(1.0, 2.0), exact.flat()])
 def test_eternal_families_accept_any_time(spec):
     lo, hi = spec.existence_interval()

@@ -42,6 +42,27 @@ def test_curvature_field_matches_closed_form(spec, t, kwargs, tol):
     assert np.max(np.abs(r_hat[mask] - r_exact[mask])) < tol
 
 
+@pytest.mark.parametrize(
+    "spec, times, kwargs",
+    [
+        (exact.sphere(), (-3.0, -1.0, -0.25), dict(extent=10.0)),
+        (exact.cigar(4.0), (-1.0, 0.0, 2.0), dict(extent=20.0)),
+        (exact.rosenau(), (-4.0, -1.0, -0.1), dict(extent=12.0)),
+    ],
+)
+def test_block_laplacian_and_curvature_rows_are_bitwise_the_row_results(spec, times, kwargs):
+    # whole rows: the radial axis row and the one-sided end rows are compared too
+    grids = [exact.sample_grid(spec, t, n=301, **kwargs) for t in times]
+    nodes, h, chart = grids[0].nodes, grids[0].h, grids[0].chart
+    U = np.stack([g.u for g in grids])
+    W = np.log(U)
+    lap = geometry.laplacian_field(W, nodes, h, chart)
+    r = geometry.curvature_field(W, U, nodes, h, chart)
+    for k in range(len(times)):
+        assert np.array_equal(lap[k], geometry.laplacian_field(W[k], nodes, h, chart))
+        assert np.array_equal(r[k], geometry.curvature_field(W[k], U[k], nodes, h, chart))
+
+
 def test_axis_curvature_resolved_to_1e_6():
     assert abs(geometry.scalar_curvature(cigar_grid())[0] - 4.0) < 1e-6
     g = exact.sample_grid(exact.sphere(), -1.0, n=2000, extent=30.0)

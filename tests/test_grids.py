@@ -8,7 +8,9 @@ from geomflow.grids import (
     RELIABLE_MARGIN,
     U_NOISE_FLOOR,
     ConformalGrid,
+    check_positive,
     cumulative_trapezoid,
+    trust_mask,
 )
 
 
@@ -49,12 +51,22 @@ def test_radial_must_start_at_axis():
         ConformalGrid(chart=RADIAL, nodes=nodes, u=np.ones(32), t=0.0)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -0.0, -np.inf])
 def test_rejects_nonpositive_or_nonfinite_u(bad):
     u = np.ones(32)
     u[7] = bad
-    with pytest.raises(DomainError):
+    message = "^conformal factor must be finite and positive$"
+    with pytest.raises(DomainError, match=message):
         make_grid(u=u)
+    # the same rule on a trajectory's (snapshots, nodes) array
+    block = np.ones((3, 32))
+    block[1, 7] = bad
+    with pytest.raises(DomainError, match=message):
+        check_positive(block)
+
+
+def test_check_positive_accepts_every_finite_positive_value():
+    check_positive(np.array([5e-324, 1e-300, 1.0, np.finfo(float).max]))
 
 
 def test_rejects_short_and_mismatched_grids():
@@ -91,6 +103,17 @@ def test_reliable_mask_degenerate_keeps_best_node():
     g = make_grid(n=40, u=u)
     mask = g.reliable_mask()
     assert mask.sum() == 1 and mask[3]
+
+
+@pytest.mark.parametrize("chart", [RADIAL, CYLINDER])
+def test_trust_mask_of_a_block_is_the_mask_of_each_row(chart):
+    block = 10.0 ** np.random.default_rng(5).uniform(-9.0, 0.0, size=(4, 40))
+    block[2] = 1e-9  # no node reaches the floor: the row keeps its argmax
+    block[2, 17] = 2e-9
+    masks = trust_mask(block, chart, 1e-5)
+    for row, mask in zip(block, masks):
+        assert np.array_equal(mask, trust_mask(row, chart, 1e-5))
+    assert np.flatnonzero(masks[2]).tolist() == [17]
 
 
 def test_one_trust_rule_with_two_floors():

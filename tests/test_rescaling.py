@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,42 @@ def test_tied_scores_resolve_to_earliest_snapshot():
     )
     pick = rescaling.pick_point(traj, -4.0, 0.5)
     assert pick.t_j == -3.0
+
+
+def test_blocked_peaks_equal_the_masked_magnitude_maxima():
+    base = ladder_trajectory(3)
+    U = np.array(base.U)
+    U[7] *= 1e-6  # below the trust floor at every node: the argmax fallback decides
+    traj = solver.FlowTrajectory(base.chart, base.nodes, base.times, U, base.provenance, ())
+    assert not np.any(traj.U[7] >= solver.CURVATURE_TRUST_FLOOR)
+    count = traj.times.size
+    rows = solver.row_blocks(0, count, traj.nodes.size)[0].stop
+    assert 8 < rows < count
+    # whole range, windows starting mid-block, one ending mid-block, a single row
+    for start, stop in [(0, count), (5, count), (rows + 3, count), (2, rows + 5), (7, 8)]:
+        expected = [float(rescaling._masked_magnitude(traj, k).max()) for k in range(start, stop)]
+        assert np.array_equal(rescaling._peak_magnitudes(traj, start, stop), expected)
+
+
+def test_pick_and_classify_scan_in_blocks_not_whole_arrays():
+    # tracemalloc sees numpy's buffers. Measured (2**15-value blocks, 6 rows of
+    # 5,201 nodes): building U traces U plus about 0.63 MB (U is 10.7 MB), the
+    # pick and classify scans about 1.3 MB; a scan over the whole U at once traces
+    # several times U.nbytes. The bounds leave about 2x margin.
+    tracemalloc.start()
+    try:
+        traj = rescaling.backward_rosenau_trajectory(6)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        rescaling.pick_point(traj, -64.0, rescaling.default_gamma(6), j=6)
+        rescaling.classify_type(traj, t0=-1.0)
+        scan = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    block = 2**18  # bytes of one 2**15-value block temporary
+    assert build <= traj.U.nbytes + 8 * block
+    assert scan <= 10 * block < traj.U.nbytes / 4
 
 
 def test_pick_is_reproducible():

@@ -453,6 +453,31 @@ def test_exact_trajectory_rows_match_sampled_grids():
         assert np.array_equal(traj.trusted(k), solver.trusted_mask(grid))
 
 
+@pytest.mark.parametrize(
+    "spec, times, kwargs",
+    [
+        # Rosenau broadcasts its time terms over a block; the others go row by row
+        (exact.rosenau(), np.linspace(-6.0, -0.5, 24), dict(x_lo=-20.0, x_hi=20.0)),
+        (exact.sphere(), np.linspace(-6.0, -0.5, 24), dict(extent=20.0)),
+        (exact.cigar(2.0), np.linspace(-1.0, 1.0, 24), dict(extent=20.0)),
+    ],
+)
+def test_exact_trajectory_rows_are_bitwise_single_time_profiles(spec, times, kwargs):
+    n = 3001
+    blocks = solver.row_blocks(1, times.size, n)
+    # rows 1..23 in blocks of 10: the last block is short
+    assert [b.stop - b.start for b in blocks] == [10, 10, 3]
+    traj = solver.exact_trajectory(spec, times, n=n, **kwargs)
+    for k, t in enumerate(times.tolist()):
+        assert np.array_equal(traj.U[k], exact.u_profile(spec, traj.nodes, t))
+
+
+def test_row_blocks_cover_the_rows_once_with_at_least_one_row_each():
+    assert solver.row_blocks(5, 5, 100) == []
+    assert solver.row_blocks(3, 9, solver.BLOCK_CELLS // 4) == [slice(3, 7), slice(7, 9)]
+    assert solver.row_blocks(0, 3, 2 * solver.BLOCK_CELLS) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
 def test_evolve_validations():
     grid = rosenau_grid(n=64, extent=5.0)
     with pytest.raises(DomainError):
@@ -466,6 +491,11 @@ def test_evolve_validations():
         solver.evolve(grid, -1.9, output_times=[-2.0, -1.5])
     with pytest.raises(DomainError):
         solver.evolve(grid, -1.9, cfl=0.0)
+    # snapshots closer than the time tolerance 1e-9 * max(1, |t|)
+    with pytest.raises(WindowError, match="apart"):
+        solver.evolve(grid, -1.5, output_times=[-2.0, -1.75, -1.75 + 1e-10, -1.5])
+    with pytest.raises(WindowError, match="apart"):
+        solver.evolve(grid, -2.0 + 1e-9)
 
 
 def test_evolve_rejects_a_run_over_the_step_budget_up_front(monkeypatch):
