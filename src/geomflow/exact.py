@@ -55,13 +55,13 @@ def _logsinh(y):
     if np.any(y <= 0.0):
         raise DomainError("logsinh expects positive argument")
     small = y < 1e-3
-    if not np.any(small):
-        return y + np.log1p(-np.exp(-2.0 * y)) - _LOG2
-    # each branch sees only its own arguments: log1p(-exp(-2y)) is -inf for y below ~1e-17
-    ys = np.where(small, y, 1.0)
+    # the large-y form only sees large y: log1p(-exp(-2y)) is -inf below y ~ 1e-17
     yl = np.where(small, 1.0, y)
-    large = yl + np.log1p(-np.exp(-2.0 * yl)) - _LOG2
-    return np.where(small, np.log(ys) + ys * ys / 6.0, large)
+    out = yl + np.log1p(-np.exp(-2.0 * yl)) - _LOG2
+    if np.any(small):
+        ys = np.where(small, y, 1.0)
+        out = np.where(small, np.log(ys) + ys * ys / 6.0, out)
+    return out
 
 
 @dataclass(frozen=True)

@@ -136,8 +136,7 @@ def pick_point(
     peaks = _peak_magnitudes(traj, first, times.size)
     snapshot_sups = []
     sup = 0.0
-    for k in range(first, times.size):
-        t = float(times[k])
+    for k, t in enumerate(times[first:].tolist(), start=first):
         weight = (-t) * (t - T_j)
         if weight <= 0.0:
             continue
