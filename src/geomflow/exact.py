@@ -17,6 +17,11 @@ Families:
 
 Hyperbolic evaluations run in log space so coordinates with |x| of a few
 hundred stay finite and hit their asymptotic limits instead of overflowing.
+Their log-space sums go through _logaddexp, not numpy's logaddexp ufunc,
+which runs as a scalar libm loop. _logaddexp applies the same formula with
+numpy's vectorized exp and log1p, so its results may differ from the ufunc's
+by about an ulp. The speed-up relies on those vectorized loops; a numpy build
+without them does the same libm work as the ufunc (unmeasured).
 """
 
 from __future__ import annotations
@@ -61,6 +66,22 @@ def _logsinh(y):
     if np.any(small):
         ys = np.where(small, y, 1.0)
         out = np.where(small, np.log(ys) + ys * ys / 6.0, out)
+    return out
+
+
+def _logaddexp(a, b):
+    """log(exp(a) + exp(b)) by numpy's npy_logaddexp formula, hi + log1p(exp(lo - hi)),
+    on vectorized ufuncs; lo - hi is exactly -|a - b|. Broadcasts like numpy's
+    logaddexp and returns a new array (0-d for scalar inputs)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    np.subtract(a, b, out=out)
+    np.abs(out, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(a, b)
     return out
 
 
@@ -188,7 +209,8 @@ def log_u_profile(
     if fam == ROSENAU:
         lcx = _logcosh(c)
         lct = _logcosh(t)
-        return _logsinh(-t) - np.logaddexp(lcx, lct)
+        lse = _logaddexp(lcx, lct)
+        return np.subtract(_logsinh(-t), lse, out=lse)
     if fam == SPHERE:
         return math.log(-8.0 * t) - 2.0 * np.log1p(c * c)
     beta, delta = _ds_params(spec)
@@ -210,8 +232,8 @@ def r_profile(spec: ExactSolutionSpec, coords: np.ndarray, t: float) -> np.ndarr
     if fam == ROSENAU:
         lcx = _logcosh(c)
         lct = _logcosh(t)
-        num = np.logaddexp(0.0, lcx + lct)
-        return np.exp(num - _logsinh(-t) - np.logaddexp(lcx, lct))
+        num = _logaddexp(0.0, lcx + lct)
+        return np.exp(num - _logsinh(-t) - _logaddexp(lcx, lct))
     if fam == SPHERE:
         return np.full_like(c, 1.0 / (-t))
     beta, delta = _ds_params(spec)
@@ -229,7 +251,7 @@ def dudt_profile(spec: ExactSolutionSpec, coords: np.ndarray, t: float) -> np.nd
     if fam == ROSENAU:
         lcx = _logcosh(c)
         lct = _logcosh(t)
-        return -np.exp(np.logaddexp(0.0, lcx + lct) - 2.0 * np.logaddexp(lcx, lct))
+        return -np.exp(_logaddexp(0.0, lcx + lct) - 2.0 * _logaddexp(lcx, lct))
     if fam == SPHERE:
         return -8.0 / (1.0 + c * c) ** 2
     beta, delta = _ds_params(spec)

@@ -125,7 +125,10 @@ def _centered_first(w: np.ndarray, h: float, i: int) -> float:
 
 def total_curvature(grid: ConformalGrid) -> TotalCurvatureResult:
     """Integral of K over the sampled region, quadrature and flux forms."""
-    r_field = scalar_curvature(grid)
+    return _total_curvature(grid, scalar_curvature(grid))
+
+
+def _total_curvature(grid: ConformalGrid, r_field: np.ndarray) -> TotalCurvatureResult:
     w = np.log(grid.u)
     h = grid.h
     warnings: list[str] = []
@@ -175,11 +178,14 @@ def aperture(grid: ConformalGrid) -> ApertureResult:
     """Opening angle at infinity, measured directly and via 2*pi - tau."""
     if grid.chart != RADIAL:
         raise DomainError("aperture is defined for radial-chart grids")
+    return _aperture(grid, total_curvature(grid).value)
+
+
+def _aperture(grid: ConformalGrid, tau: float) -> ApertureResult:
     s = s_profile(grid)
     ell = circle_length_profile(grid)
     win = _tail_window(grid)
     direct = float(np.polyfit(s[win], ell[win], 1)[0])
-    tau = total_curvature(grid).value
     hartman = TWO_PI - tau
     gap = abs(direct - hartman)
     i_r = _reliable_outer_index(grid)
@@ -209,6 +215,10 @@ def circumference_at_infinity(grid: ConformalGrid) -> CircumferenceResult:
     """Limit of circle lengths, with a divergence sentinel and tail estimate."""
     if grid.chart != RADIAL:
         raise DomainError("circumference at infinity is defined for radial grids")
+    return _circumference_at_infinity(grid, aperture(grid).direct)
+
+
+def _circumference_at_infinity(grid: ConformalGrid, slope: float) -> CircumferenceResult:
     ell = circle_length_profile(grid)
     i_r = _reliable_outer_index(grid)
     i_half = max(1, grid.index_of(grid.extent / 2.0))
@@ -219,7 +229,6 @@ def circumference_at_infinity(grid: ConformalGrid) -> CircumferenceResult:
     if drops.size and float(drops.min()) < -1e-9 * max(raw, 1.0):
         warnings.append("circle lengths are not monotone; limit estimate unreliable")
     ratio = ell[i_r] / max(ell[i_half], 1e-300)
-    slope = aperture(grid).direct
     if ratio > DIVERGENCE_RATIO or slope > DIVERGENCE_APERTURE:
         return CircumferenceResult(value=math.inf, raw=raw, warnings=tuple(warnings))
     # dyadic Richardson step for an algebraic 1/rho^2 tail
@@ -332,15 +341,16 @@ class InvariantReport:
 def invariant_report(grid: ConformalGrid) -> InvariantReport:
     """Collect every invariant this chart supports into one record."""
     warnings: list[str] = []
-    tau_res = total_curvature(grid)
-    warnings.extend(tau_res.warnings)
+    # one curvature field per report, shared by tau, the aperture and the circumference
     r_field = scalar_curvature(grid)
+    tau_res = _total_curvature(grid, r_field)
+    warnings.extend(tau_res.warnings)
     mask = grid.reliable_mask()
     r_max = float(r_field[mask].max())
     extras = {"tau_flux": tau_res.flux, "tau_disagreement": tau_res.disagreement}
     if grid.chart == RADIAL:
-        ap = aperture(grid)
-        circ = circumference_at_infinity(grid)
+        ap = _aperture(grid, tau_res.value)
+        circ = _circumference_at_infinity(grid, ap.direct)
         avr = asymptotic_volume_ratio(grid)
         warnings.extend(ap.warnings)
         warnings.extend(circ.warnings)

@@ -595,11 +595,15 @@ def exact_trajectory(
 
 
 def rmax_series(traj: FlowTrajectory) -> RmaxSeries:
-    """Per-snapshot masked curvature maximum and its worst drop."""
-    values = tuple(
-        (float(t), float(traj.curvature(k)[traj.trusted(k)].max()))
-        for k, t in enumerate(traj.times)
-    )
+    """Per-snapshot masked curvature maximum and its worst drop.
+
+    The snapshots are scanned in row blocks (row_blocks), one curvature pass per block.
+    """
+    peaks = np.empty(traj.times.size)
+    for rows in row_blocks(0, traj.times.size, traj.nodes.size):
+        block = traj.curvature(rows)
+        np.max(block, axis=-1, where=traj.trusted(rows), initial=-np.inf, out=peaks[rows])
+    values = tuple(zip(traj.times.tolist(), peaks.tolist()))
     drops = [a[1] - b[1] for a, b in zip(values, values[1:])]
     defect = max(0.0, max(drops, default=0.0))
     return RmaxSeries(values=values, monotonicity_defect=defect)

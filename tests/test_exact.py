@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from geomflow import exact
 from geomflow.errors import DomainError, ExtentError
@@ -77,6 +79,38 @@ def test_profile_at_several_times_is_bitwise_one_row_per_time(spec, coords, ts):
     assert rows.shape == (len(ts), coords.size)
     for row, t in zip(rows, ts):
         assert np.array_equal(row, exact.log_u_profile(spec, coords, t))
+
+
+_LSE_VALUE = st.floats(-750.0, 750.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _lse_arguments(draw):
+    """(a, b) as 0-d arrays, 1-d arrays of one length, or a (k, 1) x (n,) broadcast."""
+    shape = draw(st.sampled_from(["0-d", "1-d", "broadcast"]))
+    if shape == "0-d":
+        return np.array(draw(_LSE_VALUE)), np.array(draw(_LSE_VALUE))
+    n = draw(st.integers(1, 12))
+    b = np.array(draw(st.lists(_LSE_VALUE, min_size=n, max_size=n)))
+    k = n if shape == "1-d" else draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(_LSE_VALUE, min_size=k, max_size=k)))
+    return (a, b) if shape == "1-d" else (a[:, None], b)
+
+
+@given(_lse_arguments())
+@example((np.array(-750.0), np.array(750.0)))
+@example((np.array([0.0, 41.0, -700.0]), np.array([-41.0, 0.0, 700.0])))
+def test_logaddexp_helper_agrees_with_numpy(args):
+    # far-apart arguments underflow exp(lo - hi) to 0 without a RuntimeWarning
+    # (pytest turns warnings into errors)
+    a, b = args
+    got = exact._logaddexp(a, b)
+    ref = np.logaddexp(a, b)
+    assert np.shape(got) == np.shape(ref)
+    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * scale)
+    assert np.array_equal(exact._logaddexp(b, a), got)
+    assert np.array_equal(exact._logaddexp(a, a), a + math.log(2.0))
 
 
 def test_rosenau_even_in_x():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geomflow import exact, geometry, rescaling, solver
+from geomflow import cli, exact, geometry, rescaling, solver
 from geomflow.errors import (
     DegeneratePickError,
     DomainError,
@@ -35,6 +35,32 @@ def sphere_trajectory(t_start=-8.0, snapshots=257):
 def classifier_rosenau_trajectory():
     times = np.linspace(-64.0, -1.0, 253)
     return solver.exact_trajectory(exact.rosenau(), times, n=3081, x_lo=-77.0, x_hi=77.0)
+
+
+# The paper's headline: the rescale task's pick and profile distance for
+# j = 1..6 on the default backward Rosenau trajectories. A change that moves
+# them on purpose updates this table and says why.
+HEADLINE = [
+    # (j, node, x_j, t_j, profile distance)
+    (1, 786, -5.28, -0.001, 0.40149637961091333),
+    (2, 437, -13.26, -1.7818046875, 0.045441208587874704),
+    (3, 425, -15.5, -4.0005, 5.549844149792538e-4),
+    (4, 425, -19.5, -8.0005, 1.4524470641874565e-5),
+    (5, 425, -27.5, -16.0005, 1.4724151608636049e-5),
+    (6, 425, -43.5, -32.0005, 1.4355901121754222e-5),
+]
+
+
+@pytest.mark.parametrize("j, node, x_j, t_j, distance", HEADLINE)
+def test_headline_picks_and_profile_distances_are_pinned(j, node, x_j, t_j, distance):
+    traj = rescaling.backward_rosenau_trajectory(j)
+    pick = rescaling.pick_point(traj, rescaling.default_window(j), rescaling.default_gamma(j), j=j)
+    assert pick.node == node
+    assert pick.x_j == traj.nodes[node]
+    assert pick.x_j == pytest.approx(x_j, abs=1e-12)
+    assert pick.t_j == pytest.approx(t_j, abs=1e-12)
+    measured = rescaling.profile_distance(rescaling.dilate(traj, pick), cli.RESCALE_SPAN)
+    assert measured == pytest.approx(distance, rel=1e-6)
 
 
 def test_default_window_is_dyadic():

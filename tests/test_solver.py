@@ -259,6 +259,25 @@ def test_rmax_series_constant_on_exact_cigar():
     assert series.monotonicity_defect <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "spec, times, kwargs",
+    [
+        (exact.cigar(4.0), np.linspace(-0.5, 2.0, 15), dict(extent=30.0)),
+        (exact.rosenau(), np.linspace(-3.0, -0.2, 15), dict(extent=12.0)),
+    ],
+)
+def test_blocked_rmax_series_equals_the_row_by_row_maxima(spec, times, kwargs):
+    n = 5001
+    # 6 rows per block: 15 snapshots end in a short block
+    assert [b.stop - b.start for b in solver.row_blocks(0, times.size, n)] == [6, 6, 3]
+    traj = solver.exact_trajectory(spec, times, n=n, **kwargs)
+    values = solver.rmax_series(traj).values
+    assert len(values) == times.size
+    for k, (t, rm) in enumerate(values):
+        assert t == float(traj.times[k])
+        assert rm == float(traj.curvature(k)[traj.trusted(k)].max())
+
+
 def test_refinement_reduces_rosenau_errors():
     # at fixed cfl, doubling n must shrink the sup error in u at second order
     # and keep the curvature peak accurate; a scheme that leaves stiff
