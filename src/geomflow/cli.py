@@ -28,6 +28,8 @@ DEFAULT_TOLERANCES = {"max_ratio": 5.0, "min_ratio": 3.0, "sup_rel_err": 1e-3}
 RESCALE_DEPTHS = (1, 2, 3, 4, 5, 6)
 RESCALE_SPAN = 1.5
 CLASSIFY_SNAPSHOTS = 253
+# classify's flag defaults: criterion 7's window and grid, which hold the Rosenau peak near |x| = |t|
+CLASSIFY_DEFAULTS = {"t0": -64.0, "n": 3081, "extent": 77.0}
 # families whose backward tip width stays above a fixed uniform grid step;
 # the soliton families collapse like exp(beta*t) and alias into garbage
 BACKWARD_RESOLVABLE = ("Rosenau", "Sphere", "Flat")
@@ -207,16 +209,11 @@ def _task_verify(config: ScenarioConfig, out_dir: str) -> int:
     if spec is None:
         raise DomainError("the verify task needs a family, not a checkpoint")
     tol = config.effective_tolerances()
-    from .geometry import laplacian_field
-
     errors = []
     rows = []
     failures = 0
     for n in _convergence_ladder(config.resolution):
-        grid = exact.sample_grid(spec, config.t0, n=n, extent=config.extent)
-        lap = laplacian_field(np.log(grid.u), grid.nodes, grid.h, grid.chart)
-        residual = exact.dudt_profile(spec, grid.nodes, config.t0) - lap
-        err = float(np.abs(residual[grid.reliable_slice()]).max())
+        err = acceptance.flow_residual(spec, config.t0, n=n, extent=config.extent)
         # an exact residual (the flat family's is 0) has no convergence ratio to judge
         ratio = None if not errors or err == 0.0 else errors[-1] / err
         if ratio is not None and not tol["min_ratio"] <= ratio <= tol["max_ratio"]:
@@ -229,7 +226,6 @@ def _task_verify(config: ScenarioConfig, out_dir: str) -> int:
 
 def _task_simulate(config: ScenarioConfig, out_dir: str) -> int:
     grid0 = _initial_grid(config)
-    spec = grid0.provenance
     traj = solver.evolve(grid0, config.t1, cfl=config.cfl, output_times=config.output_times)
     for k in range(traj.times.size):
         path = os.path.join(out_dir, f"checkpoint_{k:04d}.json")
@@ -242,14 +238,9 @@ def _task_simulate(config: ScenarioConfig, out_dir: str) -> int:
         os.path.join(out_dir, "diagnostics.json"),
         serialize.diagnostics_payload(solver.diagnostics(traj)),
     )
-    if spec is None:
+    if traj.provenance is None:
         return 0
-    sup_rel = 0.0
-    rel = grid0.reliable_slice()
-    for k, t in enumerate(traj.times.tolist()):
-        u_ref = exact.u_profile(spec, traj.nodes, t)
-        sup_rel = max(sup_rel, float(np.abs((traj.U[k] - u_ref) / u_ref)[rel].max()))
-    return int(sup_rel > config.effective_tolerances()["sup_rel_err"])
+    return int(solver.closed_form_error(traj) > config.effective_tolerances()["sup_rel_err"])
 
 
 def _task_invariants(config: ScenarioConfig, out_dir: str) -> int:
@@ -406,12 +397,12 @@ def _inline_config(task: str, args: argparse.Namespace) -> ScenarioConfig:
     )
 
 
-def _add_inline_flags(sub: argparse.ArgumentParser) -> None:
+def _add_inline_flags(sub: argparse.ArgumentParser, t0=-2.0, n=2000, extent=20.0) -> None:
     sub.add_argument("--family", required=True, help="one of " + ", ".join(exact.FAMILIES))
-    sub.add_argument("--t0", type=float, default=-2.0, help="window start (default -2)")
+    sub.add_argument("--t0", type=float, default=t0, help=f"window start (default {t0:g})")
     sub.add_argument("--t1", type=float, default=-1.0, help="window end (default -1)")
-    sub.add_argument("--n", type=int, default=2000, help="grid resolution (default 2000)")
-    sub.add_argument("--extent", type=float, default=20.0, help="chart extent (default 20)")
+    sub.add_argument("--n", type=int, default=n, help=f"grid resolution (default {n})")
+    sub.add_argument("--extent", type=float, default=extent, help=f"chart extent (default {extent:g})")
     sub.add_argument("--cfl", type=float, default=0.4, help="time-step fraction (default 0.4)")
     sub.add_argument("--out", default="out", help="output directory (default ./out)")
 
@@ -430,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--out", default=None, help="also write verify_report.csv here")
     for task in ("simulate", "invariants", "rescale", "classify", "embed"):
         sub = subs.add_parser(task, help=f"run the {task} task from inline flags", **notes)
-        _add_inline_flags(sub)
+        _add_inline_flags(sub, **(CLASSIFY_DEFAULTS if task == "classify" else {}))
     return parser
 
 

@@ -398,26 +398,19 @@ def invariant_report(grid: ConformalGrid) -> InvariantReport:
     )
 
 
-def curvature_bump_grid(
-    total: float = math.pi,
-    bump_radius: float = 1.5,
-    extent: float = 40.0,
-    n: int = 2000,
-) -> ConformalGrid:
-    """Rotationally symmetric metric with a Gaussian curvature bump.
+def curvature_bump_grid() -> ConformalGrid:
+    """Rotationally symmetric metric with a Gaussian curvature bump of total pi.
 
-    The radial log-derivative is prescribed as rho (log u)' = -(total/pi) *
-    (1 - exp(-(rho/bump_radius)^2)), which makes the flux form of the total
-    curvature exactly `total` up to an exp(-(extent/bump_radius)^2) tail and
-    the far field an exact cone of aperture 2*pi - total.
+    On 2000 nodes of rho in [0, 40] the radial log-derivative is prescribed
+    as rho (log u)' = -(1 - exp(-(rho/1.5)^2)), which makes the flux form of
+    the total curvature exactly pi up to an exp(-(40/1.5)^2) tail and the
+    far field an exact cone of aperture pi.
     """
     # deferred: scipy.special is slow to import and only acceptance criterion 5 needs it
     from scipy.special import exp1
 
-    if not (0.0 < total < TWO_PI):
-        raise DomainError("bump total curvature must lie in (0, 2*pi)")
-    nodes = np.linspace(0.0, float(extent), int(n))
-    x = (nodes / float(bump_radius)) ** 2
+    nodes = np.linspace(0.0, 40.0, 2000)
+    x = (nodes / 1.5) ** 2
     f = np.empty_like(x)
     small = x < 0.1
     xs = x[small]
@@ -430,22 +423,19 @@ def curvature_bump_grid(
     f[small] = acc
     big = ~small
     f[big] = np.log(x[big]) + np.euler_gamma + exp1(x[big])
-    log_u = -(float(total) / TWO_PI) * f
+    # log u = -(total / 2 pi) f with total = pi
+    log_u = -0.5 * f
     return ConformalGrid(chart=RADIAL, nodes=nodes, u=np.exp(log_u), t=0.0)
 
 
-def cigar_cylinder_grid(
-    r0: float = 4.0, x_lo: float = -8.0, x_hi: float = 25.0, n: int = 2000
-) -> ConformalGrid:
-    """Cigar metric in cylinder coordinates (rho = e^x), tip at the left end.
+def cigar_cylinder_grid() -> ConformalGrid:
+    """Cigar metric of tip curvature 4 in cylinder coordinates (rho = e^x) on
+    2000 nodes of x in [-8, 25], tip at the left end: u = 1 / (1 + e^{-2x}).
 
-    The tube side is nearly unit speed (u -> 4/r0), so geodesic radii of
-    order the coordinate extent are reachable; the tip sits within
-    arcsinh(e^{x_lo}) of the left end.
+    The tube side is nearly unit speed (u -> 1), so geodesic radii of order
+    the coordinate extent are reachable; the tip sits within arcsinh(e^-8)
+    of the left end.
     """
-    if r0 <= 0.0:
-        raise DomainError("cigar needs r0 > 0")
-    nodes = np.linspace(float(x_lo), float(x_hi), int(n))
-    c = 4.0 / float(r0)
-    log_u = math.log(c) - np.logaddexp(0.0, math.log(c) - 2.0 * nodes)
+    nodes = np.linspace(-8.0, 25.0, 2000)
+    log_u = -np.logaddexp(0.0, -2.0 * nodes)
     return ConformalGrid(chart=CYLINDER, nodes=nodes, u=np.exp(log_u), t=0.0)

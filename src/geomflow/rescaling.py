@@ -33,7 +33,7 @@ from .errors import (
 from .exact import rosenau
 from .geometry import scalar_curvature
 from .grids import RADIAL, ConformalGrid, cumulative_trapezoid
-from .solver import FlowTrajectory, exact_trajectory, row_blocks, trusted_mask
+from .solver import FlowTrajectory, curvature_range, exact_trajectory, trusted_mask
 
 DIVERGING = "Diverging"
 BOUNDED = "Bounded"
@@ -93,21 +93,6 @@ def _masked_magnitude(traj: FlowTrajectory, k: int) -> np.ndarray:
     return magnitude
 
 
-def _peak_magnitudes(traj: FlowTrajectory, start: int, stop: int) -> np.ndarray:
-    """Trusted-node maximum of M = |R|/2 for snapshots start..stop-1.
-
-    Entry i equals _masked_magnitude(traj, start + i).max(). The snapshots
-    are scanned in row blocks (solver.row_blocks), so one curvature pass
-    serves a block and no temporary grows with the trajectory.
-    """
-    peaks = np.empty(stop - start)
-    for rows in row_blocks(start, stop, traj.nodes.size):
-        magnitude = 0.5 * np.abs(traj.curvature(rows))
-        out = peaks[rows.start - start : rows.stop - start]
-        np.max(magnitude, axis=-1, where=traj.trusted(rows), initial=-np.inf, out=out)
-    return peaks
-
-
 def pick_point(
     traj: FlowTrajectory, T_j: float, gamma_j: float, *, j: int | None = None
 ) -> RescalingPick:
@@ -133,7 +118,9 @@ def pick_point(
 
     # a positive weight needs t > T_j, so the scored snapshots are a suffix
     first = int(np.searchsorted(times, T_j, side="right"))
-    peaks = _peak_magnitudes(traj, first, times.size)
+    # trusted-node maxima of M = |R|/2, which is max(hi, -lo) / 2
+    lo, hi = curvature_range(traj, first, times.size)
+    peaks = 0.5 * np.maximum(hi, -lo)
     snapshot_sups = []
     sup = 0.0
     for k, t in enumerate(times[first:].tolist(), start=first):
@@ -262,11 +249,11 @@ def _tip_arc_position(grid: ConformalGrid, mask: np.ndarray, node: int, arc: np.
     return float(arc[end] + side * tail)
 
 
-def rescaled_profile(flow: DilatedFlow, span: float, *, t: float = 0.0) -> RescaledProfile:
-    """Profile of dilated curvature out to unit-curvature distance span."""
+def rescaled_profile(flow: DilatedFlow, span: float) -> RescaledProfile:
+    """Profile of dilated curvature at the picked time out to unit-curvature distance span."""
     if not span > 0.0:
         raise ExtentError(f"profile span must be positive, got {span}")
-    grid = flow.grid_at(t)
+    grid = flow.grid_at(0.0)
     r = scalar_curvature(grid)
     node = flow.pick.node
     r_tip = float(r[node])
@@ -295,9 +282,9 @@ def rescaled_profile(flow: DilatedFlow, span: float, *, t: float = 0.0) -> Resca
     return RescaledProfile(s=s_sorted, Rn=rn_sorted, R0=r_tip)
 
 
-def profile_distance(flow: DilatedFlow, span: float, *, t: float = 0.0) -> float:
+def profile_distance(flow: DilatedFlow, span: float) -> float:
     """Sup distance of the tip-normalized profile from sech^2(s/2) on [0, span]."""
-    prof = rescaled_profile(flow, span, t=t)
+    prof = rescaled_profile(flow, span)
     return float(np.abs(prof.Rn - cigar_profile(prof.s)).max())
 
 
@@ -340,7 +327,8 @@ def classify_type(traj: FlowTrajectory, t0: float = CLASSIFIER_T0) -> Classifica
     # the sampled snapshots are the prefix with t <= t0 + tol
     count = int(np.searchsorted(times, t0 + tol, side="right"))
     sample_times = times[:count].tolist()
-    peaks = _peak_magnitudes(traj, 0, count).tolist()
+    lo, hi = curvature_range(traj, 0, count)
+    peaks = (0.5 * np.maximum(hi, -lo)).tolist()
     sample_values = [abs(t) * peak for t, peak in zip(sample_times, peaks)]
 
     samples = []
@@ -358,23 +346,17 @@ def classify_type(traj: FlowTrajectory, t0: float = CLASSIFIER_T0) -> Classifica
 
 
 def backward_rosenau_trajectory(
-    j: int,
-    *,
-    h_target: float = 0.02,
-    snapshot_count: int = 257,
-    t_end: float = -1e-3,
-    extent: float | None = None,
+    j: int, *, h_target: float = 0.02, snapshot_count: int = 257
 ) -> FlowTrajectory:
-    """Exact backward data for the j-th pick window T_j = -2^j.
+    """Exact backward data for the j-th pick window T_j = -2^j, snapshots up to t = -1e-3.
 
-    The default extent |T_j|/2 + 20 keeps pole truncation of the
-    tip-normalized profile below 1e-3 for the optimizing time near T_j/2.
+    The extent |T_j|/2 + 20 keeps pole truncation of the tip-normalized
+    profile below 1e-3 for the optimizing time near T_j/2.
     """
     if j < 1:
         raise DomainError(f"pick index must be >= 1, got {j}")
     T = default_window(j)
-    if extent is None:
-        extent = abs(T) / 2.0 + 20.0
+    extent = abs(T) / 2.0 + 20.0
     n = int(round(2.0 * extent / h_target)) + 1
-    times = np.linspace(T, t_end, snapshot_count)
+    times = np.linspace(T, -1e-3, snapshot_count)
     return exact_trajectory(rosenau(), times, n=n, x_lo=-extent, x_hi=extent)

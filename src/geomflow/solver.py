@@ -58,6 +58,8 @@ ERR_SCALE = 2.0 * abs(-3.0 * GAMMA**2 + 4.0 * GAMMA - 2.0) / (12.0 * (2.0 - GAMM
 
 BLOW_UP_RMAX = 1.0e3
 DEFAULT_OUTPUT_COUNT = 17
+# tracked circles of diagnostics, as fractions of the reliable node range
+CIRCLE_FRACTIONS = (0.25, 0.5, 0.75)
 # float64 cells of one trajectory's snapshot array (512 MiB); 86x the largest
 # benchmark trajectory, 253 snapshots of ~3,085 nodes
 MAX_TRAJECTORY_CELLS = 2**26
@@ -152,6 +154,13 @@ class FlowTrajectory:
         """Nodes of snapshot k (or of a row block) that support curvature statistics
         (see trusted_mask)."""
         return trust_mask(self.U[k], self.chart, CURVATURE_TRUST_FLOOR)
+
+    def blocks(self, start: int = 0, stop: int | None = None):
+        """Yield (rows, R, trusted) over snapshots start..stop-1, one row_blocks block
+        at a time: every snapshot scan takes one curvature pass per block."""
+        stop = self.times.size if stop is None else stop
+        for rows in row_blocks(start, stop, self.nodes.size):
+            yield rows, self.curvature(rows), self.trusted(rows)
 
     def u_at(self, t: float) -> np.ndarray:
         """Conformal factor at time t, linear in time between snapshots."""
@@ -512,7 +521,6 @@ def evolve(
     cfl: float = 0.5,
     *,
     output_times=None,
-    blow_up_threshold: float = BLOW_UP_RMAX,
     max_steps: int = 2_000_000,
 ) -> FlowTrajectory:
     """Evolve to t_end, snapshotting at the requested output times.
@@ -557,9 +565,9 @@ def evolve(
             mask = st.trusted(u)
             r_max = st.curvature_peak(f, u, mask)
             steps.append(StepRecord(t=t, dt=dt, residual=st.error_peak(err, u, mask), r_max=r_max))
-            if r_max > blow_up_threshold:
+            if r_max > BLOW_UP_RMAX:
                 raise BlowUpError(
-                    f"curvature maximum {r_max:.6g} crossed {blow_up_threshold:.6g} at t={t:.6g}",
+                    f"curvature maximum {r_max:.6g} crossed {BLOW_UP_RMAX:.6g} at t={t:.6g}",
                     t=t,
                     r_max=r_max,
                 )
@@ -594,46 +602,67 @@ def exact_trajectory(
     return FlowTrajectory(grid.chart, grid.nodes, times, U, spec, ())
 
 
-def rmax_series(traj: FlowTrajectory) -> RmaxSeries:
-    """Per-snapshot masked curvature maximum and its worst drop.
+def curvature_range(
+    traj: FlowTrajectory, start: int = 0, stop: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trusted-node minimum and maximum of R for snapshots start..stop-1, as two arrays."""
+    stop = traj.times.size if stop is None else stop
+    lo = np.empty(stop - start)
+    hi = np.empty(stop - start)
+    for rows, r, trusted in traj.blocks(start, stop):
+        out = slice(rows.start - start, rows.stop - start)
+        np.min(r, axis=-1, where=trusted, initial=np.inf, out=lo[out])
+        np.max(r, axis=-1, where=trusted, initial=-np.inf, out=hi[out])
+    return lo, hi
 
-    The snapshots are scanned in row blocks (row_blocks), one curvature pass per block.
-    """
-    peaks = np.empty(traj.times.size)
-    for rows in row_blocks(0, traj.times.size, traj.nodes.size):
-        block = traj.curvature(rows)
-        np.max(block, axis=-1, where=traj.trusted(rows), initial=-np.inf, out=peaks[rows])
-    values = tuple(zip(traj.times.tolist(), peaks.tolist()))
+
+def rmax_series(traj: FlowTrajectory) -> RmaxSeries:
+    """Per-snapshot masked curvature maximum and its worst drop."""
+    values = tuple(zip(traj.times.tolist(), curvature_range(traj)[1].tolist()))
     drops = [a[1] - b[1] for a, b in zip(values, values[1:])]
     defect = max(0.0, max(drops, default=0.0))
     return RmaxSeries(values=values, monotonicity_defect=defect)
 
 
-def _tracked_circle_indices(traj: FlowTrajectory, fractions) -> tuple[int, ...]:
+def closed_form_error(traj: FlowTrajectory) -> float:
+    """Sup over snapshots and reliable nodes of |u - u_exact| / u_exact, where u_exact
+    is the provenance family's closed form, sampled one row block at a time."""
+    if traj.provenance is None:
+        raise DomainError("closed-form error needs a trajectory that records its family")
+    rel = reliable_slice(traj.chart, traj.nodes.size)
+    worst = 0.0
+    for rows in row_blocks(0, traj.times.size, traj.nodes.size):
+        u_ref = np.exp(log_u_profile(traj.provenance, traj.nodes, tuple(traj.times[rows].tolist())))
+        worst = max(worst, float(np.abs((traj.U[rows] - u_ref) / u_ref)[:, rel].max()))
+    return worst
+
+
+def _tracked_circle_indices(traj: FlowTrajectory) -> tuple[int, ...]:
     rel = reliable_slice(traj.chart, traj.nodes.size)
     lo = rel.start if traj.chart == CYLINDER else 1
     hi = rel.stop - 1
     if hi <= lo:
         raise WindowError("grid too small to track circles")
-    picked = sorted({min(hi, max(lo, int(round(lo + f * (hi - lo))))) for f in fractions})
+    picked = sorted({min(hi, max(lo, int(round(lo + f * (hi - lo))))) for f in CIRCLE_FRACTIONS})
     return tuple(picked)
 
 
-def diagnostics(traj: FlowTrajectory, *, circle_fractions=(0.25, 0.5, 0.75)) -> DiagnosticReport:
+def diagnostics(traj: FlowTrajectory) -> DiagnosticReport:
     """Measure conservation/monotonicity defects on a trajectory; needs >= 3 snapshots.
 
-    Curvature is computed one snapshot at a time; only the current and the
-    previous row are held, never a (snapshots x nodes) array.
+    The defects are taken over the nodes every snapshot trusts, so the trust
+    masks of all row blocks are ANDed first; then traj.blocks gives one
+    curvature pass per block, and the time integral of R accumulates one
+    snapshot at a time.
     """
     times = traj.times
     count = times.size
     if count < 3:
         raise WindowError("diagnostics needs at least three snapshots")
-    mask = traj.trusted(0)
-    for k in range(1, count):
-        mask &= traj.trusted(k)
+    mask = np.ones(traj.nodes.size, dtype=bool)
+    for rows in row_blocks(0, count, traj.nodes.size):
+        mask &= traj.trusted(rows).all(axis=0)
     if not mask.any():
-        mask = np.zeros(traj.nodes.size, dtype=bool)
         mask[reliable_slice(traj.chart, traj.nodes.size)] = True
 
     if times[0] > 0.0:
@@ -642,32 +671,30 @@ def diagnostics(traj: FlowTrajectory, *, circle_fractions=(0.25, 0.5, 0.75)) -> 
         span = float(times[-1] - times[0])
         shift = span - float(times[0])
 
-    idx = _tracked_circle_indices(traj, circle_fractions)
+    idx = _tracked_circle_indices(traj)
     cols = np.array(idx, dtype=int)
     w0 = np.log(traj.U[0])
-    r = traj.curvature(0)
-    r_int = np.zeros_like(r)  # integral_0^t R dtau, trapezoid rule accumulated row by row
-    r_cols = [r[cols]]
+    r_cols = np.empty((count, cols.size))
+    r_int = np.zeros(traj.nodes.size)  # integral_0^t R dtau, trapezoid rule accumulated row by row
     m_of_t = [(float(times[0]), 0.0)]  # log(u/u0) vanishes at the first snapshot
     f_defect = harnack_defect = 0.0
-    for k in range(1, count):
-        r_prev, r = r, traj.curvature(k)
-        f = np.log(traj.U[k]) - w0
-        r_int = r_int + (times[k] - times[k - 1]) * (r + r_prev) / 2.0
-        f_defect = max(f_defect, float(np.abs(f + r_int)[mask].max()))
-        m_of_t.append((float(times[k]), float(f[mask].min())))
-        increments = (times[k] + shift) * r - (times[k - 1] + shift) * r_prev
-        harnack_defect = max(harnack_defect, -float(increments[mask].min()))
-        r_cols.append(r[cols])
+    for rows, block, _ in traj.blocks():
+        r_cols[rows] = block[:, cols]
+        for k, r in enumerate(block, start=rows.start):
+            if k:
+                f = np.log(traj.U[k]) - w0
+                r_int = r_int + (times[k] - times[k - 1]) * (r + r_prev) / 2.0
+                f_defect = max(f_defect, float(np.abs(f + r_int)[mask].max()))
+                m_of_t.append((float(times[k]), float(f[mask].min())))
+                increments = (times[k] + shift) * r - (times[k - 1] + shift) * r_prev
+                harnack_defect = max(harnack_defect, -float(increments[mask].min()))
+            r_prev = r
 
     root_u = np.sqrt(traj.U[:, cols])
-    if traj.chart == RADIAL:
-        geom = math.pi * traj.nodes[cols]
-    else:
-        geom = math.pi * np.ones(cols.size)
+    geom = math.pi * (traj.nodes[cols] if traj.chart == RADIAL else np.ones(cols.size))
     lengths = 2.0 * geom * root_u
     dldt = np.gradient(lengths, times, axis=0)
-    rhs = -geom * np.array(r_cols) * root_u
+    rhs = -geom * r_cols * root_u
     err = np.abs(dldt - rhs)[1:-1]
     scale = np.maximum(np.abs(rhs)[1:-1], 1e-12)
     length_defect = float((err / scale).max())

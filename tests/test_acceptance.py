@@ -100,14 +100,36 @@ def test_verify_command_twice_is_byte_identical(tmp_path):
 
 def test_convergence_order_survives_halved_resolution():
     spec = exact.rosenau()
-    errors = []
-    for n in (125, 250, 500, 1000):
-        grid = exact.sample_grid(spec, -1.0, n=n, x_lo=-12.0, x_hi=12.0)
-        lap = laplacian_field(np.log(grid.u), grid.nodes, grid.h, grid.chart)
-        residual = exact.dudt_profile(spec, grid.nodes, -1.0) - lap
-        errors.append(float(np.abs(residual[grid.reliable_slice()]).max()))
+    errors = [acceptance.flow_residual(spec, -1.0, n=n, x_lo=-12.0, x_hi=12.0) for n in (125, 250, 500, 1000)]
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.0 <= coarse / fine <= 5.0
+
+
+def test_flow_residual_is_the_reliable_sup_of_the_pointwise_residual():
+    # on this short chart the one-sided end rows carry the largest residual, outside the reliable slice
+    spec = exact.rosenau()
+    grid = exact.sample_grid(spec, -1.0, n=100, x_lo=-3.0, x_hi=3.0)
+    lap = laplacian_field(np.log(grid.u), grid.nodes, grid.h, grid.chart)
+    residual = np.abs(exact.dudt_profile(spec, grid.nodes, -1.0) - lap)
+    expected = float(residual[grid.reliable_slice()].max())
+    assert 0.0 < expected < residual.max()
+    assert acceptance.flow_residual(spec, -1.0, n=100, x_lo=-3.0, x_hi=3.0) == expected
+
+
+def test_criterion_values_are_pinned():
+    # the shared scans (solver.closed_form_error, solver.diagnostics) reproduce
+    # the values of the row-at-a-time loops they replaced, to the last bit
+    traj = acceptance._accuracy_run()
+    assert solver.closed_form_error(traj) == 7.86917165461764e-06
+    diag = solver.diagnostics(traj)
+    assert diag.f_defect == 1.9473017767501766e-05
+    assert diag.length_evolution_defect == 3.816668979003092e-05
+    assert (diag.harnack_defect, diag.harnack_shift) == (0.0, 3.0)
+    soliton = solver.exact_trajectory(exact.ds_soliton(), np.linspace(1.0, 2.0, 17), n=800, extent=15.0)
+    diag = solver.diagnostics(soliton)
+    assert diag.harnack_defect == 0.0
+    assert diag.f_defect == 0.0012172040018132435
+    assert diag.length_evolution_defect == 0.0036274660000393537
 
 
 @pytest.fixture

@@ -391,6 +391,34 @@ def test_classify_sphere_bounded(tmp_path):
         assert 0.45 <= float(row[1]) <= 0.55
 
 
+@pytest.mark.parametrize(
+    "family, verdict", [("rosenau", "Diverging"), ("sphere", "Bounded"), ("flat", "Bounded")]
+)
+def test_classify_runs_with_its_own_defaults(tmp_path, family, verdict):
+    # the defaults are the window and grid of acceptance criterion 7: -64..-1 on 3081 nodes, extent 77
+    out = str(tmp_path / "out")
+    assert cli.main(["classify", "--family", family, "--out", out]) == 0
+    with open(os.path.join(out, "classify.json")) as fh:
+        assert json.load(fh)["verdict"] == verdict
+    _, rows = read_csv(os.path.join(out, "classify.csv"))
+    assert [float(r[0]) for r in rows] == [-2.0, -4.0, -8.0, -16.0, -32.0, -64.0]
+
+
+def test_classify_help_shows_its_defaults_and_the_others_keep_theirs(capsys):
+    def help_of(task):
+        with pytest.raises(SystemExit):
+            cli.main([task, "--help"])
+        return capsys.readouterr().out
+
+    classify = help_of("classify")
+    for needle in ("window start (default -64)", "grid resolution (default 3081)", "chart extent (default 77)"):
+        assert needle in classify
+    for task in ("simulate", "invariants", "rescale", "embed"):
+        text = help_of(task)
+        for needle in ("window start (default -2)", "grid resolution (default 2000)", "chart extent (default 20)"):
+            assert needle in text
+
+
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
     env_dir = str(tmp_path / "env_out")
     flag_dir = str(tmp_path / "flag_out")

@@ -339,5 +339,3 @@ def test_curvature_bump_grid_properties():
     r = geometry.scalar_curvature(bump)
     assert float(r[bump.reliable_mask()].min()) > -1e-6
     assert float(r[:200].min()) > 1e-3  # bump region is genuinely curved
-    with pytest.raises(DomainError):
-        geometry.curvature_bump_grid(total=TWO_PI)

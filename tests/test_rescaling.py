@@ -143,8 +143,13 @@ def test_blocked_peaks_equal_the_masked_magnitude_maxima():
     assert 8 < rows < count
     # whole range, windows starting mid-block, one ending mid-block, a single row
     for start, stop in [(0, count), (5, count), (rows + 3, count), (2, rows + 5), (7, 8)]:
+        lo, hi = solver.curvature_range(traj, start, stop)
+        for i, k in enumerate(range(start, stop)):
+            trusted_r = traj.curvature(k)[traj.trusted(k)]
+            assert lo[i] == trusted_r.min() and hi[i] == trusted_r.max()
+        # the peaks pick_point and classify_type read: bitwise the old maxima of |R|/2
         expected = [float(rescaling._masked_magnitude(traj, k).max()) for k in range(start, stop)]
-        assert np.array_equal(rescaling._peak_magnitudes(traj, start, stop), expected)
+        assert np.array_equal(0.5 * np.maximum(hi, -lo), expected)
 
 
 def test_pick_and_classify_scan_in_blocks_not_whole_arrays():

@@ -9,7 +9,7 @@ import pytest
 
 from geomflow import exact, geometry, solver
 from geomflow.errors import BlowUpError, DomainError, StepRejectedError, WindowError
-from geomflow.grids import CYLINDER, RADIAL, ConformalGrid, trust_mask
+from geomflow.grids import CYLINDER, RADIAL, ConformalGrid, reliable_slice, trust_mask
 
 
 def rosenau_grid(n=800, extent=20.0, t=-2.0):
@@ -380,6 +380,94 @@ def test_diagnostics_needs_three_snapshots():
     traj = solver.exact_trajectory(exact.rosenau(), [-2.0, -1.0], n=64, extent=5.0)
     with pytest.raises(WindowError):
         solver.diagnostics(traj)
+
+
+def row_by_row_diagnostics(traj):
+    """Reference: diagnostics as one curvature pass and one trust mask per snapshot."""
+    times = traj.times
+    mask = traj.trusted(0)
+    for k in range(1, times.size):
+        mask &= traj.trusted(k)
+    if not mask.any():
+        mask = np.zeros(traj.nodes.size, dtype=bool)
+        mask[reliable_slice(traj.chart, traj.nodes.size)] = True
+    if times[0] > 0.0:
+        shift = 0.0
+    else:
+        span = float(times[-1] - times[0])
+        shift = span - float(times[0])
+    idx = solver._tracked_circle_indices(traj)
+    cols = np.array(idx, dtype=int)
+    w0 = np.log(traj.U[0])
+    r = traj.curvature(0)
+    r_int = np.zeros_like(r)
+    r_cols = [r[cols]]
+    m_of_t = [(float(times[0]), 0.0)]
+    f_defect = harnack_defect = 0.0
+    for k in range(1, times.size):
+        r_prev, r = r, traj.curvature(k)
+        f = np.log(traj.U[k]) - w0
+        r_int = r_int + (times[k] - times[k - 1]) * (r + r_prev) / 2.0
+        f_defect = max(f_defect, float(np.abs(f + r_int)[mask].max()))
+        m_of_t.append((float(times[k]), float(f[mask].min())))
+        increments = (times[k] + shift) * r - (times[k - 1] + shift) * r_prev
+        harnack_defect = max(harnack_defect, -float(increments[mask].min()))
+        r_cols.append(r[cols])
+    root_u = np.sqrt(traj.U[:, cols])
+    geom = math.pi * traj.nodes[cols] if traj.chart == RADIAL else math.pi * np.ones(cols.size)
+    dldt = np.gradient(2.0 * geom * root_u, times, axis=0)
+    rhs = -geom * np.array(r_cols) * root_u
+    err = np.abs(dldt - rhs)[1:-1]
+    length_defect = float((err / np.maximum(np.abs(rhs)[1:-1], 1e-12)).max())
+    return solver.DiagnosticReport(
+        f_defect, tuple(m_of_t), harnack_defect, shift, length_defect, idx
+    )
+
+
+def _disjointly_trusted_trajectory():
+    # rows 7 and 8 sit below the trust floor at every node, tilted so that their
+    # fallback nodes (the argmax of u) differ: no node is trusted in every row
+    base = solver.exact_trajectory(exact.rosenau(), np.linspace(-3.0, -0.2, 15), n=5001, extent=12.0)
+    U = np.array(base.U)
+    U[7] *= 1e-6 * np.exp(-0.5 * base.nodes)
+    U[8] *= 1e-6 * np.exp(0.5 * base.nodes)
+    traj = solver.FlowTrajectory(base.chart, base.nodes, base.times, U, None, ())
+    assert not np.logical_and.reduce(traj.trusted(slice(None))).any()
+    return traj
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: solver.exact_trajectory(exact.cigar(4.0), np.linspace(-0.5, 2.0, 15), n=5001, extent=30.0),
+        lambda: solver.exact_trajectory(exact.rosenau(), np.linspace(-3.0, -0.2, 15), n=5001, extent=12.0),
+        lambda: rosenau_run(n=3001, snapshots=23),
+        _disjointly_trusted_trajectory,
+    ],
+    ids=["radial", "cylinder", "evolved", "empty-mask"],
+)
+def test_blocked_diagnostics_equal_the_row_by_row_loop(make):
+    traj = make()
+    # 6 rows of 5,001 or 10 rows of 3,001 nodes per block, the last block short
+    assert len(solver.row_blocks(0, traj.times.size, traj.nodes.size)) == 3
+    assert solver.diagnostics(traj) == row_by_row_diagnostics(traj)
+
+
+@pytest.mark.parametrize(
+    "grid, t_end",
+    [(rosenau_grid(n=3001), -1.0), (exact.sample_grid(exact.cigar(4.0), 0.0, n=3001, extent=30.0), 0.5)],
+    ids=["rosenau-blocks", "cigar-rows"],
+)
+def test_closed_form_error_equals_the_row_loop(grid, t_end):
+    traj = solver.evolve(grid, t_end, cfl=0.4, output_times=np.linspace(grid.t, t_end, 17))
+    rel = grid.reliable_slice()
+    expected = 0.0
+    for k, t in enumerate(traj.times.tolist()):
+        u_ref = exact.u_profile(grid.provenance, traj.nodes, t)
+        expected = max(expected, float(np.abs((traj.U[k] - u_ref) / u_ref)[rel].max()))
+    assert 0.0 < solver.closed_form_error(traj) == expected
+    with pytest.raises(DomainError, match="records its family"):
+        solver.closed_form_error(solver.FlowTrajectory(traj.chart, traj.nodes, traj.times, traj.U, None, ()))
 
 
 def test_trajectory_validation():
