@@ -17,11 +17,8 @@ import numpy as np
 from . import embedding, exact, rescaling, serialize, solver
 from .geometry import (
     TWO_PI,
-    aperture,
-    asymptotic_volume_ratio,
     average_curvature_k,
     cigar_cylinder_grid,
-    circumference_at_infinity,
     curvature_bump_grid,
     invariant_report,
     laplacian_field,
@@ -177,11 +174,10 @@ def criterion_5() -> CriterionResult:
         ("bump (deficit pi)", curvature_bump_grid()),
     )
     for name, grid in fixtures:
-        ap = aperture(grid)
-        avr = asymptotic_volume_ratio(grid)
-        gap = max(ap.hartman, TWO_PI / 100.0)
-        rel_len = abs(ap.direct - ap.hartman) / gap
-        rel_area = abs(avr.second_derivative - ap.hartman) / gap
+        report = invariant_report(grid)
+        gap = max(TWO_PI - report.tau, TWO_PI / 100.0)
+        rel_len = report.hartman_defect_length / gap
+        rel_area = report.hartman_defect_area / gap
         checks.append(
             _check(f"{name} length-rate gap", rel_len, "< 0.05", rel_len < 0.05)
         )
@@ -298,7 +294,7 @@ def criterion_10() -> CriterionResult:
     lengths = embedding.level_lengths(surface, [1.0, 2.0, 3.0])
     strictly_increasing = bool(np.all(np.diff(lengths) > 0.0))
     circ, width = embedding.circumference_and_width(surface)
-    geo = float(circumference_at_infinity(grid))
+    geo = invariant_report(grid).circumference
     circ_rel = abs(circ - geo) / geo
     width_rel = abs(width - geo) / geo
     inside = bool(np.all(surface.r < circ / TWO_PI))

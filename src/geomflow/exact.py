@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ExtentError
-from .grids import CYLINDER, RADIAL, ConformalGrid
+from .grids import CYLINDER, RADIAL, ConformalGrid, check_layout
 
 CIGAR = "Cigar"
 ROSENAU = "Rosenau"
@@ -287,7 +287,11 @@ def sample_grid(
             x_lo, x_hi = -float(extent), float(extent)
         if not x_hi > x_lo:
             raise ExtentError("cylinder sampling needs x_hi > x_lo")
+        if not float(x_hi) - float(x_lo) < math.inf:
+            raise ExtentError("cylinder sampling needs a finite width x_hi - x_lo")
         nodes = np.linspace(float(x_lo), float(x_hi), int(n))
+    # a layout the grid would reject must not reach the closed form, where it overflows
+    check_layout(spec.chart, nodes)
     u = u_profile(spec, nodes, t)
     return ConformalGrid(chart=spec.chart, nodes=nodes, u=u, t=float(t), provenance=spec)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ExtentError
+from .errors import ExtentError
 from .grids import CYLINDER, RADIAL, RELIABLE_MARGIN, ConformalGrid, cumulative_trapezoid
 
 TWO_PI = 2.0 * math.pi
@@ -108,170 +108,14 @@ def _reliable_outer_index(grid: ConformalGrid) -> int:
     return grid.n - 1 - RELIABLE_MARGIN
 
 
-@dataclass(frozen=True)
-class TotalCurvatureResult:
-    value: float                 # quadrature of K = R/2 over the sampled region
-    flux: float                  # boundary-flux form, -pi * [rho d(log u)/drho]
-    disagreement: float
-    warnings: tuple[str, ...] = ()
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _centered_first(w: np.ndarray, h: float, i: int) -> float:
     return (w[i + 1] - w[i - 1]) / (2.0 * h)
 
 
-def total_curvature(grid: ConformalGrid) -> TotalCurvatureResult:
-    """Integral of K over the sampled region, quadrature and flux forms."""
-    return _total_curvature(grid, scalar_curvature(grid))
-
-
-def _total_curvature(grid: ConformalGrid, r_field: np.ndarray) -> TotalCurvatureResult:
-    w = np.log(grid.u)
-    h = grid.h
-    warnings: list[str] = []
-    if grid.chart == RADIAL:
-        quad = math.pi * np.trapezoid(r_field * grid.u * grid.nodes, grid.nodes)
-        i_r = _reliable_outer_index(grid)
-        i_half = max(2, grid.index_of(grid.extent / 2.0))
-        flux = -math.pi * grid.nodes[i_r] * _centered_first(w, h, i_r)
-        flux_half = -math.pi * grid.nodes[i_half] * _centered_first(w, h, i_half)
-    else:
-        quad = math.pi * np.trapezoid(r_field * grid.u, grid.nodes)
-        i_lo, i_r = RELIABLE_MARGIN, _reliable_outer_index(grid)
-        span = i_r - i_lo
-        j_lo, j_r = i_lo + span // 4, i_r - span // 4
-        flux = -math.pi * (_centered_first(w, h, i_r) - _centered_first(w, h, i_lo))
-        flux_half = -math.pi * (_centered_first(w, h, j_r) - _centered_first(w, h, j_lo))
-    scale = max(abs(flux), abs(quad), 1e-30)
-    if abs(flux - flux_half) > 1e-2 * scale:
-        warnings.append("boundary flux not stabilized at the sampled extent")
-    return TotalCurvatureResult(
-        value=float(quad),
-        flux=float(flux),
-        disagreement=float(abs(quad - flux)),
-        warnings=tuple(warnings),
-    )
-
-
-def _tail_window(grid: ConformalGrid, width_divisor: int = 50, minimum: int = 7) -> slice:
+def _tail_window(grid: ConformalGrid, width_divisor: int, minimum: int) -> slice:
     i_r = _reliable_outer_index(grid)
     width = max(minimum, grid.n // width_divisor)
     return slice(max(1, i_r - width + 1), i_r + 1)
-
-
-@dataclass(frozen=True)
-class ApertureResult:
-    direct: float                # tail slope dl/ds -> lim l(s)/s
-    hartman: float               # 2*pi - tau
-    gap: float
-    ratio_at_radius: float       # raw l(s)/s at the reliable radius
-    warnings: tuple[str, ...] = ()
-
-    def __float__(self) -> float:
-        return self.direct
-
-
-def aperture(grid: ConformalGrid) -> ApertureResult:
-    """Opening angle at infinity, measured directly and via 2*pi - tau."""
-    if grid.chart != RADIAL:
-        raise DomainError("aperture is defined for radial-chart grids")
-    return _aperture(grid, total_curvature(grid).value)
-
-
-def _aperture(grid: ConformalGrid, tau: float) -> ApertureResult:
-    s = s_profile(grid)
-    ell = circle_length_profile(grid)
-    win = _tail_window(grid)
-    direct = float(np.polyfit(s[win], ell[win], 1)[0])
-    hartman = TWO_PI - tau
-    gap = abs(direct - hartman)
-    i_r = _reliable_outer_index(grid)
-    warnings: list[str] = []
-    if gap > 0.05 * max(abs(hartman), HARTMAN_GAP_FLOOR):
-        warnings.append("direct aperture and 2*pi - tau disagree beyond 5%")
-    return ApertureResult(
-        direct=direct,
-        hartman=float(hartman),
-        gap=float(gap),
-        ratio_at_radius=float(ell[i_r] / s[i_r]),
-        warnings=tuple(warnings),
-    )
-
-
-@dataclass(frozen=True)
-class CircumferenceResult:
-    value: float                 # +inf sentinel when circle lengths diverge
-    raw: float                   # l at the reliable radius
-    warnings: tuple[str, ...] = ()
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def circumference_at_infinity(grid: ConformalGrid) -> CircumferenceResult:
-    """Limit of circle lengths, with a divergence sentinel and tail estimate."""
-    if grid.chart != RADIAL:
-        raise DomainError("circumference at infinity is defined for radial grids")
-    return _circumference_at_infinity(grid, aperture(grid).direct)
-
-
-def _circumference_at_infinity(grid: ConformalGrid, slope: float) -> CircumferenceResult:
-    ell = circle_length_profile(grid)
-    i_r = _reliable_outer_index(grid)
-    i_half = max(1, grid.index_of(grid.extent / 2.0))
-    raw = float(ell[i_r])
-    warnings: list[str] = []
-    rel = grid.reliable_slice()
-    drops = np.diff(ell[rel])
-    if drops.size and float(drops.min()) < -1e-9 * max(raw, 1.0):
-        warnings.append("circle lengths are not monotone; limit estimate unreliable")
-    ratio = ell[i_r] / max(ell[i_half], 1e-300)
-    if ratio > DIVERGENCE_RATIO or slope > DIVERGENCE_APERTURE:
-        return CircumferenceResult(value=math.inf, raw=raw, warnings=tuple(warnings))
-    # dyadic Richardson step for an algebraic 1/rho^2 tail
-    value = float(ell[i_r] + (ell[i_r] - ell[i_half]) / 3.0)
-    return CircumferenceResult(value=value, raw=raw, warnings=tuple(warnings))
-
-
-@dataclass(frozen=True)
-class VolumeRatioResult:
-    value: float                 # tail estimate of lim A/(pi s^2)
-    ratio_at_radius: float       # raw A/(pi s^2) at the reliable radius
-    second_derivative: float     # tail d^2A/ds^2 -> lim 2A/s^2
-    bg_defect: float             # max increase of the comparison ratio
-    warnings: tuple[str, ...] = ()
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def asymptotic_volume_ratio(grid: ConformalGrid) -> VolumeRatioResult:
-    """lim A(s)/(pi s^2) with the Bishop-Gromov monotonicity defect."""
-    if grid.chart != RADIAL:
-        raise DomainError("volume ratio is defined for radial-chart grids")
-    s = s_profile(grid)
-    area = ball_area_profile(grid)
-    win = _tail_window(grid, width_divisor=40, minimum=9)
-    s_w = s[win] - float(np.mean(s[win]))
-    a2 = float(np.polyfit(s_w, area[win], 2)[0])
-    second = 2.0 * a2
-    i_r = _reliable_outer_index(grid)
-    ratio = area[1 : i_r + 1] / (math.pi * s[1 : i_r + 1] ** 2)
-    increments = np.diff(ratio)
-    bg_defect = float(max(0.0, increments.max())) if increments.size else 0.0
-    warnings: list[str] = []
-    if bg_defect > 1e-6:
-        warnings.append("ball-volume ratio is not monotone (curvature sign?)")
-    return VolumeRatioResult(
-        value=second / TWO_PI,
-        ratio_at_radius=float(ratio[-1]),
-        second_derivative=second,
-        bg_defect=bg_defect,
-        warnings=tuple(warnings),
-    )
 
 
 def _cumulative_curvature(grid: ConformalGrid) -> np.ndarray:
@@ -321,7 +165,8 @@ FIELD_ORDER = (
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Asymptotic invariants of one snapshot; None marks not-applicable."""
+    """Asymptotic invariants of one snapshot; None marks not-applicable
+    (see invariant_report for how each is estimated)."""
 
     t: float
     tau: float
@@ -339,60 +184,111 @@ class InvariantReport:
 
 
 def invariant_report(grid: ConformalGrid) -> InvariantReport:
-    """Collect every invariant this chart supports into one record."""
-    warnings: list[str] = []
-    # one curvature field per report, shared by tau, the aperture and the circumference
+    """Every invariant this chart supports, from one evaluation of R, s, l and A.
+
+    r_max: maximum of R over grid.reliable_mask().
+    tau: trapezoid quadrature of the integral of K = R/2. extras["tau_flux"] is
+        its boundary-flux form, -pi * [rho d(log u)/drho] at the reliable radius
+        (radial) or between the reliable ends (cylinder), and extras
+        ["tau_disagreement"] = |tau - flux|; a flux that still moves by 1% from
+        half the extent (the middle half on a cylinder) warns.
+    aperture: lim l/s as the tail slope dl/ds, a line fitted over the last n/50
+        (at least 7) reliable nodes. Hartman's identity gives it as 2*pi - tau
+        (extras["aperture_hartman"]); hartman_defect_length is their gap.
+    circumference: lim l by one dyadic Richardson step for a 1/rho^2 tail, or
+        +inf when l(r)/l(r/2) > DIVERGENCE_RATIO or aperture > DIVERGENCE_APERTURE.
+    avr: lim A/(pi s^2) = (d^2A/ds^2)/(2*pi), with d^2A/ds^2 (extras
+        ["avr_second_derivative"]) from a quadratic fit over the last n/40 (at
+        least 9) reliable nodes; hartman_defect_area = |d^2A/ds^2 - (2*pi - tau)|.
+        extras["bg_defect"] is the largest increase of A/(pi s^2), which
+        Bishop-Gromov makes nonincreasing for K >= 0.
+    The raw l/s, l and A/(pi s^2) at the reliable radius are extras
+    ["aperture_ratio_raw"], ["circumference_raw"] and ["avr_ratio_raw"].
+    A cylinder has no open end: its report leaves aperture to
+    hartman_defect_area None.
+    """
+    # one evaluation of each profile per report, shared by every estimate below
     r_field = scalar_curvature(grid)
-    tau_res = _total_curvature(grid, r_field)
-    warnings.extend(tau_res.warnings)
+    w = np.log(grid.u)
+    h = grid.h
     mask = grid.reliable_mask()
     r_max = float(r_field[mask].max())
-    extras = {"tau_flux": tau_res.flux, "tau_disagreement": tau_res.disagreement}
+    i_r = _reliable_outer_index(grid)
+    warnings: list[str] = []
+    integrand = r_field * grid.u
     if grid.chart == RADIAL:
-        ap = _aperture(grid, tau_res.value)
-        circ = _circumference_at_infinity(grid, ap.direct)
-        avr = asymptotic_volume_ratio(grid)
-        warnings.extend(ap.warnings)
-        warnings.extend(circ.warnings)
-        warnings.extend(avr.warnings)
-        hartman = ap.hartman
-        defect_len = abs(ap.direct - hartman)
-        defect_area = abs(avr.second_derivative - hartman)
-        if float(r_field[mask].min()) > -1e-6 and tau_res.value > TWO_PI + 1e-2:
-            warnings.append(
-                "total curvature exceeds 2*pi: input is not a complete noncompact "
-                "positive-curvature surface"
-            )
-        extras.update(
-            aperture_hartman=hartman,
-            aperture_ratio_raw=ap.ratio_at_radius,
-            avr_ratio_raw=avr.ratio_at_radius,
-            avr_second_derivative=avr.second_derivative,
-            bg_defect=avr.bg_defect,
-            circumference_raw=circ.raw,
-        )
+        integrand = integrand * grid.nodes
+        i_half = grid.index_of(grid.extent / 2.0)
+        flux = -math.pi * grid.nodes[i_r] * _centered_first(w, h, i_r)
+        flux_half = -math.pi * grid.nodes[i_half] * _centered_first(w, h, i_half)
+    else:
+        i_lo = RELIABLE_MARGIN
+        span = i_r - i_lo
+        j_lo, j_r = i_lo + span // 4, i_r - span // 4
+        flux = -math.pi * (_centered_first(w, h, i_r) - _centered_first(w, h, i_lo))
+        flux_half = -math.pi * (_centered_first(w, h, j_r) - _centered_first(w, h, j_lo))
+    tau = float(math.pi * np.trapezoid(integrand, grid.nodes))
+    if abs(flux - flux_half) > 1e-2 * max(abs(flux), abs(tau), 1e-30):
+        warnings.append("boundary flux not stabilized at the sampled extent")
+    extras = {"tau_flux": float(flux), "tau_disagreement": float(abs(tau - flux))}
+    if grid.chart != RADIAL:
+        # compact cylinder snapshots: the open-end limits are not applicable
         return InvariantReport(
-            t=grid.t,
-            tau=tau_res.value,
-            aperture=ap.direct,
-            circumference=circ.value,
-            avr=avr.value,
-            r_max=r_max,
-            hartman_defect_length=float(defect_len),
-            hartman_defect_area=float(defect_area),
-            warnings=tuple(warnings),
-            extras=extras,
+            t=grid.t, tau=tau, aperture=None, circumference=None, avr=None, r_max=r_max,
+            hartman_defect_length=None, hartman_defect_area=None,
+            warnings=tuple(warnings), extras=extras,
         )
-    # compact cylinder snapshots: the open-end limits are not applicable
+
+    s = s_profile(grid)
+    ell = circle_length_profile(grid)
+    area = ball_area_profile(grid)
+    hartman = TWO_PI - tau
+
+    win = _tail_window(grid, width_divisor=50, minimum=7)
+    aperture = float(np.polyfit(s[win], ell[win], 1)[0])
+    defect_len = abs(aperture - hartman)
+    if defect_len > 0.05 * max(abs(hartman), HARTMAN_GAP_FLOOR):
+        warnings.append("direct aperture and 2*pi - tau disagree beyond 5%")
+
+    drops = np.diff(ell[grid.reliable_slice()])
+    if float(drops.min()) < -1e-9 * max(float(ell[i_r]), 1.0):
+        warnings.append("circle lengths are not monotone; limit estimate unreliable")
+    if ell[i_r] / max(ell[i_half], 1e-300) > DIVERGENCE_RATIO or aperture > DIVERGENCE_APERTURE:
+        circumference = math.inf
+    else:
+        # dyadic Richardson step for an algebraic 1/rho^2 tail
+        circumference = float(ell[i_r] + (ell[i_r] - ell[i_half]) / 3.0)
+
+    win = _tail_window(grid, width_divisor=40, minimum=9)
+    s_w = s[win] - float(np.mean(s[win]))
+    second = 2.0 * float(np.polyfit(s_w, area[win], 2)[0])
+    ratio = area[1 : i_r + 1] / (math.pi * s[1 : i_r + 1] ** 2)
+    bg_defect = float(max(0.0, np.diff(ratio).max()))
+    if bg_defect > 1e-6:
+        warnings.append("ball-volume ratio is not monotone (curvature sign?)")
+
+    if float(r_field[mask].min()) > -1e-6 and tau > TWO_PI + 1e-2:
+        warnings.append(
+            "total curvature exceeds 2*pi: input is not a complete noncompact "
+            "positive-curvature surface"
+        )
+    extras.update(
+        aperture_hartman=hartman,
+        aperture_ratio_raw=float(ell[i_r] / s[i_r]),
+        avr_ratio_raw=float(ratio[-1]),
+        avr_second_derivative=second,
+        bg_defect=bg_defect,
+        circumference_raw=float(ell[i_r]),
+    )
     return InvariantReport(
         t=grid.t,
-        tau=tau_res.value,
-        aperture=None,
-        circumference=None,
-        avr=None,
+        tau=tau,
+        aperture=aperture,
+        circumference=circumference,
+        avr=second / TWO_PI,
         r_max=r_max,
-        hartman_defect_length=None,
-        hartman_defect_area=None,
+        hartman_defect_length=defect_len,
+        hartman_defect_area=abs(second - hartman),
         warnings=tuple(warnings),
         extras=extras,
     )

@@ -36,6 +36,10 @@ U_NOISE_FLOOR = 1e-7
 
 MIN_NODES = 16
 
+# The stencils divide by h*h and the closed forms square node coordinates, so
+# a layout must keep h*h a normal float64 and every node's square finite.
+MAX_NODE = float(np.sqrt(np.finfo(float).max))
+
 
 def readonly(a: np.ndarray) -> np.ndarray:
     """Float array that cannot be written; an already read-only input is shared."""
@@ -62,6 +66,10 @@ def check_layout(chart: str, nodes: np.ndarray) -> float:
     h = float(steps[0])
     if h <= 0.0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
         raise DomainError("nodes must be uniformly spaced and increasing")
+    if h * h < np.finfo(float).tiny:
+        raise DomainError(f"node spacing {h:.6g} is too small: its square underflows")
+    if max(abs(float(nodes[0])), abs(float(nodes[-1]))) > MAX_NODE:
+        raise DomainError(f"nodes must lie within +-{MAX_NODE:.6g}, where their squares stay finite")
     if chart == RADIAL and abs(float(nodes[0])) > 1e-12 * h:
         raise DomainError("radial grids must start at the axis rho = 0")
     return h

@@ -86,13 +86,6 @@ class RescalingPick:
             raise DomainError("dilated window endpoints must be positive")
 
 
-def _masked_magnitude(traj: FlowTrajectory, k: int) -> np.ndarray:
-    """Curvature magnitude M = |R|/2 of snapshot k with untrusted nodes sent to -inf."""
-    magnitude = 0.5 * np.abs(traj.curvature(k))
-    magnitude[~traj.trusted(k)] = -np.inf
-    return magnitude
-
-
 def pick_point(
     traj: FlowTrajectory, T_j: float, gamma_j: float, *, j: int | None = None
 ) -> RescalingPick:
@@ -137,7 +130,9 @@ def pick_point(
     for k, weight, peak in snapshot_sups:
         if peak < band:
             continue
-        scores = weight * _masked_magnitude(traj, k)
+        # M = |R|/2 of snapshot k, untrusted nodes sent to -inf
+        _, r, trusted = next(traj.blocks(k, k + 1))
+        scores = weight * np.where(trusted[0], 0.5 * np.abs(r[0]), -np.inf)
         node = int(np.nonzero(scores >= band)[0][0])
         t_j = float(times[k])
         m_j = float(scores[node]) / weight

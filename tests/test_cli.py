@@ -261,6 +261,26 @@ def test_underflowing_soliton_shift_exits_2_with_one_line(tmp_path):
     assert "time shift" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # h*h underflows: the Laplacian would divide by zero
+        ["invariants", "--family", "cigar", "--t0", "0", "--t1", "0", "--n", "16", "--extent", "1e-300"],
+        ["embed", "--family", "cigar", "--n", "16", "--extent", "1e-300"],
+        # squared nodes overflow in the closed forms
+        ["invariants", "--family", "cigar", "--t0", "0", "--t1", "0", "--n", "16", "--extent", "1e300"],
+        ["simulate", "--family", "rosenau", "--n", "16", "--extent", "1e300"],
+    ],
+    ids=["invariants-tiny", "embed-tiny", "invariants-huge", "simulate-huge"],
+)
+def test_out_of_range_grid_layouts_exit_2_with_one_line(tmp_path, args):
+    # a subprocess, so a numpy RuntimeWarning would reach stderr as it does for users
+    proc = run_python(tmp_path, "-m", "geomflow.cli", *args, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_unknown_family_exits_2(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert cli.main(["simulate", "--family", "torus", "--out", out]) == 2

@@ -172,7 +172,7 @@ def test_circumference_agrees_with_circle_length_limit():
     grid, prof = cigar_profile_fixture()
     surf = embedding.embed(prof)
     c, _ = embedding.circumference_and_width(surf)
-    geo = float(geometry.circumference_at_infinity(grid))
+    geo = geometry.invariant_report(grid).circumference
     assert c == pytest.approx(geo, rel=1e-2)
     assert np.all(surf.r < c / TWO_PI)
 

@@ -250,3 +250,6 @@ def test_sample_grid_cylinder():
     assert g.nodes[0] == -2.0 and g.nodes[-1] == 6.0
     with pytest.raises(ExtentError):
         exact.sample_grid(exact.rosenau(), -1.0, n=64, x_lo=3.0, x_hi=3.0)
+    # a width beyond float64 range is rejected before np.linspace overflows (and warns)
+    with pytest.raises(ExtentError, match="finite width"):
+        exact.sample_grid(exact.rosenau(), -1.0, n=64, extent=1e308)

@@ -4,10 +4,12 @@ import pytest
 from geomflow.errors import DomainError, ExtentError
 from geomflow.grids import (
     CYLINDER,
+    MAX_NODE,
     RADIAL,
     RELIABLE_MARGIN,
     U_NOISE_FLOOR,
     ConformalGrid,
+    check_layout,
     check_positive,
     cumulative_trapezoid,
     trust_mask,
@@ -43,6 +45,18 @@ def test_rejects_decreasing_nodes():
     nodes = np.linspace(1.0, 0.0, 32)
     with pytest.raises(DomainError):
         ConformalGrid(chart=RADIAL, nodes=nodes, u=np.ones(32), t=0.0)
+
+
+def test_layout_keeps_the_squared_spacing_normal_and_squared_nodes_finite():
+    root_tiny = float(np.sqrt(np.finfo(float).tiny))
+    assert check_layout(RADIAL, np.arange(16) * (1.01 * root_tiny)) == 1.01 * root_tiny
+    with pytest.raises(DomainError, match="spacing"):
+        check_layout(RADIAL, np.arange(16) * (0.99 * root_tiny))
+    assert MAX_NODE * MAX_NODE < np.inf
+    check_layout(CYLINDER, np.linspace(-MAX_NODE, MAX_NODE, 16))
+    for nodes in (np.linspace(0.0, 1.01 * MAX_NODE, 16), np.linspace(-1.01 * MAX_NODE, 0.0, 16)):
+        with pytest.raises(DomainError, match="within"):
+            check_layout(RADIAL if nodes[0] == 0.0 else CYLINDER, nodes)
 
 
 def test_radial_must_start_at_axis():

@@ -132,6 +132,14 @@ def test_tied_scores_resolve_to_earliest_snapshot():
     assert pick.t_j == -3.0
 
 
+def masked_magnitude(traj, k):
+    """Reference: M = |R|/2 of snapshot k from its own curvature and trust passes,
+    untrusted nodes sent to -inf."""
+    magnitude = 0.5 * np.abs(traj.curvature(k))
+    magnitude[~traj.trusted(k)] = -np.inf
+    return magnitude
+
+
 def test_blocked_peaks_equal_the_masked_magnitude_maxima():
     base = ladder_trajectory(3)
     U = np.array(base.U)
@@ -148,8 +156,35 @@ def test_blocked_peaks_equal_the_masked_magnitude_maxima():
             trusted_r = traj.curvature(k)[traj.trusted(k)]
             assert lo[i] == trusted_r.min() and hi[i] == trusted_r.max()
         # the peaks pick_point and classify_type read: bitwise the old maxima of |R|/2
-        expected = [float(rescaling._masked_magnitude(traj, k).max()) for k in range(start, stop)]
+        expected = [float(masked_magnitude(traj, k).max()) for k in range(start, stop)]
         assert np.array_equal(0.5 * np.maximum(hi, -lo), expected)
+
+
+def reference_pick(traj, T):
+    """Reference: (snapshot, node, score) of the pick, scored row by row through
+    masked_magnitude; the earliest snapshot and smallest node in the tie band win."""
+    scored = []
+    for k, t in enumerate(traj.times.tolist()):
+        weight = (-t) * (t - T)
+        if weight > 0.0:
+            scored.append((k, weight * masked_magnitude(traj, k)))
+    band = max(float(s.max()) for _, s in scored) * (1.0 - rescaling.PICK_TIE_RTOL)
+    for k, s in scored:
+        hits = np.nonzero(s >= band)[0]
+        if hits.size:
+            return k, int(hits[0]), float(s[hits[0]])
+
+
+@pytest.mark.parametrize("j", [2, 4])
+def test_pick_equals_the_row_by_row_reference_pick(j):
+    traj = ladder_trajectory(j)
+    U = np.array(traj.U)
+    U[-1] *= 1e-6  # the last snapshot untrusted everywhere: its fallback node competes
+    traj = solver.FlowTrajectory(traj.chart, traj.nodes, traj.times, U, traj.provenance, ())
+    T = rescaling.default_window(j)
+    pick = rescaling.pick_point(traj, T, rescaling.default_gamma(j), j=j)
+    k, node, score = reference_pick(traj, T)
+    assert (pick.t_j, pick.node, pick.score) == (float(traj.times[k]), node, score)
 
 
 def test_pick_and_classify_scan_in_blocks_not_whole_arrays():
