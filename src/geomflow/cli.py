@@ -39,7 +39,8 @@ MAX_RESOLUTION = 2**20
 COLUMN_NOTES = """\
 artifact files and their columns:
   convergence.csv   resolution, residual, ratio (empty on the coarsest row)
-  checkpoint_NNNN.json  chart, t, nodes, u, family/params when known
+  checkpoint_NNNN.json  chart, t, nodes, u (base64 of little-endian float64),
+                    family/params when known
   rmax.csv          t, r_max
   diagnostics.json  f_defect, m_of_t, harnack_defect, harnack_shift,
                     length_evolution_defect, circle_indices
@@ -57,9 +58,9 @@ artifact files and their columns:
 rescale and classify accept the Rosenau, Sphere, and Flat families; the
 steady-soliton tip width collapses exponentially going backward, below
 any fixed uniform grid step, so those families are rejected up front.
-floats are serialized with 17 significant digits; files are written
-atomically (temp file then rename). GEOMFLOW_OUT overrides --out and the
-config's output directory."""
+CSV floats carry 17 significant digits, other JSON floats their shortest
+round-trip repr; files are written atomically (temp file then rename).
+GEOMFLOW_OUT overrides --out and the config's output directory."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -342,7 +343,6 @@ def resolve_out_dir(configured: str | None) -> str | None:
 def run(config: ScenarioConfig) -> int:
     """Execute the config's tasks in canonical order; 0/1 exit semantics."""
     out_dir = resolve_out_dir(config.out)
-    os.makedirs(out_dir, exist_ok=True)
     failures = 0
     for task in TASKS:
         if task in config.tasks:
@@ -430,10 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            out_dir = resolve_out_dir(args.out)
-            if out_dir is not None:
-                os.makedirs(out_dir, exist_ok=True)
-            return verify_all(out_dir)
+            return verify_all(resolve_out_dir(args.out))
         if args.command == "run":
             return run(load_config(args.config))
         return run(_inline_config(args.command, args))

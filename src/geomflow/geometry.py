@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExtentError
+from .errors import DomainError, ExtentError
 from .grids import CYLINDER, RADIAL, RELIABLE_MARGIN, ConformalGrid, cumulative_trapezoid
 
 TWO_PI = 2.0 * math.pi
@@ -183,6 +183,19 @@ class InvariantReport:
         return {name: getattr(self, name) for name in FIELD_ORDER}
 
 
+def _tail_fit(grid: ConformalGrid, x: np.ndarray, y: np.ndarray, degree: int) -> float:
+    """Leading coefficient of a least-squares polynomial fit of a radial tail."""
+    try:
+        # far from unit scale polyfit's column norms underflow or overflow
+        with np.errstate(divide="raise", invalid="raise"):
+            return float(np.polyfit(x, y, degree)[0])
+    except (FloatingPointError, np.linalg.LinAlgError) as err:
+        raise DomainError(
+            f"the tail fits of the invariants fail at extent {grid.extent:g} ({err}); "
+            "use an extent nearer unit scale"
+        ) from err
+
+
 def invariant_report(grid: ConformalGrid) -> InvariantReport:
     """Every invariant this chart supports, from one evaluation of R, s, l and A.
 
@@ -245,7 +258,7 @@ def invariant_report(grid: ConformalGrid) -> InvariantReport:
     hartman = TWO_PI - tau
 
     win = _tail_window(grid, width_divisor=50, minimum=7)
-    aperture = float(np.polyfit(s[win], ell[win], 1)[0])
+    aperture = _tail_fit(grid, s[win], ell[win], 1)
     defect_len = abs(aperture - hartman)
     if defect_len > 0.05 * max(abs(hartman), HARTMAN_GAP_FLOOR):
         warnings.append("direct aperture and 2*pi - tau disagree beyond 5%")
@@ -261,7 +274,7 @@ def invariant_report(grid: ConformalGrid) -> InvariantReport:
 
     win = _tail_window(grid, width_divisor=40, minimum=9)
     s_w = s[win] - float(np.mean(s[win]))
-    second = 2.0 * float(np.polyfit(s_w, area[win], 2)[0])
+    second = 2.0 * _tail_fit(grid, s_w, area[win], 2)
     ratio = area[1 : i_r + 1] / (math.pi * s[1 : i_r + 1] ** 2)
     bg_defect = float(max(0.0, np.diff(ratio).max()))
     if bg_defect > 1e-6:

@@ -3,15 +3,17 @@
 Identical data must produce identical bytes, so every CSV cell goes through
 one fixed float format (17 significant digits), JSON floats are Python's
 shortest round-trip repr, JSON keys are sorted, line endings are fixed to
-"\\n", and payloads never include wall-clock data. Files are written atomically
-(temp file in the target directory, then rename) so concurrent scenario
-runs never expose half-written artifacts.
+"\\n", and payloads never include wall-clock data. A checkpoint's `nodes` and
+`u` arrays are base64 of their little-endian float64 bytes, which round-trip
+exactly at a fraction of the size and time of decimal text. Files are written
+atomically (temp file in the target directory, then rename) so concurrent
+scenario runs never expose half-written artifacts.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
-import functools
 import io
 import json
 import os
@@ -52,49 +54,15 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-class _Rendered(str):
-    """JSON text `_encode` already rendered at the depth where it is used."""
-
-
-def _encode(obj, level: int) -> str:
-    """JSON text of obj at nesting depth level, byte for byte as
-    `json.dumps(..., sort_keys=True, indent=2)` renders it.
-
-    With an indent, `json.dumps` falls back to its pure-Python encoder, so
-    containers are laid out here and scalars go through `json.dumps` (C). A
-    list of finite floats is one C join of their reprs, the text that encoder
-    writes for each of them.
-    """
-    if type(obj) is _Rendered:
-        return obj
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (dict, list, tuple)):
-        if not obj:
-            return "{}" if isinstance(obj, dict) else "[]"
-        inner = "\n" + "  " * (level + 1)
-        sep, close = "," + inner, "\n" + "  " * level
-        if isinstance(obj, dict):
-            items = {str(k): v for k, v in obj.items()}
-            body = sep.join(json.dumps(k) + ": " + _encode(items[k], level + 1) for k in sorted(items))
-            return "{" + inner + body + close + "}"
-        if set(map(type, obj)) == {float}:
-            body = sep.join(map(float.__repr__, obj))
-            # a finite repr has no "n"; "nan" and "inf" must become NaN and Infinity
-            if "n" not in body:
-                return "[" + inner + body + close + "]"
-        return "[" + inner + sep.join(_encode(v, level + 1) for v in obj) + close + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        obj = bool(obj)
-    elif isinstance(obj, (int, np.integer)):
-        obj = int(obj)
-    elif isinstance(obj, (float, np.floating)):
-        obj = float(obj)
-    return json.dumps(obj)
+def _jsonable(obj):
+    """The JSON value of a numpy array or scalar, for `json.dumps`'s `default`."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def json_text(payload) -> str:
-    return _encode(payload, 0) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -124,13 +92,30 @@ def write_json(path: str, payload) -> None:
     atomic_write_text(path, json_text(payload))
 
 
+def _array_text(a: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _array_from_text(key: str, text) -> np.ndarray:
+    """A checkpoint array from the base64 text of its little-endian float64 bytes."""
+    if not isinstance(text, str):
+        raise DomainError(
+            f"checkpoint {key} is not a base64 string; the file predates base64 checkpoints"
+        )
+    try:
+        return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+    except ValueError as err:
+        raise DomainError(f"checkpoint {key} is not base64 of float64 bytes: {err}") from err
+
+
 def checkpoint_payload(grid: ConformalGrid) -> dict:
+    """A grid as JSON; `nodes` and `u` are base64 of their little-endian float64 bytes."""
     payload = {
         "kind": "checkpoint",
         "chart": grid.chart,
         "t": float(grid.t),
-        "nodes": grid.nodes,
-        "u": grid.u,
+        "nodes": _array_text(grid.nodes),
+        "u": _array_text(grid.u),
     }
     if grid.provenance is not None:
         payload["family"] = grid.provenance.family
@@ -138,36 +123,24 @@ def checkpoint_payload(grid: ConformalGrid) -> dict:
     return payload
 
 
-@functools.lru_cache(maxsize=1)
-def _nodes_text(nodes: bytes) -> _Rendered:
-    """Checkpoint nodes rendered from their float64 bytes.
-
-    The checkpoints of one trajectory share their nodes, so they render them
-    once; the key is the bytes themselves, so equal keys mean equal text.
-    """
-    return _Rendered(_encode(np.frombuffer(nodes), 1))
-
-
 def save_checkpoint(path: str, grid: ConformalGrid) -> None:
-    payload = checkpoint_payload(grid)
-    payload["nodes"] = _nodes_text(grid.nodes.tobytes())
-    write_json(path, payload)
+    write_json(path, checkpoint_payload(grid))
 
 
 def grid_from_payload(payload: dict) -> ConformalGrid:
     try:
         chart = payload["chart"]
         t = float(payload["t"])
-        nodes = np.asarray(payload["nodes"], dtype=float)
-        u = np.asarray(payload["u"], dtype=float)
-    except (KeyError, TypeError, ValueError) as err:
+        nodes, u = payload["nodes"], payload["u"]
+        family = payload.get("family")
+        provenance = None if family is None else spec_from_name(family, **payload.get("params", {}))
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise DomainError(f"malformed checkpoint payload: {err}") from err
     if chart not in CHARTS:
         raise DomainError(f"checkpoint names unknown chart {chart!r}")
-    provenance = None
-    if "family" in payload:
-        provenance = spec_from_name(payload["family"], **payload.get("params", {}))
-    return ConformalGrid(chart, nodes, u, t, provenance)
+    return ConformalGrid(
+        chart, _array_from_text("nodes", nodes), _array_from_text("u", u), t, provenance
+    )
 
 
 def load_checkpoint(path: str) -> ConformalGrid:

@@ -279,6 +279,34 @@ def test_out_of_range_grid_layouts_exit_2_with_one_line(tmp_path, args):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    # the output directory appears with the first artifact, not before validation
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("extent", ["1e-150", "1e154"])
+def test_out_of_scale_radial_fits_exit_2_with_one_line(tmp_path, extent):
+    # np.polyfit's column norms underflow (tiny) or overflow (huge) in the tail fits
+    args = ["invariants", "--family", "cigar", "--t0", "0", "--t1", "0", "--n", "16"]
+    out = str(tmp_path / "out")
+    proc = run_python(tmp_path, "-m", "geomflow.cli", *args, "--extent", extent, "--out", out)
+    assert proc.returncode == 2, proc.stderr
+    # at 1e154 the linear fit still returns, with polyfit's RankWarning, before the quadratic one fails
+    lines = proc.stderr.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:], proc.stderr
+    assert f"extent {float(extent):g}" in lines[-1]
+    # no LAPACK complaint on stdout: the fit stops before its SVD sees a NaN
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not os.path.exists(out)
+
+
+def test_resume_from_an_old_format_checkpoint_exits_2_without_an_out_dir(tmp_path, capsys):
+    checkpoint = tmp_path / "old.json"
+    checkpoint.write_text(json.dumps({"chart": "radial", "t": 0.0, "nodes": [0.0, 1.0], "u": [1.0, 1.0]}))
+    out = tmp_path / "out"
+    path = write_config(tmp_path, family=None, checkpoint=str(checkpoint), out=str(out))
+    assert cli.main(["run", path]) == 2
+    assert "predates base64 checkpoints" in assert_one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_unknown_family_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -141,16 +142,36 @@ def test_failed_atomic_write_keeps_target_and_removes_temp_file(tmp_path):
     assert os.listdir(tmp_path) == ["report.csv"]
 
 
+def _f8_text(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    grid = exact.sample_grid(exact.rosenau(), -1.5, n=400, x_lo=-9.0, x_hi=11.0)
-    path = os.path.join(tmp_path, "checkpoint.json")
-    serialize.save_checkpoint(path, grid)
-    loaded = serialize.load_checkpoint(path)
-    assert loaded.chart == grid.chart
-    assert loaded.t == grid.t
-    assert np.array_equal(loaded.nodes, grid.nodes)
-    assert np.array_equal(loaded.u, grid.u)
-    assert loaded.provenance == grid.provenance
+    from geomflow.grids import ConformalGrid
+
+    radial = exact.sample_grid(exact.cigar(4.0), 0.3, n=300, extent=30.0)
+    cylinder = exact.sample_grid(exact.rosenau(), -1.5, n=400, x_lo=-9.0, x_hi=11.0)
+    # the same nodes with other values, then one node moved by an ulp, then the first again
+    doubled = ConformalGrid(
+        cylinder.chart, cylinder.nodes.copy(), cylinder.u * 2.0, -1.2, cylinder.provenance
+    )
+    nodes = cylinder.nodes.copy()
+    nodes[17] = np.nextafter(nodes[17], np.inf)
+    nudged = ConformalGrid(cylinder.chart, nodes, cylinder.u, cylinder.t, cylinder.provenance)
+    for i, grid in enumerate((radial, cylinder, doubled, nudged, cylinder)):
+        path = os.path.join(tmp_path, f"checkpoint_{i}.json")
+        serialize.save_checkpoint(path, grid)
+        with open(path) as fh:
+            payload = json.load(fh)
+        # the documented format: base64 of the little-endian float64 bytes
+        assert np.frombuffer(base64.b64decode(payload["u"]), "<f8").tobytes() == grid.u.tobytes()
+        assert np.frombuffer(base64.b64decode(payload["nodes"]), "<f8").tobytes() == grid.nodes.tobytes()
+        loaded = serialize.load_checkpoint(path)
+        assert loaded.chart == grid.chart
+        assert loaded.t == grid.t
+        assert loaded.nodes.tobytes() == grid.nodes.tobytes()
+        assert loaded.u.tobytes() == grid.u.tobytes()
+        assert loaded.provenance == grid.provenance
 
 
 def test_checkpoint_rerender_is_byte_identical(tmp_path):
@@ -164,21 +185,6 @@ def test_checkpoint_rerender_is_byte_identical(tmp_path):
     assert second == first
 
 
-def test_checkpoints_with_shared_nodes_never_reuse_stale_text(tmp_path):
-    from geomflow.grids import ConformalGrid
-
-    a = exact.sample_grid(exact.rosenau(), -1.5, n=64, x_lo=-9.0, x_hi=11.0)
-    b = ConformalGrid(a.chart, a.nodes.copy(), a.u * 2.0, -1.2, a.provenance)
-    nodes = a.nodes.copy()
-    nodes[17] = np.nextafter(nodes[17], np.inf)
-    c = ConformalGrid(a.chart, nodes, a.u, a.t, a.provenance)
-    for i, grid in enumerate((a, b, c, a)):
-        path = os.path.join(tmp_path, f"checkpoint_{i}.json")
-        serialize.save_checkpoint(path, grid)
-        with open(path) as fh:
-            assert fh.read() == _stdlib_json_text(serialize.checkpoint_payload(grid))
-
-
 def test_checkpoint_without_provenance_loads_as_plain_grid(tmp_path):
     from geomflow.grids import ConformalGrid
 
@@ -187,19 +193,36 @@ def test_checkpoint_without_provenance_loads_as_plain_grid(tmp_path):
     serialize.save_checkpoint(path, grid)
     loaded = serialize.load_checkpoint(path)
     assert loaded.provenance is None
-    assert np.array_equal(loaded.u, grid.u)
+    assert loaded.nodes.tobytes() == grid.nodes.tobytes()
+    assert loaded.u.tobytes() == grid.u.tobytes()
+
+
+# a valid 16-node radial checkpoint; each case below breaks one thing in it
+_NODES, _U = _f8_text(np.linspace(0.0, 5.0, 16)), _f8_text(np.full(16, 2.0))
+_VALID = {"chart": "radial", "t": 0.0, "nodes": _NODES, "u": _U}
 
 
 @pytest.mark.parametrize(
     "payload",
     [
-        {"chart": "radial", "t": 0.0, "nodes": [0.0, 1.0]},
-        {"chart": "spiral", "t": 0.0, "nodes": [0.0, 1.0], "u": [1.0, 1.0]},
-        {"t": 0.0, "nodes": [0.0, 1.0], "u": [1.0, 1.0]},
-        {"chart": "radial", "t": "soon", "nodes": [0.0, 1.0], "u": [1.0, 1.0]},
+        {"chart": "radial", "t": 0.0, "nodes": _NODES},
+        dict(_VALID, chart="spiral"),
+        {"t": 0.0, "nodes": _NODES, "u": _U},
+        dict(_VALID, t="soon"),
+        # one character outside the base64 alphabet, which a lenient decoder would skip
+        dict(_VALID, u=_U[:4] + "*" + _U[4:]),
+        # 124 bytes: not a whole number of float64 values
+        dict(_VALID, u=base64.b64encode(np.full(16, 2.0).tobytes()[:-4]).decode("ascii")),
+        dict(_VALID, u=_f8_text(np.full(15, 2.0))),
+        # the number lists of checkpoints written before the base64 format
+        dict(_VALID, nodes=np.linspace(0.0, 5.0, 16).tolist(), u=[2.0] * 16),
+        dict(_VALID, family=5),
+        dict(_VALID, family="Cigar", params=[4.0]),
+        dict(_VALID, family="Cigar", params={"r0": "x"}),
     ],
 )
 def test_malformed_checkpoint_payload_rejected(payload):
+    serialize.grid_from_payload(_VALID)  # the unbroken payload loads
     with pytest.raises(DomainError):
         serialize.grid_from_payload(payload)
 
