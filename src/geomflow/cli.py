@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import acceptance, exact, rescaling, serialize, solver
-from .errors import DomainError, GeomflowError
+from .errors import DomainError, GeomflowError, WindowError
 from .geometry import invariant_report
 from .grids import ConformalGrid
 
@@ -227,18 +227,22 @@ def _task_verify(config: ScenarioConfig, out_dir: str) -> int:
 
 def _task_simulate(config: ScenarioConfig, out_dir: str) -> int:
     grid0 = _initial_grid(config)
+    if config.output_times is not None:
+        # diagnostics.json needs DIAGNOSTIC_SNAPSHOTS snapshots: count them before stepping
+        count = solver.resolve_output_times(grid0.t, config.t1, config.output_times).size
+        if count < solver.DIAGNOSTIC_SNAPSHOTS:
+            raise WindowError(
+                f"diagnostics.json needs at least {solver.DIAGNOSTIC_SNAPSHOTS} snapshots, got {count}"
+            )
     traj = solver.evolve(grid0, config.t1, cfl=config.cfl, output_times=config.output_times)
     for k in range(traj.times.size):
         path = os.path.join(out_dir, f"checkpoint_{k:04d}.json")
         serialize.save_checkpoint(path, traj.snapshot(k))
-    series = solver.rmax_series(traj)
+    report = solver.diagnostics(traj)
     serialize.write_csv(
-        os.path.join(out_dir, "rmax.csv"), ("t", "r_max"), [[t, v] for t, v in series.values]
+        os.path.join(out_dir, "rmax.csv"), ("t", "r_max"), [[t, v] for t, v in report.rmax.values]
     )
-    serialize.write_json(
-        os.path.join(out_dir, "diagnostics.json"),
-        serialize.diagnostics_payload(solver.diagnostics(traj)),
-    )
+    serialize.write_json(os.path.join(out_dir, "diagnostics.json"), serialize.diagnostics_payload(report))
     if traj.provenance is None:
         return 0
     return int(solver.closed_form_error(traj) > config.effective_tolerances()["sup_rel_err"])

@@ -15,6 +15,7 @@ their limits. Raw ratios at the reliable radius are reported alongside.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,10 +187,12 @@ class InvariantReport:
 def _tail_fit(grid: ConformalGrid, x: np.ndarray, y: np.ndarray, degree: int) -> float:
     """Leading coefficient of a least-squares polynomial fit of a radial tail."""
     try:
-        # far from unit scale polyfit's column norms underflow or overflow
-        with np.errstate(divide="raise", invalid="raise"):
+        # far from unit scale polyfit's column norms underflow or overflow, or its
+        # scaled columns lose rank
+        with np.errstate(divide="raise", invalid="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.RankWarning)
             return float(np.polyfit(x, y, degree)[0])
-    except (FloatingPointError, np.linalg.LinAlgError) as err:
+    except (FloatingPointError, np.linalg.LinAlgError, np.exceptions.RankWarning) as err:
         raise DomainError(
             f"the tail fits of the invariants fail at extent {grid.extent:g} ({err}); "
             "use an extent nearer unit scale"

@@ -11,6 +11,7 @@ uniformly spaced nodes of one generator line:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -123,6 +124,8 @@ class ConformalGrid:
             raise DomainError("nodes and u must be matching 1-d arrays")
         object.__setattr__(self, "h", check_layout(self.chart, nodes))
         check_positive(u)
+        if not math.isfinite(self.t):
+            raise DomainError(f"grid time must be finite, got {self.t}")
 
     @property
     def n(self) -> int:

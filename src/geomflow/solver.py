@@ -58,6 +58,8 @@ ERR_SCALE = 2.0 * abs(-3.0 * GAMMA**2 + 4.0 * GAMMA - 2.0) / (12.0 * (2.0 - GAMM
 
 BLOW_UP_RMAX = 1.0e3
 DEFAULT_OUTPUT_COUNT = 17
+# snapshots diagnostics needs: the length defect reads d(length)/dt at interior ones
+DIAGNOSTIC_SNAPSHOTS = 3
 # tracked circles of diagnostics, as fractions of the reliable node range
 CIRCLE_FRACTIONS = (0.25, 0.5, 0.75)
 # float64 cells of one trajectory's snapshot array (512 MiB); 86x the largest
@@ -145,22 +147,14 @@ class FlowTrajectory:
     def grid0(self) -> ConformalGrid:
         return self.snapshot(0)
 
-    def curvature(self, k: int | slice) -> np.ndarray:
-        """Scalar curvature of snapshot k, or of a slice of snapshots as a row block."""
-        u = self.U[k]
-        return curvature_field(np.log(u), u, self.nodes, self.h, self.chart)
-
-    def trusted(self, k: int | slice) -> np.ndarray:
-        """Nodes of snapshot k (or of a row block) that support curvature statistics
-        (see trusted_mask)."""
-        return trust_mask(self.U[k], self.chart, CURVATURE_TRUST_FLOOR)
-
     def blocks(self, start: int = 0, stop: int | None = None):
-        """Yield (rows, R, trusted) over snapshots start..stop-1, one row_blocks block
-        at a time: every snapshot scan takes one curvature pass per block."""
+        """Yield (rows, R, trusted) over snapshots start..stop-1, one row_blocks block at
+        a time, trusted as in trusted_mask: every snapshot scan's one curvature pass."""
         stop = self.times.size if stop is None else stop
         for rows in row_blocks(start, stop, self.nodes.size):
-            yield rows, self.curvature(rows), self.trusted(rows)
+            u = self.U[rows]
+            r = curvature_field(np.log(u), u, self.nodes, self.h, self.chart)
+            yield rows, r, trust_mask(u, self.chart, CURVATURE_TRUST_FLOOR)
 
     def u_at(self, t: float) -> np.ndarray:
         """Conformal factor at time t, linear in time between snapshots."""
@@ -185,6 +179,11 @@ class RmaxSeries:
     values: tuple[tuple[float, float], ...]
     monotonicity_defect: float
 
+    @classmethod
+    def of(cls, times: np.ndarray, peaks: np.ndarray) -> RmaxSeries:
+        drop = max(0.0, float(np.max(peaks[:-1] - peaks[1:], initial=0.0)))
+        return cls(values=tuple(zip(times.tolist(), peaks.tolist())), monotonicity_defect=drop)
+
 
 @dataclass(frozen=True)
 class DiagnosticReport:
@@ -199,6 +198,7 @@ class DiagnosticReport:
     length_evolution_defect: worst relative mismatch between the measured
         d(length)/dt of tracked circles and -pi * rho * R * sqrt(u)
         (radial chart; the rho factor drops on the cylinder chart).
+    rmax: the trusted curvature maximum per snapshot, as rmax_series gives it.
     """
 
     f_defect: float
@@ -207,6 +207,7 @@ class DiagnosticReport:
     harnack_shift: float
     length_evolution_defect: float
     circle_indices: tuple[int, ...]
+    rmax: RmaxSeries
 
     def __post_init__(self):
         for name in ("f_defect", "harnack_defect", "length_evolution_defect"):
@@ -475,7 +476,9 @@ def step(grid: ConformalGrid, dt: float) -> ConformalGrid:
     return grid.with_u(u_new, t=grid.t + dt)
 
 
-def _resolve_output_times(t0: float, t_end: float, output_times) -> np.ndarray:
+def resolve_output_times(t0: float, t_end: float, output_times) -> np.ndarray:
+    """Snapshot times of a run from t0 to t_end: the output times (default
+    DEFAULT_OUTPUT_COUNT evenly spaced ones) with both window ends."""
     tol = 1e-9 * max(1.0, abs(t0), abs(t_end))
     if output_times is None:
         times = np.linspace(t0, t_end, DEFAULT_OUTPUT_COUNT)
@@ -541,7 +544,7 @@ def evolve(
         raise DomainError(
             f"reaching t={t_end} takes at least {fewest_steps:.3g} steps, over the budget {max_steps}"
         )
-    targets = _resolve_output_times(grid.t, float(t_end), output_times)
+    targets = resolve_output_times(grid.t, float(t_end), output_times)
     check_trajectory_size(targets.size, grid.n)
 
     st = _Stencil(grid)
@@ -618,10 +621,7 @@ def curvature_range(
 
 def rmax_series(traj: FlowTrajectory) -> RmaxSeries:
     """Per-snapshot masked curvature maximum and its worst drop."""
-    values = tuple(zip(traj.times.tolist(), curvature_range(traj)[1].tolist()))
-    drops = [a[1] - b[1] for a, b in zip(values, values[1:])]
-    defect = max(0.0, max(drops, default=0.0))
-    return RmaxSeries(values=values, monotonicity_defect=defect)
+    return RmaxSeries.of(traj.times, curvature_range(traj)[1])
 
 
 def closed_form_error(traj: FlowTrajectory) -> float:
@@ -648,23 +648,17 @@ def _tracked_circle_indices(traj: FlowTrajectory) -> tuple[int, ...]:
 
 
 def diagnostics(traj: FlowTrajectory) -> DiagnosticReport:
-    """Measure conservation/monotonicity defects on a trajectory; needs >= 3 snapshots.
+    """Conservation/monotonicity defects and the r_max series; needs >= 3 snapshots.
 
-    The defects are taken over the nodes every snapshot trusts, so the trust
-    masks of all row blocks are ANDed first; then traj.blocks gives one
-    curvature pass per block, and the time integral of R accumulates one
-    snapshot at a time.
+    One traj.blocks pass takes each snapshot's trusted curvature maximum, ANDs
+    the trust masks and keeps per-node running maxima of the two defects; these
+    and m_of_t are then read over the nodes every snapshot trusts. A maximum is
+    exact, so the values equal masking each snapshot as it comes.
     """
     times = traj.times
     count = times.size
-    if count < 3:
-        raise WindowError("diagnostics needs at least three snapshots")
-    mask = np.ones(traj.nodes.size, dtype=bool)
-    for rows in row_blocks(0, count, traj.nodes.size):
-        mask &= traj.trusted(rows).all(axis=0)
-    if not mask.any():
-        mask[reliable_slice(traj.chart, traj.nodes.size)] = True
-
+    if count < DIAGNOSTIC_SNAPSHOTS:
+        raise WindowError(f"diagnostics needs at least {DIAGNOSTIC_SNAPSHOTS} snapshots")
     if times[0] > 0.0:
         shift = 0.0
     else:
@@ -674,21 +668,28 @@ def diagnostics(traj: FlowTrajectory) -> DiagnosticReport:
     idx = _tracked_circle_indices(traj)
     cols = np.array(idx, dtype=int)
     w0 = np.log(traj.U[0])
+    mask = np.ones(traj.nodes.size, dtype=bool)
+    peaks = np.empty(count)
     r_cols = np.empty((count, cols.size))
     r_int = np.zeros(traj.nodes.size)  # integral_0^t R dtau, trapezoid rule accumulated row by row
-    m_of_t = [(float(times[0]), 0.0)]  # log(u/u0) vanishes at the first snapshot
-    f_defect = harnack_defect = 0.0
-    for rows, block, _ in traj.blocks():
+    f_worst = np.zeros(traj.nodes.size)  # per node: max of |log(u/u0) + r_int| over t
+    harnack_worst = np.zeros(traj.nodes.size)  # per node: largest decrease of t * R
+    for rows, block, trusted in traj.blocks():
+        mask &= trusted.all(axis=0)
+        np.max(block, axis=-1, where=trusted, initial=-np.inf, out=peaks[rows])
         r_cols[rows] = block[:, cols]
         for k, r in enumerate(block, start=rows.start):
             if k:
-                f = np.log(traj.U[k]) - w0
                 r_int = r_int + (times[k] - times[k - 1]) * (r + r_prev) / 2.0
-                f_defect = max(f_defect, float(np.abs(f + r_int)[mask].max()))
-                m_of_t.append((float(times[k]), float(f[mask].min())))
+                np.maximum(f_worst, np.abs(np.log(traj.U[k]) - w0 + r_int), out=f_worst)
                 increments = (times[k] + shift) * r - (times[k - 1] + shift) * r_prev
-                harnack_defect = max(harnack_defect, -float(increments[mask].min()))
+                np.maximum(harnack_worst, -increments, out=harnack_worst)
             r_prev = r
+    if not mask.any():
+        mask[reliable_slice(traj.chart, traj.nodes.size)] = True
+    m_of_t = [(float(times[0]), 0.0)]  # log(u/u0) vanishes at the first snapshot
+    for k in range(1, count):
+        m_of_t.append((float(times[k]), float((np.log(traj.U[k]) - w0)[mask].min())))
 
     root_u = np.sqrt(traj.U[:, cols])
     geom = math.pi * (traj.nodes[cols] if traj.chart == RADIAL else np.ones(cols.size))
@@ -700,10 +701,12 @@ def diagnostics(traj: FlowTrajectory) -> DiagnosticReport:
     length_defect = float((err / scale).max())
 
     return DiagnosticReport(
-        f_defect=f_defect,
+        f_defect=float(f_worst[mask].max()),
         m_of_t=tuple(m_of_t),
-        harnack_defect=harnack_defect,
+        # max() turns the -0.0 that np.maximum can leave into 0.0
+        harnack_defect=max(0.0, float(harnack_worst[mask].max())),
         harnack_shift=shift,
         length_evolution_defect=length_defect,
         circle_indices=idx,
+        rmax=RmaxSeries.of(times, peaks),
     )

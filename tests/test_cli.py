@@ -172,6 +172,37 @@ def test_simulate_over_step_budget_exits_2_before_stepping(tmp_path, capsys, mon
     assert_one_line_error(capsys)
 
 
+def test_simulate_with_two_snapshots_exits_2_before_stepping(tmp_path, capsys, monkeypatch):
+    def no_stepping(*args):
+        raise AssertionError("stepped although the snapshot count should have failed first")
+
+    monkeypatch.setattr(solver, "_Stencil", no_stepping)
+    out = tmp_path / "out"
+    # the window ends alone: two snapshots, too few for diagnostics.json
+    path = write_config(tmp_path, output_times=[-2.0, -1.0], out=str(out))
+    assert cli.main(["run", path]) == 2
+    assert "at least 3 snapshots" in assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_simulate_takes_one_curvature_pass_per_block(tmp_path, monkeypatch):
+    # rmax.csv and diagnostics.json come from one traj.blocks pass
+    calls = []
+    curvature_field = solver.curvature_field
+
+    def counting(*args):
+        calls.append(args[1].shape)
+        return curvature_field(*args)
+
+    monkeypatch.setattr(solver, "curvature_field", counting)
+    n = 4000
+    args = ["simulate", "--family", "rosenau", "--t1", "-1.9", "--n", str(n)]
+    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 0
+    blocks = solver.row_blocks(0, solver.DEFAULT_OUTPUT_COUNT, n)
+    assert len(blocks) == 3
+    assert calls == [(b.stop - b.start, n) for b in blocks]
+
+
 def test_classify_over_the_trajectory_limit_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled although the size check should have failed first")
@@ -283,17 +314,22 @@ def test_out_of_range_grid_layouts_exit_2_with_one_line(tmp_path, args):
     assert not os.path.exists(tmp_path / "out")
 
 
-@pytest.mark.parametrize("extent", ["1e-150", "1e154"])
-def test_out_of_scale_radial_fits_exit_2_with_one_line(tmp_path, extent):
-    # np.polyfit's column norms underflow (tiny) or overflow (huge) in the tail fits
-    args = ["invariants", "--family", "cigar", "--t0", "0", "--t1", "0", "--n", "16"]
+@pytest.mark.parametrize(
+    "n, extent",
+    [("16", "1e-150"), ("16", "1e154"), ("200", "1e36"), ("200", "1e42")],
+    ids=["1e-150", "1e154", "1e36", "1e42"],
+)
+def test_out_of_scale_radial_fits_exit_2_with_one_line(tmp_path, n, extent):
+    # np.polyfit's column norms underflow (tiny) or overflow (huge) in the tail fits,
+    # or its scaled columns lose rank (RankWarning)
+    args = ["invariants", "--family", "cigar", "--t0", "0", "--t1", "0", "--n", n]
     out = str(tmp_path / "out")
     proc = run_python(tmp_path, "-m", "geomflow.cli", *args, "--extent", extent, "--out", out)
     assert proc.returncode == 2, proc.stderr
-    # at 1e154 the linear fit still returns, with polyfit's RankWarning, before the quadratic one fails
+    # no RankWarning before the error
     lines = proc.stderr.splitlines()
-    assert [line for line in lines if line.startswith("error:")] == lines[-1:], proc.stderr
-    assert f"extent {float(extent):g}" in lines[-1]
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert f"extent {float(extent):g}" in lines[0]
     # no LAPACK complaint on stdout: the fit stops before its SVD sees a NaN
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert not os.path.exists(out)
@@ -306,6 +342,22 @@ def test_resume_from_an_old_format_checkpoint_exits_2_without_an_out_dir(tmp_pat
     path = write_config(tmp_path, family=None, checkpoint=str(checkpoint), out=str(out))
     assert cli.main(["run", path]) == 2
     assert "predates base64 checkpoints" in assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_resume_from_a_checkpoint_with_a_non_finite_time_exits_2(tmp_path, capsys, t):
+    checkpoint = tmp_path / "nonfinite.json"
+    serialize.save_checkpoint(str(checkpoint), exact.sample_grid(exact.cigar(), 0.0, n=64, extent=10.0))
+    payload = json.loads(checkpoint.read_text())
+    # Python's JSON writer and reader spell these NaN and Infinity
+    checkpoint.write_text(json.dumps(dict(payload, t=t)))
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path, family=None, checkpoint=str(checkpoint), tasks=["invariants", "embed"], out=str(out)
+    )
+    assert cli.main(["run", path]) == 2
+    assert "time must be finite" in assert_one_line_error(capsys)
     assert not out.exists()
 
 

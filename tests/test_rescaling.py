@@ -135,8 +135,9 @@ def test_tied_scores_resolve_to_earliest_snapshot():
 def masked_magnitude(traj, k):
     """Reference: M = |R|/2 of snapshot k from its own curvature and trust passes,
     untrusted nodes sent to -inf."""
-    magnitude = 0.5 * np.abs(traj.curvature(k))
-    magnitude[~traj.trusted(k)] = -np.inf
+    snapshot = traj.snapshot(k)
+    magnitude = 0.5 * np.abs(geometry.scalar_curvature(snapshot))
+    magnitude[~solver.trusted_mask(snapshot)] = -np.inf
     return magnitude
 
 
@@ -153,7 +154,8 @@ def test_blocked_peaks_equal_the_masked_magnitude_maxima():
     for start, stop in [(0, count), (5, count), (rows + 3, count), (2, rows + 5), (7, 8)]:
         lo, hi = solver.curvature_range(traj, start, stop)
         for i, k in enumerate(range(start, stop)):
-            trusted_r = traj.curvature(k)[traj.trusted(k)]
+            snapshot = traj.snapshot(k)
+            trusted_r = geometry.scalar_curvature(snapshot)[solver.trusted_mask(snapshot)]
             assert lo[i] == trusted_r.min() and hi[i] == trusted_r.max()
         # the peaks pick_point and classify_type read: bitwise the old maxima of |R|/2
         expected = [float(masked_magnitude(traj, k).max()) for k in range(start, stop)]

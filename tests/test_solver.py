@@ -275,7 +275,8 @@ def test_blocked_rmax_series_equals_the_row_by_row_maxima(spec, times, kwargs):
     assert len(values) == times.size
     for k, (t, rm) in enumerate(values):
         assert t == float(traj.times[k])
-        assert rm == float(traj.curvature(k)[traj.trusted(k)].max())
+        snapshot = traj.snapshot(k)
+        assert rm == float(geometry.scalar_curvature(snapshot)[solver.trusted_mask(snapshot)].max())
 
 
 def test_refinement_reduces_rosenau_errors():
@@ -372,7 +373,8 @@ def test_diagnostics_flat_run_all_zero():
     traj = solver.evolve(grid, 1.0, cfl=0.5, output_times=np.linspace(0.0, 1.0, 5))
     report = solver.diagnostics(traj)
     assert report.f_defect == 0.0
-    assert report.harnack_defect == 0.0
+    # +0.0, not the -0.0 of a zero increment negated, which diagnostics.json would spell "-0.0"
+    assert math.copysign(1.0, report.harnack_defect) == 1.0 and report.harnack_defect == 0.0
     assert report.length_evolution_defect == 0.0
 
 
@@ -385,9 +387,9 @@ def test_diagnostics_needs_three_snapshots():
 def row_by_row_diagnostics(traj):
     """Reference: diagnostics as one curvature pass and one trust mask per snapshot."""
     times = traj.times
-    mask = traj.trusted(0)
-    for k in range(1, times.size):
-        mask &= traj.trusted(k)
+    snapshots = [traj.snapshot(k) for k in range(times.size)]
+    trusted = [solver.trusted_mask(snapshot) for snapshot in snapshots]
+    mask = np.logical_and.reduce(trusted)
     if not mask.any():
         mask = np.zeros(traj.nodes.size, dtype=bool)
         mask[reliable_slice(traj.chart, traj.nodes.size)] = True
@@ -399,13 +401,15 @@ def row_by_row_diagnostics(traj):
     idx = solver._tracked_circle_indices(traj)
     cols = np.array(idx, dtype=int)
     w0 = np.log(traj.U[0])
-    r = traj.curvature(0)
+    r = geometry.scalar_curvature(snapshots[0])
     r_int = np.zeros_like(r)
     r_cols = [r[cols]]
+    peaks = [float(r[trusted[0]].max())]
     m_of_t = [(float(times[0]), 0.0)]
     f_defect = harnack_defect = 0.0
     for k in range(1, times.size):
-        r_prev, r = r, traj.curvature(k)
+        r_prev, r = r, geometry.scalar_curvature(snapshots[k])
+        peaks.append(float(r[trusted[k]].max()))
         f = np.log(traj.U[k]) - w0
         r_int = r_int + (times[k] - times[k - 1]) * (r + r_prev) / 2.0
         f_defect = max(f_defect, float(np.abs(f + r_int)[mask].max()))
@@ -419,8 +423,15 @@ def row_by_row_diagnostics(traj):
     rhs = -geom * np.array(r_cols) * root_u
     err = np.abs(dldt - rhs)[1:-1]
     length_defect = float((err / np.maximum(np.abs(rhs)[1:-1], 1e-12)).max())
+    drops = [a - b for a, b in zip(peaks, peaks[1:])]
     return solver.DiagnosticReport(
-        f_defect, tuple(m_of_t), harnack_defect, shift, length_defect, idx
+        f_defect=f_defect,
+        m_of_t=tuple(m_of_t),
+        harnack_defect=harnack_defect,
+        harnack_shift=shift,
+        length_evolution_defect=length_defect,
+        circle_indices=idx,
+        rmax=solver.RmaxSeries(tuple(zip(times.tolist(), peaks)), max(0.0, max(drops))),
     )
 
 
@@ -432,7 +443,7 @@ def _disjointly_trusted_trajectory():
     U[7] *= 1e-6 * np.exp(-0.5 * base.nodes)
     U[8] *= 1e-6 * np.exp(0.5 * base.nodes)
     traj = solver.FlowTrajectory(base.chart, base.nodes, base.times, U, None, ())
-    assert not np.logical_and.reduce(traj.trusted(slice(None))).any()
+    assert not np.logical_and.reduce(trust_mask(traj.U, traj.chart, solver.CURVATURE_TRUST_FLOOR)).any()
     return traj
 
 
@@ -450,7 +461,10 @@ def test_blocked_diagnostics_equal_the_row_by_row_loop(make):
     traj = make()
     # 6 rows of 5,001 or 10 rows of 3,001 nodes per block, the last block short
     assert len(solver.row_blocks(0, traj.times.size, traj.nodes.size)) == 3
-    assert solver.diagnostics(traj) == row_by_row_diagnostics(traj)
+    report = solver.diagnostics(traj)
+    assert report == row_by_row_diagnostics(traj)
+    # the r_max series rmax.csv is written from: the row-by-row trusted maxima above
+    assert report.rmax == solver.rmax_series(traj)
 
 
 @pytest.mark.parametrize(
@@ -556,8 +570,15 @@ def test_exact_trajectory_rows_match_sampled_grids():
         assert np.array_equal(traj.U[k], grid.u)
         assert np.array_equal(snap.nodes, grid.nodes)
         assert (snap.t, snap.provenance, snap.chart) == (grid.t, grid.provenance, grid.chart)
-        assert np.array_equal(traj.curvature(k), geometry.scalar_curvature(grid))
-        assert np.array_equal(traj.trusted(k), solver.trusted_mask(grid))
+        assert np.array_equal(geometry.scalar_curvature(snap), geometry.scalar_curvature(grid))
+        assert np.array_equal(solver.trusted_mask(snap), solver.trusted_mask(grid))
+    # one block holds all three rows; its rows are the sampled grids' fields
+    ((rows, r, trusted),) = traj.blocks()
+    assert rows == slice(0, 3)
+    for k, t in enumerate(times):
+        grid = exact.sample_grid(exact.rosenau(), t, n=64, extent=5.0)
+        assert np.array_equal(r[k], geometry.scalar_curvature(grid))
+        assert np.array_equal(trusted[k], solver.trusted_mask(grid))
 
 
 @pytest.mark.parametrize(
