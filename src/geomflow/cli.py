@@ -207,8 +207,6 @@ def _convergence_ladder(resolution: int) -> tuple[int, ...]:
 
 def _task_verify(config: ScenarioConfig, out_dir: str) -> int:
     spec = config.spec()
-    if spec is None:
-        raise DomainError("the verify task needs a family, not a checkpoint")
     tol = config.effective_tolerances()
     errors = []
     rows = []
@@ -227,13 +225,6 @@ def _task_verify(config: ScenarioConfig, out_dir: str) -> int:
 
 def _task_simulate(config: ScenarioConfig, out_dir: str) -> int:
     grid0 = _initial_grid(config)
-    if config.output_times is not None:
-        # diagnostics.json needs DIAGNOSTIC_SNAPSHOTS snapshots: count them before stepping
-        count = solver.resolve_output_times(grid0.t, config.t1, config.output_times).size
-        if count < solver.DIAGNOSTIC_SNAPSHOTS:
-            raise WindowError(
-                f"diagnostics.json needs at least {solver.DIAGNOSTIC_SNAPSHOTS} snapshots, got {count}"
-            )
     traj = solver.evolve(grid0, config.t1, cfl=config.cfl, output_times=config.output_times)
     for k in range(traj.times.size):
         path = os.path.join(out_dir, f"checkpoint_{k:04d}.json")
@@ -256,7 +247,6 @@ def _task_invariants(config: ScenarioConfig, out_dir: str) -> int:
         times = config.output_times
         if times is None:
             times = np.linspace(config.t0, config.t1, solver.DEFAULT_OUTPUT_COUNT)
-        solver.check_trajectory_size(len(times), config.resolution)
         grids = (
             exact.sample_grid(spec, float(t), n=config.resolution, extent=config.extent)
             for t in times
@@ -279,7 +269,6 @@ def _require_backward_resolvable(spec, task: str) -> None:
 
 def _task_rescale(config: ScenarioConfig, out_dir: str) -> int:
     spec = config.spec()
-    _require_backward_resolvable(spec, "rescale")
     for j in RESCALE_DEPTHS:
         if spec.family == "Rosenau":
             traj = rescaling.backward_rosenau_trajectory(j)
@@ -299,7 +288,6 @@ def _task_rescale(config: ScenarioConfig, out_dir: str) -> int:
 
 def _task_classify(config: ScenarioConfig, out_dir: str) -> int:
     spec = config.spec()
-    _require_backward_resolvable(spec, "classify")
     times = np.linspace(config.t0, config.t1, CLASSIFY_SNAPSHOTS)
     traj = solver.exact_trajectory(spec, times, n=config.resolution, extent=config.extent)
     report = rescaling.classify_type(traj, t0=config.t1)
@@ -340,6 +328,27 @@ _TASK_RUNNERS = {
 }
 
 
+def _check_tasks(config: ScenarioConfig) -> None:
+    """The config-level checks of the requested tasks, which run before the first task writes."""
+    tasks = config.tasks
+    if "verify" in tasks and config.family is None:
+        raise DomainError("the verify task needs a family, not a checkpoint")
+    if "simulate" in tasks and config.output_times is not None:
+        # diagnostics.json needs DIAGNOSTIC_SNAPSHOTS snapshots: count them before stepping
+        t0 = config.t0 if config.checkpoint is None else serialize.load_checkpoint(config.checkpoint).t
+        count = solver.resolve_output_times(t0, config.t1, config.output_times).size
+        if count < solver.DIAGNOSTIC_SNAPSHOTS:
+            raise WindowError(
+                f"diagnostics.json needs at least {solver.DIAGNOSTIC_SNAPSHOTS} snapshots, got {count}"
+            )
+    if "invariants" in tasks and config.family is not None:
+        count = solver.DEFAULT_OUTPUT_COUNT if config.output_times is None else len(config.output_times)
+        solver.check_trajectory_size(count, config.resolution)
+    for task in ("rescale", "classify"):
+        if task in tasks:
+            _require_backward_resolvable(config.spec(), task)
+
+
 def resolve_out_dir(configured: str | None) -> str | None:
     return os.environ.get("GEOMFLOW_OUT") or configured
 
@@ -347,6 +356,7 @@ def resolve_out_dir(configured: str | None) -> str | None:
 def run(config: ScenarioConfig) -> int:
     """Execute the config's tasks in canonical order; 0/1 exit semantics."""
     out_dir = resolve_out_dir(config.out)
+    _check_tasks(config)
     failures = 0
     for task in TASKS:
         if task in config.tasks:

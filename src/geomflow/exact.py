@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ExtentError
-from .grids import CYLINDER, RADIAL, ConformalGrid, check_layout
+from .grids import CYLINDER, RADIAL, ConformalGrid, check_layout, check_positive
 
 CIGAR = "Cigar"
 ROSENAU = "Rosenau"
@@ -69,19 +69,21 @@ def _logsinh(y):
     return out
 
 
-def _logaddexp(a, b):
+def _logaddexp(a, b, out=None, scratch=None):
     """log(exp(a) + exp(b)) by numpy's npy_logaddexp formula, hi + log1p(exp(lo - hi)),
     on vectorized ufuncs; lo - hi is exactly -|a - b|. Broadcasts like numpy's
-    logaddexp and returns a new array (0-d for scalar inputs)."""
+    logaddexp. The result goes to out, or to a new array (0-d for scalar inputs);
+    hi = max(a, b) goes to scratch, or to a temporary. Neither may overlap a or b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     np.subtract(a, b, out=out)
     np.abs(out, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    out += np.maximum(a, b)
+    out += np.maximum(a, b, out=scratch)
     return out
 
 
@@ -186,17 +188,23 @@ def _ds_shift(beta: float, delta: float, t: float) -> float:
 
 
 def log_u_profile(
-    spec: ExactSolutionSpec, coords: np.ndarray, t: float | tuple[float, ...]
+    spec: ExactSolutionSpec, coords: np.ndarray, t: float | tuple[float, ...], out=None, scratch=None
 ) -> np.ndarray:
     """log u along the generator line (rho or x nodes) at time t.
 
     t may also be a tuple of times; row k of the result is then the profile
-    at t[k], bitwise as if evaluated alone.
+    at t[k], bitwise as if evaluated alone. The rows go to out when given,
+    and the Rosenau family, which evaluates them as one 2-d block, may
+    overwrite scratch, of the same shape; with both, it allocates nothing of
+    that shape. The other families fill the rows one at a time.
     """
     c = np.asarray(coords, dtype=float)
     if isinstance(t, tuple):
         if spec.family != ROSENAU:
-            return np.array([log_u_profile(spec, c, s) for s in t])
+            rows = np.empty((len(t),) + c.shape) if out is None else out
+            for row, s in zip(rows, t):
+                row[...] = log_u_profile(spec, c, s)
+            return rows
         for s in t:
             check_time(spec, s)
         # the Rosenau time terms broadcast over the rows
@@ -209,7 +217,7 @@ def log_u_profile(
     if fam == ROSENAU:
         lcx = _logcosh(c)
         lct = _logcosh(t)
-        lse = _logaddexp(lcx, lct)
+        lse = _logaddexp(lcx, lct, out, scratch)
         return np.subtract(_logsinh(-t), lse, out=lse)
     if fam == SPHERE:
         return math.log(-8.0 * t) - 2.0 * np.log1p(c * c)
@@ -264,6 +272,15 @@ def rosenau_rmax(t: float) -> float:
     if t >= 0.0:
         raise DomainError("Rosenau solution requires t < 0")
     return 1.0 / math.tanh(-t)
+
+
+def check_extremes(spec: ExactSolutionSpec, coords: np.ndarray, times) -> None:
+    """Check every time, and u finite and positive at every time on coords, without
+    sampling every node: each family's u is largest at the node nearest the centre
+    (rho = 0 or x = 0) and least at an end node, so those three nodes bound it."""
+    c = np.asarray(coords, dtype=float)
+    bounds = c[[0, int(np.argmin(np.abs(c))), -1]]
+    check_positive(np.exp(log_u_profile(spec, bounds, tuple(float(t) for t in times))))
 
 
 def sample_grid(

@@ -51,16 +51,28 @@ def _one_sided_first(w3: np.ndarray, h: float):
     return (3.0 * w3[..., 0] - 4.0 * w3[..., 1] + w3[..., 2]) / (2.0 * h)
 
 
-def laplacian_field(w: np.ndarray, nodes: np.ndarray, h: float, chart: str) -> np.ndarray:
+def laplacian_field(
+    w: np.ndarray, nodes: np.ndarray, h: float, chart: str, out=None, scratch=None
+) -> np.ndarray:
     """Flat-chart Laplacian of a rotationally symmetric field.
 
     w is one row of node values or a (rows, nodes) block; the stencil runs
     along the last axis, and each row of a block is bitwise its 1-d result.
+    The result goes to out when given; the radial chart's first-derivative
+    term goes to scratch, of the same shape, when given. With both, nothing
+    of w's size is allocated, and the values are the same to the bit.
     """
-    lap = np.empty_like(w)
-    lap[..., 1:-1] = (w[..., 2:] - 2.0 * w[..., 1:-1] + w[..., :-2]) / (h * h)
+    lap = np.empty_like(w) if out is None else out
+    # (w[2:] - 2 w[1:-1] + w[:-2]) / h^2, one operation at a time into lap
+    mid = np.multiply(w[..., 1:-1], 2.0, out=lap[..., 1:-1])
+    np.subtract(w[..., 2:], mid, out=mid)
+    mid += w[..., :-2]
+    mid /= h * h
     if chart == RADIAL:
-        lap[..., 1:-1] += (w[..., 2:] - w[..., :-2]) / (2.0 * h) / nodes[1:-1]
+        slope = np.subtract(w[..., 2:], w[..., :-2], out=None if scratch is None else scratch[..., 1:-1])
+        slope /= 2.0 * h
+        slope /= nodes[1:-1]
+        mid += slope
         lap[..., 0] = _axis_laplacian(w, h)
         tail = w[..., -1:-5:-1]
         lap[..., -1] = _one_sided_second(tail, h) + _one_sided_first(tail, h) / nodes[-1]
@@ -71,12 +83,15 @@ def laplacian_field(w: np.ndarray, nodes: np.ndarray, h: float, chart: str) -> n
 
 
 def curvature_field(
-    w: np.ndarray, u: np.ndarray, nodes: np.ndarray, h: float, chart: str
+    w: np.ndarray, u: np.ndarray, nodes: np.ndarray, h: float, chart: str, out=None, scratch=None
 ) -> np.ndarray:
     """R = -lap(w)/u for one row of u or a (rows, nodes) block, given w = log u
     (the solver passes its own log state, which can differ from np.log(u) in
-    the last bit)."""
-    return -laplacian_field(w, nodes, h, chart) / u
+    the last bit). out and scratch are laplacian_field's; R is built in out."""
+    r = laplacian_field(w, nodes, h, chart, out, scratch)
+    np.negative(r, out=r)
+    r /= u
+    return r
 
 
 def scalar_curvature(grid: ConformalGrid) -> np.ndarray:

@@ -89,15 +89,18 @@ def reliable_slice(chart: str, n: int) -> slice:
     return slice(RELIABLE_MARGIN, n - RELIABLE_MARGIN)
 
 
-def trust_mask(u: np.ndarray, chart: str, floor: float) -> np.ndarray:
+def trust_mask(u: np.ndarray, chart: str, floor: float, out=None) -> np.ndarray:
     """Reliable-slice nodes of u with u >= floor, for one row or a (rows, nodes) block.
 
     A row with no such node keeps its best-conditioned node (the argmax of u),
-    so maxima over the mask are always defined.
+    so maxima over the mask are always defined. The mask goes to out, a bool
+    array of u's shape, when given.
     """
-    mask = np.zeros(u.shape, dtype=bool)
+    mask = np.empty(u.shape, dtype=bool) if out is None else out
     rel = reliable_slice(chart, u.shape[-1])
-    mask[..., rel] = u[..., rel] >= floor
+    mask[..., : rel.start] = False
+    mask[..., rel.stop :] = False
+    np.greater_equal(u[..., rel], floor, out=mask[..., rel])
     empty = ~mask.any(axis=-1)
     if empty.any():
         mask[empty, np.argmax(u[empty], axis=-1)] = True

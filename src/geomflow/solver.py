@@ -40,7 +40,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .errors import BlowUpError, DomainError, GeomflowError, StepRejectedError, WindowError
-from .exact import ExactSolutionSpec, check_time, log_u_profile, sample_grid
+from .exact import ExactSolutionSpec, check_extremes, check_time, log_u_profile, sample_grid
 from .geometry import curvature_field
 from .grids import CYLINDER, RADIAL, ConformalGrid, check_layout, check_positive, readonly
 from .grids import reliable_slice, trust_mask
@@ -62,8 +62,8 @@ DEFAULT_OUTPUT_COUNT = 17
 DIAGNOSTIC_SNAPSHOTS = 3
 # tracked circles of diagnostics, as fractions of the reliable node range
 CIRCLE_FRACTIONS = (0.25, 0.5, 0.75)
-# float64 cells of one trajectory's snapshot array (512 MiB); 86x the largest
-# benchmark trajectory, 253 snapshots of ~3,085 nodes
+# float64 values of one trajectory's snapshots (512 MiB when stored); 86x the
+# largest benchmark trajectory, 253 snapshots of ~3,085 nodes
 MAX_TRAJECTORY_CELLS = 2**26
 
 # Trust region for curvature statistics on evolved data. R = -lap(w)/u divides
@@ -73,8 +73,8 @@ MAX_TRAJECTORY_CELLS = 2**26
 # discarded tail carries curvature within 1e-6 of the retained region's values.
 CURVATURE_TRUST_FLOOR = 1.0e-5
 
-# float64 values in one row block (256 KiB) of a blocked snapshot scan: every
-# temporary of the scan is this size, never the size of a trajectory's U
+# float64 values in one row block (256 KiB) of a blocked snapshot scan: the
+# scan's workspace arrays are this size, never the size of a trajectory
 BLOCK_CELLS = 2**15
 
 
@@ -108,40 +108,64 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class FlowTrajectory:
-    """Snapshots of one flow run as rows of one array, plus the step log.
+    """Snapshots of one flow run on a shared chart and nodes, plus the step log.
 
-    Row k of the read-only array U, of shape (len(times), len(nodes)), is
-    the conformal factor at times[k] on the shared chart and nodes. The
-    provenance keeps recording which family supplied the boundary data,
-    even though evolved interiors carry discretization error.
+    Row k is the conformal factor at times[k]. An evolved run stores its rows
+    in the read-only array U, of shape (len(times), len(nodes)). A closed-form
+    trajectory (exact_trajectory) has U None and samples its provenance
+    family whenever rows are read, bitwise the rows it would store; u_rows
+    reads either kind. The provenance keeps recording which family supplied
+    the boundary data, even though evolved interiors carry discretization
+    error.
     """
 
     chart: str
     nodes: np.ndarray
     times: np.ndarray
-    U: np.ndarray
+    U: np.ndarray | None
     provenance: ExactSolutionSpec | None
     steps: tuple[StepRecord, ...]
     h: float = field(init=False)
 
     def __post_init__(self):
-        nodes, times, U = readonly(self.nodes), readonly(self.times), readonly(self.U)
-        if nodes.ndim != 1 or times.ndim != 1 or U.shape != (times.size, nodes.size):
+        nodes, times = readonly(self.nodes), readonly(self.times)
+        U = None if self.U is None else readonly(self.U)
+        shape = (times.size, nodes.size) if U is None else U.shape
+        if nodes.ndim != 1 or times.ndim != 1 or shape != (times.size, nodes.size):
             raise DomainError("U must have shape (len(times), len(nodes))")
+        if U is None and (self.provenance is None or self.provenance.chart != self.chart):
+            raise DomainError("a trajectory without stored rows needs a family on its chart to sample")
         if times.size < 1:
             raise WindowError("trajectory needs at least one snapshot")
         if not np.all(np.diff(times) > 0.0):
             raise WindowError("snapshot times must be strictly increasing")
         object.__setattr__(self, "h", check_layout(self.chart, nodes))
-        check_positive(U)
+        if U is not None:
+            check_positive(U)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "U", U)
 
+    def u_rows(self, start: int = 0, stop: int | None = None, out=None, scratch=None) -> np.ndarray:
+        """Rows start..stop-1 of u: a view of the stored U, or the family sampled at
+        those times and checked finite and positive. Sampled rows go to out (and
+        log_u_profile may overwrite scratch) when given, else to a new read-only array."""
+        stop = self.times.size if stop is None else stop
+        if self.U is not None:
+            return self.U[start:stop]
+        times = tuple(self.times[start:stop].tolist())
+        u = log_u_profile(self.provenance, self.nodes, times, out, scratch)
+        np.exp(u, out=u)
+        check_positive(u)
+        if out is None:
+            u.setflags(write=False)
+        return u
+
     def snapshot(self, k: int) -> ConformalGrid:
         """Snapshot k as a standalone grid; it shares the trajectory's read-only arrays."""
+        k = range(self.times.size)[k]
         t = float(self.times[k])
-        return ConformalGrid(self.chart, self.nodes, self.U[k], t, self.provenance)
+        return ConformalGrid(self.chart, self.nodes, self.u_rows(k, k + 1)[0], t, self.provenance)
 
     @property
     def grid0(self) -> ConformalGrid:
@@ -149,12 +173,25 @@ class FlowTrajectory:
 
     def blocks(self, start: int = 0, stop: int | None = None):
         """Yield (rows, R, trusted) over snapshots start..stop-1, one row_blocks block at
-        a time, trusted as in trusted_mask: every snapshot scan's one curvature pass."""
+        a time, trusted as in trusted_mask: every snapshot scan's one curvature pass.
+
+        The block arrays are a workspace allocated once per call and filled in
+        place, so the scan allocates nothing of a block's size after it starts:
+        each yielded R and trusted is overwritten by the next block, and a caller
+        that keeps a row past it copies the row.
+        """
         stop = self.times.size if stop is None else stop
-        for rows in row_blocks(start, stop, self.nodes.size):
-            u = self.U[rows]
-            r = curvature_field(np.log(u), u, self.nodes, self.h, self.chart)
-            yield rows, r, trust_mask(u, self.chart, CURVATURE_TRUST_FLOOR)
+        n = self.nodes.size
+        shape = (max(1, min(stop - start, BLOCK_CELLS // n)), n)
+        sampled, w, r, scratch = np.empty((4,) + shape)
+        trusted = np.empty(shape, dtype=bool)
+        for rows in row_blocks(start, stop, n):
+            m = rows.stop - rows.start
+            # u_rows ignores sampled for stored rows, and a cylinder Laplacian ignores scratch
+            u = self.u_rows(rows.start, rows.stop, sampled[:m], scratch[:m])
+            np.log(u, out=w[:m])
+            curvature_field(w[:m], u, self.nodes, self.h, self.chart, r[:m], scratch[:m])
+            yield rows, r[:m], trust_mask(u, self.chart, CURVATURE_TRUST_FLOOR, trusted[:m])
 
     def u_at(self, t: float) -> np.ndarray:
         """Conformal factor at time t, linear in time between snapshots."""
@@ -164,12 +201,13 @@ class FlowTrajectory:
             raise WindowError(f"time {t} outside snapshot range [{times[0]}, {times[-1]}]")
         k = int(np.searchsorted(times, t))
         if k == 0:
-            return self.U[0].copy()
+            return self.u_rows(0, 1)[0].copy()
         if k == len(times):
-            return self.U[-1].copy()
+            return self.u_rows(k - 1, k)[0].copy()
         t0, t1 = times[k - 1], times[k]
         lam = (t - t0) / (t1 - t0)
-        return (1.0 - lam) * self.U[k - 1] + lam * self.U[k]
+        u0, u1 = self.u_rows(k - 1, k + 1)
+        return (1.0 - lam) * u0 + lam * u1
 
 
 @dataclass(frozen=True)
@@ -511,7 +549,8 @@ def row_blocks(start: int, stop: int, n: int) -> list[slice]:
 
 
 def check_trajectory_size(times: int, n: int) -> None:
-    """Reject times x n snapshot values above MAX_TRAJECTORY_CELLS before allocating them."""
+    """Reject times x n snapshot values above MAX_TRAJECTORY_CELLS before any is computed:
+    an evolved trajectory stores them, a closed-form one samples them on every scan."""
     if times * n > MAX_TRAJECTORY_CELLS:
         raise DomainError(
             f"{times} snapshots x {n} nodes exceed the limit of {MAX_TRAJECTORY_CELLS} values"
@@ -591,18 +630,20 @@ def exact_trajectory(
     x_lo: float | None = None,
     x_hi: float | None = None,
 ) -> FlowTrajectory:
-    """Trajectory sampled straight from a family (no stepping, no error)."""
+    """Trajectory of a family at the given times (no stepping, no error).
+
+    Its rows are not stored: every read samples them (FlowTrajectory.u_rows),
+    so the size limit bounds the work of a scan, not its memory. The size, the
+    layout, every time and the range of u (through its extremes) are checked
+    here, before any scan.
+    """
     times = np.asarray(times, dtype=float)
     if times.size < 2 or np.any(np.diff(times) <= 0.0):
         raise WindowError("exact trajectory needs at least two strictly increasing times")
     check_trajectory_size(times.size, int(n))
     grid = sample_grid(spec, float(times[0]), n=n, extent=extent, x_lo=x_lo, x_hi=x_hi)
-    U = np.empty((times.size, grid.n))
-    U[0] = grid.u
-    for rows in row_blocks(1, times.size, grid.n):
-        np.exp(log_u_profile(spec, grid.nodes, tuple(times[rows].tolist())), out=U[rows])
-    U.setflags(write=False)
-    return FlowTrajectory(grid.chart, grid.nodes, times, U, spec, ())
+    check_extremes(spec, grid.nodes, times)
+    return FlowTrajectory(grid.chart, grid.nodes, times, None, spec, ())
 
 
 def curvature_range(
@@ -633,7 +674,8 @@ def closed_form_error(traj: FlowTrajectory) -> float:
     worst = 0.0
     for rows in row_blocks(0, traj.times.size, traj.nodes.size):
         u_ref = np.exp(log_u_profile(traj.provenance, traj.nodes, tuple(traj.times[rows].tolist())))
-        worst = max(worst, float(np.abs((traj.U[rows] - u_ref) / u_ref)[:, rel].max()))
+        u = traj.u_rows(rows.start, rows.stop)
+        worst = max(worst, float(np.abs((u - u_ref) / u_ref)[:, rel].max()))
     return worst
 
 
@@ -667,31 +709,38 @@ def diagnostics(traj: FlowTrajectory) -> DiagnosticReport:
 
     idx = _tracked_circle_indices(traj)
     cols = np.array(idx, dtype=int)
-    w0 = np.log(traj.U[0])
-    mask = np.ones(traj.nodes.size, dtype=bool)
+    n = traj.nodes.size
+    w0 = np.log(traj.u_rows(0, 1)[0])
+    mask = np.ones(n, dtype=bool)
     peaks = np.empty(count)
     r_cols = np.empty((count, cols.size))
-    r_int = np.zeros(traj.nodes.size)  # integral_0^t R dtau, trapezoid rule accumulated row by row
-    f_worst = np.zeros(traj.nodes.size)  # per node: max of |log(u/u0) + r_int| over t
-    harnack_worst = np.zeros(traj.nodes.size)  # per node: largest decrease of t * R
+    u_cols = np.empty((count, cols.size))
+    r_int = np.zeros(n)  # integral_0^t R dtau, trapezoid rule accumulated row by row
+    f_worst = np.zeros(n)  # per node: max of |log(u/u0) + r_int| over t
+    harnack_worst = np.zeros(n)  # per node: largest decrease of t * R
     for rows, block, trusted in traj.blocks():
+        u = traj.u_rows(rows.start, rows.stop)
         mask &= trusted.all(axis=0)
         np.max(block, axis=-1, where=trusted, initial=-np.inf, out=peaks[rows])
         r_cols[rows] = block[:, cols]
-        for k, r in enumerate(block, start=rows.start):
+        u_cols[rows] = u[:, cols]
+        for k, r, u_k in zip(range(rows.start, rows.stop), block, u):
             if k:
                 r_int = r_int + (times[k] - times[k - 1]) * (r + r_prev) / 2.0
-                np.maximum(f_worst, np.abs(np.log(traj.U[k]) - w0 + r_int), out=f_worst)
+                np.maximum(f_worst, np.abs(np.log(u_k) - w0 + r_int), out=f_worst)
                 increments = (times[k] + shift) * r - (times[k - 1] + shift) * r_prev
                 np.maximum(harnack_worst, -increments, out=harnack_worst)
             r_prev = r
+        r_prev = r_prev.copy()  # the next block overwrites this one's rows
     if not mask.any():
-        mask[reliable_slice(traj.chart, traj.nodes.size)] = True
+        mask[reliable_slice(traj.chart, n)] = True
     m_of_t = [(float(times[0]), 0.0)]  # log(u/u0) vanishes at the first snapshot
-    for k in range(1, count):
-        m_of_t.append((float(times[k]), float((np.log(traj.U[k]) - w0)[mask].min())))
+    for rows in row_blocks(1, count, n):
+        logs = np.log(traj.u_rows(rows.start, rows.stop))
+        logs -= w0
+        m_of_t.extend(zip(times[rows].tolist(), logs[:, mask].min(axis=1).tolist()))
 
-    root_u = np.sqrt(traj.U[:, cols])
+    root_u = np.sqrt(u_cols)
     geom = math.pi * (traj.nodes[cols] if traj.chart == RADIAL else np.ones(cols.size))
     lengths = 2.0 * geom * root_u
     dldt = np.gradient(lengths, times, axis=0)

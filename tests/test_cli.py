@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import geomflow
-from geomflow import cli, exact, serialize, solver
+from geomflow import acceptance, cli, exact, serialize, solver
 from geomflow.errors import DomainError
 from geomflow.geometry import FIELD_ORDER
 
@@ -185,6 +185,31 @@ def test_simulate_with_two_snapshots_exits_2_before_stepping(tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # the window ends alone: two snapshots, too few for diagnostics.json
+        ({"tasks": ["verify", "simulate"], "output_times": [-2.0, -1.0]}, "at least 3 snapshots"),
+        ({"tasks": ["verify", "rescale"], "family": "cigar"}, "collapses exponentially"),
+        (
+            {"tasks": ["verify", "invariants"], "resolution": 2**20, "output_times": [-2.0 + k / 65 for k in range(65)]},
+            "exceed the limit",
+        ),
+    ],
+    ids=["simulate-snapshots", "rescale-family", "invariants-size"],
+)
+def test_a_later_task_that_fails_validation_leaves_no_artifact(tmp_path, capsys, monkeypatch, overrides, message):
+    def no_verify(*args, **kwargs):
+        raise AssertionError("ran verify before every requested task was validated")
+
+    monkeypatch.setattr(acceptance, "flow_residual", no_verify)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, out=str(out), **overrides)
+    assert cli.main(["run", path]) == 2
+    assert message in assert_one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_simulate_takes_one_curvature_pass_per_block(tmp_path, monkeypatch):
     # rmax.csv and diagnostics.json come from one traj.blocks pass
     calls = []
@@ -290,6 +315,17 @@ def test_underflowing_soliton_shift_exits_2_with_one_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
     assert "time shift" in proc.stderr
+
+
+def test_a_later_snapshot_that_underflows_exits_2_with_one_line(tmp_path):
+    # row 0 (t = -64) is positive, but the t = -0.001 row underflows to 0 at the chart
+    # ends, and the rows before it are subnormal there: a curvature pass over those would
+    # overflow. A subprocess, so a numpy RuntimeWarning would reach stderr as it does for users
+    args = ["classify", "--family", "rosenau", "--extent", "740", "--t1", "-0.001"]
+    proc = run_python(tmp_path, "-m", "geomflow.cli", *args, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: conformal factor must be finite and positive\n"
+    assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.parametrize(

@@ -143,7 +143,7 @@ def masked_magnitude(traj, k):
 
 def test_blocked_peaks_equal_the_masked_magnitude_maxima():
     base = ladder_trajectory(3)
-    U = np.array(base.U)
+    U = np.array(base.u_rows())
     U[7] *= 1e-6  # below the trust floor at every node: the argmax fallback decides
     traj = solver.FlowTrajectory(base.chart, base.nodes, base.times, U, base.provenance, ())
     assert not np.any(traj.U[7] >= solver.CURVATURE_TRUST_FLOOR)
@@ -180,7 +180,7 @@ def reference_pick(traj, T):
 @pytest.mark.parametrize("j", [2, 4])
 def test_pick_equals_the_row_by_row_reference_pick(j):
     traj = ladder_trajectory(j)
-    U = np.array(traj.U)
+    U = np.array(traj.u_rows())
     U[-1] *= 1e-6  # the last snapshot untrusted everywhere: its fallback node competes
     traj = solver.FlowTrajectory(traj.chart, traj.nodes, traj.times, U, traj.provenance, ())
     T = rescaling.default_window(j)
@@ -189,11 +189,48 @@ def test_pick_equals_the_row_by_row_reference_pick(j):
     assert (pick.t_j, pick.node, pick.score) == (float(traj.times[k]), node, score)
 
 
+@pytest.mark.parametrize(
+    "spec, kwargs",
+    [(exact.rosenau(), dict(x_lo=-20.0, x_hi=20.0)), (exact.sphere(), dict(extent=30.0))],
+    ids=["cylinder", "radial"],
+)
+def test_stored_and_closed_form_rows_give_equal_results(spec, kwargs):
+    # 15 snapshots of 5,001 nodes: three row blocks, so every scan carries state
+    # across two block boundaries
+    times = np.linspace(-16.0, -0.5, 15)
+    closed = solver.exact_trajectory(spec, times, n=5001, **kwargs)
+    stored = solver.FlowTrajectory(closed.chart, closed.nodes, closed.times, closed.u_rows(), spec, ())
+    assert closed.U is None and len(solver.row_blocks(0, times.size, 5001)) == 3
+
+    def results(traj):
+        pick = rescaling.pick_point(traj, -16.0, rescaling.default_gamma(4), j=4)
+        k = 7  # mid-block: u_at interpolates with weight exactly 1
+        return (
+            solver.curvature_range(traj),
+            solver.rmax_series(traj),
+            solver.diagnostics(traj),
+            solver.closed_form_error(traj),
+            pick,
+            rescaling.profile_distance(rescaling.dilate(traj, pick), cli.RESCALE_SPAN),
+            rescaling.classify_type(traj),
+            [traj.snapshot(i).u for i in range(times.size)],
+            traj.u_at(float(times[k])),
+        )
+
+    ranges, *reports, snapshots, u_k = results(closed)
+    stored_ranges, *stored_reports, stored_snapshots, stored_u_k = results(stored)
+    assert np.array_equal(ranges, stored_ranges)
+    assert reports == stored_reports
+    assert np.array_equal(snapshots, stored_snapshots)
+    assert np.array_equal(u_k, stored_u_k) and np.array_equal(u_k, snapshots[7])
+
+
 def test_pick_and_classify_scan_in_blocks_not_whole_arrays():
     # tracemalloc sees numpy's buffers. Measured (2**15-value blocks, 6 rows of
-    # 5,201 nodes): building U traces U plus about 0.63 MB (U is 10.7 MB), the
-    # pick and classify scans about 1.3 MB; a scan over the whole U at once traces
-    # several times U.nbytes. The bounds leave about 2x margin.
+    # 5,201 nodes): building the closed-form trajectory traces about 0.3 MB, as it
+    # stores no rows (storing them took 10.7 MB); the pick and classify scans about
+    # 1.2 MB, mostly their workspace of four row blocks. A scan over all rows at
+    # once traces several times 10.7 MB. The bounds leave about 2x margin.
     tracemalloc.start()
     try:
         traj = rescaling.backward_rosenau_trajectory(6)
@@ -205,9 +242,9 @@ def test_pick_and_classify_scan_in_blocks_not_whole_arrays():
         scan = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    block = 2**18  # bytes of one 2**15-value block temporary
-    assert build <= traj.U.nbytes + 8 * block
-    assert scan <= 10 * block < traj.U.nbytes / 4
+    block = 2**18  # bytes of one 2**15-value block
+    assert build <= 2 * block
+    assert scan <= 10 * block < traj.times.size * traj.nodes.size * 8 / 4
 
 
 def test_pick_is_reproducible():
@@ -457,7 +494,7 @@ def test_classifier_is_scale_invariant():
     traj = classifier_rosenau_trajectory()
     rep = rescaling.classify_type(traj)
     lam = 2.0
-    scaled = solver.FlowTrajectory(traj.chart, traj.nodes, lam * traj.times, lam * traj.U, None, ())
+    scaled = solver.FlowTrajectory(traj.chart, traj.nodes, lam * traj.times, lam * traj.u_rows(), None, ())
     rep_scaled = rescaling.classify_type(scaled, t0=lam * rep.t0)
     assert rep_scaled.verdict == rep.verdict
     assert len(rep_scaled.samples) == len(rep.samples)
@@ -472,7 +509,7 @@ def test_backward_trajectory_validation_and_layout():
     traj = rescaling.backward_rosenau_trajectory(1, h_target=0.5, snapshot_count=5)
     assert traj.grid0.n == 85
     assert traj.grid0.nodes[0] == -21.0
-    assert traj.U.shape == (5, 85)
+    assert traj.U is None and traj.u_rows().shape == (5, 85)
     assert float(traj.times[0]) == -2.0
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import sys
+import tracemalloc
 from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
@@ -264,6 +265,7 @@ def test_rmax_series_constant_on_exact_cigar():
     [
         (exact.cigar(4.0), np.linspace(-0.5, 2.0, 15), dict(extent=30.0)),
         (exact.rosenau(), np.linspace(-3.0, -0.2, 15), dict(extent=12.0)),
+        (exact.sphere(), np.linspace(-8.0, -0.5, 15), dict(extent=30.0)),
     ],
 )
 def test_blocked_rmax_series_equals_the_row_by_row_maxima(spec, times, kwargs):
@@ -271,6 +273,10 @@ def test_blocked_rmax_series_equals_the_row_by_row_maxima(spec, times, kwargs):
     # 6 rows per block: 15 snapshots end in a short block
     assert [b.stop - b.start for b in solver.row_blocks(0, times.size, n)] == [6, 6, 3]
     traj = solver.exact_trajectory(spec, times, n=n, **kwargs)
+    # the same rows stored: the scan reads them through the same blocks
+    stored = solver.FlowTrajectory(traj.chart, traj.nodes, traj.times, traj.u_rows(), spec, ())
+    assert np.array_equal(solver.curvature_range(stored), solver.curvature_range(traj))
+    assert solver.rmax_series(stored) == solver.rmax_series(traj)
     values = solver.rmax_series(traj).values
     assert len(values) == times.size
     for k, (t, rm) in enumerate(values):
@@ -400,7 +406,8 @@ def row_by_row_diagnostics(traj):
         shift = span - float(times[0])
     idx = solver._tracked_circle_indices(traj)
     cols = np.array(idx, dtype=int)
-    w0 = np.log(traj.U[0])
+    U = traj.u_rows()
+    w0 = np.log(U[0])
     r = geometry.scalar_curvature(snapshots[0])
     r_int = np.zeros_like(r)
     r_cols = [r[cols]]
@@ -410,14 +417,14 @@ def row_by_row_diagnostics(traj):
     for k in range(1, times.size):
         r_prev, r = r, geometry.scalar_curvature(snapshots[k])
         peaks.append(float(r[trusted[k]].max()))
-        f = np.log(traj.U[k]) - w0
+        f = np.log(U[k]) - w0
         r_int = r_int + (times[k] - times[k - 1]) * (r + r_prev) / 2.0
         f_defect = max(f_defect, float(np.abs(f + r_int)[mask].max()))
         m_of_t.append((float(times[k]), float(f[mask].min())))
         increments = (times[k] + shift) * r - (times[k - 1] + shift) * r_prev
         harnack_defect = max(harnack_defect, -float(increments[mask].min()))
         r_cols.append(r[cols])
-    root_u = np.sqrt(traj.U[:, cols])
+    root_u = np.sqrt(U[:, cols])
     geom = math.pi * traj.nodes[cols] if traj.chart == RADIAL else math.pi * np.ones(cols.size)
     dldt = np.gradient(2.0 * geom * root_u, times, axis=0)
     rhs = -geom * np.array(r_cols) * root_u
@@ -439,7 +446,7 @@ def _disjointly_trusted_trajectory():
     # rows 7 and 8 sit below the trust floor at every node, tilted so that their
     # fallback nodes (the argmax of u) differ: no node is trusted in every row
     base = solver.exact_trajectory(exact.rosenau(), np.linspace(-3.0, -0.2, 15), n=5001, extent=12.0)
-    U = np.array(base.U)
+    U = np.array(base.u_rows())
     U[7] *= 1e-6 * np.exp(-0.5 * base.nodes)
     U[8] *= 1e-6 * np.exp(0.5 * base.nodes)
     traj = solver.FlowTrajectory(base.chart, base.nodes, base.times, U, None, ())
@@ -447,15 +454,31 @@ def _disjointly_trusted_trajectory():
     return traj
 
 
+def _stored(traj):
+    """The same trajectory with its rows stored as U."""
+    return solver.FlowTrajectory(traj.chart, traj.nodes, traj.times, traj.u_rows(), traj.provenance, ())
+
+
+def _closed_form_sphere():
+    return solver.exact_trajectory(exact.sphere(), np.linspace(-8.0, -0.5, 15), n=5001, extent=30.0)
+
+
+def _closed_form_rosenau():
+    return solver.exact_trajectory(exact.rosenau(), np.linspace(-3.0, -0.2, 15), n=5001, extent=12.0)
+
+
 @pytest.mark.parametrize(
     "make",
     [
         lambda: solver.exact_trajectory(exact.cigar(4.0), np.linspace(-0.5, 2.0, 15), n=5001, extent=30.0),
-        lambda: solver.exact_trajectory(exact.rosenau(), np.linspace(-3.0, -0.2, 15), n=5001, extent=12.0),
+        _closed_form_rosenau,
         lambda: rosenau_run(n=3001, snapshots=23),
         _disjointly_trusted_trajectory,
+        _closed_form_sphere,
+        lambda: _stored(_closed_form_rosenau()),
+        lambda: _stored(_closed_form_sphere()),
     ],
-    ids=["radial", "cylinder", "evolved", "empty-mask"],
+    ids=["radial", "cylinder", "evolved", "empty-mask", "sphere", "cylinder-stored", "sphere-stored"],
 )
 def test_blocked_diagnostics_equal_the_row_by_row_loop(make):
     traj = make()
@@ -508,6 +531,11 @@ def test_trajectory_validation():
         make(times=(0.0, 0.0))
     with pytest.raises(WindowError):
         make(times=(), U=np.ones((0, 64)))
+    # rows that are not stored are sampled from a family on the trajectory's chart
+    with pytest.raises(DomainError, match="without stored rows"):
+        solver.FlowTrajectory(g.chart, g.nodes, np.array([0.0, 1.0]), None, None, ())
+    with pytest.raises(DomainError, match="without stored rows"):
+        solver.FlowTrajectory(CYLINDER, g.nodes, np.array([0.0, 1.0]), None, exact.cigar(4.0), ())
 
 
 def test_trajectory_keeps_a_private_read_only_copy():
@@ -524,11 +552,12 @@ def test_trajectory_u_at_interpolates_linearly():
     traj = solver.exact_trajectory(
         exact.rosenau(), [-2.0, -1.5, -1.0], n=64, extent=5.0
     )
+    U = traj.u_rows()
     mid = traj.u_at(-1.75)
-    expected = 0.5 * (traj.U[0] + traj.U[1])
+    expected = 0.5 * (U[0] + U[1])
     assert np.abs(mid - expected).max() <= 1e-15
-    assert np.array_equal(traj.u_at(-2.0), traj.U[0])
-    assert np.array_equal(traj.u_at(-1.0), traj.U[-1])
+    assert np.array_equal(traj.u_at(-2.0), U[0])
+    assert np.array_equal(traj.u_at(-1.0), U[-1])
     with pytest.raises(WindowError):
         traj.u_at(-3.0)
     with pytest.raises(WindowError):
@@ -543,6 +572,17 @@ def test_exact_trajectory_validation():
     traj = solver.exact_trajectory(exact.rosenau(), [-2.0, -1.0], n=64, extent=5.0)
     assert traj.steps == ()
     assert traj.provenance == exact.rosenau()
+
+
+def test_closed_form_rows_that_leave_float64_fail_before_the_curvature_pass():
+    # at |x| = 740 the t = -0.001 row underflows to 0 while the t = -64 row is positive
+    nodes = np.linspace(-740.0, 740.0, 3081)
+    with pytest.raises(DomainError, match="finite and positive"):
+        solver.exact_trajectory(exact.rosenau(), [-64.0, -0.001], n=nodes.size, extent=740.0)
+    # built directly, the trajectory checks each sampled block before dividing by it
+    traj = solver.FlowTrajectory(CYLINDER, nodes, np.array([-64.0, -0.001]), None, exact.rosenau(), ())
+    with pytest.raises(DomainError, match="finite and positive"):
+        solver.curvature_range(traj)
 
 
 def test_trajectories_over_the_size_limit_are_rejected_before_allocating(monkeypatch):
@@ -567,11 +607,12 @@ def test_exact_trajectory_rows_match_sampled_grids():
     for k, t in enumerate(times):
         grid = exact.sample_grid(exact.rosenau(), t, n=64, extent=5.0)
         snap = traj.snapshot(k)
-        assert np.array_equal(traj.U[k], grid.u)
+        assert np.array_equal(traj.u_rows(k, k + 1)[0], grid.u)
         assert np.array_equal(snap.nodes, grid.nodes)
         assert (snap.t, snap.provenance, snap.chart) == (grid.t, grid.provenance, grid.chart)
         assert np.array_equal(geometry.scalar_curvature(snap), geometry.scalar_curvature(grid))
         assert np.array_equal(solver.trusted_mask(snap), solver.trusted_mask(grid))
+    assert np.array_equal(traj.snapshot(-1).u, traj.snapshot(2).u)
     # one block holds all three rows; its rows are the sampled grids' fields
     ((rows, r, trusted),) = traj.blocks()
     assert rows == slice(0, 3)
@@ -596,8 +637,39 @@ def test_exact_trajectory_rows_are_bitwise_single_time_profiles(spec, times, kwa
     # rows 1..23 in blocks of 10: the last block is short
     assert [b.stop - b.start for b in blocks] == [10, 10, 3]
     traj = solver.exact_trajectory(spec, times, n=n, **kwargs)
+    assert traj.U is None
+    U = traj.u_rows()
+    # the rows a scan reads, block by block, are the rows of one whole read
+    for rows in [slice(0, 1)] + blocks:
+        assert np.array_equal(traj.u_rows(rows.start, rows.stop), U[rows])
     for k, t in enumerate(times.tolist()):
-        assert np.array_equal(traj.U[k], exact.u_profile(spec, traj.nodes, t))
+        assert np.array_equal(U[k], exact.u_profile(spec, traj.nodes, t))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_closed_form_rosenau, _closed_form_sphere, lambda: _stored(_closed_form_sphere())],
+    ids=["cylinder", "sphere", "sphere-stored"],
+)
+def test_blocks_fill_one_workspace_allocated_per_call(make):
+    # tracemalloc sees numpy's buffers. The first block allocates the workspace;
+    # the later ones may allocate row-sized temporaries (measured: about half a
+    # block, the Rosenau evaluation's node terms) but no array of a block's size
+    traj = make()
+    block = 6 * traj.nodes.size * 8  # bytes of one 6-row block
+    assert [b.stop - b.start for b in solver.row_blocks(0, traj.times.size, traj.nodes.size)] == [6, 6, 3]
+    tracemalloc.start()
+    try:
+        scan = traj.blocks()
+        next(scan)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        for _ in scan:
+            pass
+        grown = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert grown < block
 
 
 def test_row_blocks_cover_the_rows_once_with_at_least_one_row_each():
