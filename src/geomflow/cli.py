@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import acceptance, exact, rescaling, serialize, solver
-from .errors import DomainError, GeomflowError, WindowError
+from .errors import DomainError, GeomflowError
 from .geometry import invariant_report
 from .grids import ConformalGrid
 
@@ -338,7 +338,7 @@ def _check_tasks(config: ScenarioConfig) -> None:
         t0 = config.t0 if config.checkpoint is None else serialize.load_checkpoint(config.checkpoint).t
         count = solver.resolve_output_times(t0, config.t1, config.output_times).size
         if count < solver.DIAGNOSTIC_SNAPSHOTS:
-            raise WindowError(
+            raise DomainError(
                 f"diagnostics.json needs at least {solver.DIAGNOSTIC_SNAPSHOTS} snapshots, got {count}"
             )
     if "invariants" in tasks and config.family is not None:
@@ -448,10 +448,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return run(load_config(args.config))
         return run(_inline_config(args.command, args))
-    except GeomflowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (GeomflowError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSurfaceError,
-    DomainError,
-    EmbeddingObstructionError,
-    ExtentError,
-)
+from .errors import DomainError
 from .geometry import TWO_PI, circle_length_profile, s_profile
 from .grids import RADIAL, ConformalGrid, cumulative_trapezoid
 
@@ -90,9 +85,7 @@ def _check_slopes(hprime: np.ndarray, s: np.ndarray) -> None:
         if lo < -OBSTRUCTION_TOL:
             k = int(np.argmin(hprime))
             worst.append(f"h' = {lo:.6g} at s = {float(s[k]):.6g} (past an equator)")
-        raise EmbeddingObstructionError(
-            "metric is not realizable as a revolution graph: " + "; ".join(worst)
-        )
+        raise DomainError("metric is not realizable as a revolution graph: " + "; ".join(worst))
 
 
 def profile_from_metric(grid: ConformalGrid) -> RevolutionProfile:
@@ -120,15 +113,11 @@ def level_lengths(surface: EmbeddedSurface, heights) -> np.ndarray:
     z = surface.z
     z_max = float(z[-1])
     if not z_max > 0.0:
-        raise DegenerateSurfaceError(
-            "surface is a plane graph with z = 0 everywhere; levels are not circles"
-        )
+        raise DomainError("surface is a plane graph with z = 0 everywhere; levels are not circles")
     heights = np.asarray(heights, dtype=float)
     tol = 1e-12 * max(1.0, z_max)
     if heights.size and (heights.min() < -tol or heights.max() > z_max + tol):
-        raise ExtentError(
-            f"heights must lie within the embedded range [0, {z_max:.6g}]"
-        )
+        raise DomainError(f"heights must lie within the embedded range [0, {z_max:.6g}]")
     return TWO_PI * np.interp(heights, z, surface.r)
 
 

@@ -2,45 +2,8 @@
 
 
 class GeomflowError(Exception):
-    """Base class for all package-specific failures."""
+    """Base class of the package's failures, raised itself when a run cannot go on."""
 
 
 class DomainError(GeomflowError, ValueError):
-    """Evaluation time outside the existence interval, or chart mismatch."""
-
-
-class ExtentError(GeomflowError, ValueError):
-    """Requested coordinate or radius falls outside the sampled extent."""
-
-
-class WindowError(GeomflowError, ValueError):
-    """Trajectory does not cover the requested time window."""
-
-
-class StepRejectedError(GeomflowError, RuntimeError):
-    """Time step produced a non-finite or non-positive conformal factor."""
-
-    def __init__(self, message: str, node: int | None = None):
-        super().__init__(message)
-        self.node = node
-
-
-class BlowUpError(GeomflowError, RuntimeError):
-    """Curvature maximum crossed the configured blow-up threshold."""
-
-    def __init__(self, message: str, t: float, r_max: float):
-        super().__init__(message)
-        self.t = t
-        self.r_max = r_max
-
-
-class DegeneratePickError(GeomflowError, ValueError):
-    """Point picking failed: the curvature score vanishes identically."""
-
-
-class EmbeddingObstructionError(GeomflowError, ValueError):
-    """Metric profile cannot be realized as a surface of revolution graph."""
-
-
-class DegenerateSurfaceError(GeomflowError, ValueError):
-    """Surface has no proper height function (plane degenerate case)."""
+    """An input outside what the code accepts: a time, extent, window or shape."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ExtentError
+from .errors import DomainError
 from .grids import CYLINDER, RADIAL, ConformalGrid, check_layout, check_positive
 
 CIGAR = "Cigar"
@@ -295,17 +295,17 @@ def sample_grid(
     """Sample the family on a uniform grid of its chart at time t."""
     if spec.chart == RADIAL:
         if extent is None or extent <= 0.0:
-            raise ExtentError("radial sampling needs extent > 0")
+            raise DomainError("radial sampling needs extent > 0")
         nodes = np.linspace(0.0, float(extent), int(n))
     else:
         if x_lo is None or x_hi is None:
             if extent is None or extent <= 0.0:
-                raise ExtentError("cylinder sampling needs extent > 0 or explicit bounds")
+                raise DomainError("cylinder sampling needs extent > 0 or explicit bounds")
             x_lo, x_hi = -float(extent), float(extent)
         if not x_hi > x_lo:
-            raise ExtentError("cylinder sampling needs x_hi > x_lo")
+            raise DomainError("cylinder sampling needs x_hi > x_lo")
         if not float(x_hi) - float(x_lo) < math.inf:
-            raise ExtentError("cylinder sampling needs a finite width x_hi - x_lo")
+            raise DomainError("cylinder sampling needs a finite width x_hi - x_lo")
         nodes = np.linspace(float(x_lo), float(x_hi), int(n))
     # a layout the grid would reject must not reach the closed form, where it overflows
     check_layout(spec.chart, nodes)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ExtentError
+from .errors import DomainError
 from .grids import CYLINDER, RADIAL, RELIABLE_MARGIN, ConformalGrid, cumulative_trapezoid
 
 TWO_PI = 2.0 * math.pi
@@ -147,11 +147,11 @@ def _cumulative_curvature(grid: ConformalGrid) -> np.ndarray:
 def average_curvature_k(grid: ConformalGrid, r: float) -> float:
     """Mean of R over the geodesic ball of radius r about node 0."""
     if r <= 0.0:
-        raise ExtentError("average curvature needs r > 0")
+        raise DomainError("average curvature needs r > 0")
     s = s_profile(grid)
     i_r = _reliable_outer_index(grid)
     if r > s[i_r]:
-        raise ExtentError(f"r={r} exceeds the reliable geodesic radius {s[i_r]:.6g}")
+        raise DomainError(f"r={r} exceeds the reliable geodesic radius {s[i_r]:.6g}")
     num = float(np.interp(r, s, _cumulative_curvature(grid)))
     den = float(np.interp(r, s, ball_area_profile(grid)))
     return num / den

@@ -12,12 +12,12 @@ uniformly spaced nodes of one generator line:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, ExtentError
+from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from .exact import ExactSolutionSpec
@@ -146,12 +146,9 @@ class ConformalGrid:
         """Reliable-slice mask minus nodes drowned in 1/u roundoff noise."""
         return trust_mask(self.u, self.chart, U_NOISE_FLOOR)
 
-    def with_u(self, u: np.ndarray, t: float | None = None) -> "ConformalGrid":
-        return replace(self, u=u, t=self.t if t is None else float(t))
-
     def index_of(self, coord: float) -> int:
         """Nearest node index for a coordinate inside the extent."""
         lo, hi = float(self.nodes[0]), float(self.nodes[-1])
         if coord < lo - 1e-12 or coord > hi + 1e-12:
-            raise ExtentError(f"coordinate {coord} outside [{lo}, {hi}]")
+            raise DomainError(f"coordinate {coord} outside [{lo}, {hi}]")
         return int(round((coord - lo) / self.h))

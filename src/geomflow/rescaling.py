@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegeneratePickError,
-    DomainError,
-    ExtentError,
-    WindowError,
-)
+from .errors import DomainError
 from .exact import rosenau
 from .geometry import scalar_curvature
 from .grids import RADIAL, ConformalGrid, cumulative_trapezoid
@@ -103,11 +98,11 @@ def pick_point(
     times = traj.times
     tol = 1e-9 * max(1.0, abs(T_j))
     if float(times[0]) > T_j + tol:
-        raise WindowError(
+        raise DomainError(
             f"trajectory starts at {float(times[0])}, window needs coverage from {T_j}"
         )
     if not float(times[-1]) < 0.0:
-        raise WindowError("backward pick needs snapshot times strictly before 0")
+        raise DomainError("backward pick needs snapshot times strictly before 0")
 
     # a positive weight needs t > T_j, so the scored snapshots are a suffix
     first = int(np.searchsorted(times, T_j, side="right"))
@@ -124,14 +119,14 @@ def pick_point(
         snapshot_sups.append((k, weight, peak))
         sup = max(sup, peak)
     if not sup > 0.0:
-        raise DegeneratePickError("curvature score vanishes on the searched window")
+        raise DomainError("curvature score vanishes on the searched window")
 
     band = sup * (1.0 - PICK_TIE_RTOL)
     for k, weight, peak in snapshot_sups:
         if peak < band:
             continue
         # M = |R|/2 of snapshot k, untrusted nodes sent to -inf
-        _, r, trusted = next(traj.blocks(k, k + 1))
+        _, _, r, trusted = next(traj.blocks(k, k + 1))
         scores = weight * np.where(trusted[0], 0.5 * np.abs(r[0]), -np.inf)
         node = int(np.nonzero(scores >= band)[0][0])
         t_j = float(times[k])
@@ -148,7 +143,7 @@ def pick_point(
             omega_j=-t_j * m_j,
             score=float(scores[node]),
         )
-    raise DegeneratePickError("curvature score vanishes on the searched window")
+    raise DomainError("curvature score vanishes on the searched window")
 
 
 class DilatedFlow:
@@ -160,8 +155,6 @@ class DilatedFlow:
     """
 
     def __init__(self, traj: FlowTrajectory, pick: RescalingPick):
-        if not pick.M_j > 0.0:
-            raise DomainError("dilation needs a positive curvature magnitude")
         self.traj = traj
         self.pick = pick
 
@@ -172,7 +165,7 @@ class DilatedFlow:
     def u_at(self, t: float) -> np.ndarray:
         lo, hi = self.window
         if not lo < t < hi:
-            raise WindowError(f"dilated time {t} outside ({lo}, {hi})")
+            raise DomainError(f"dilated time {t} outside ({lo}, {hi})")
         return self.pick.M_j * self.traj.u_at(self.pick.t_j + t / self.pick.M_j)
 
     def grid_at(self, t: float) -> ConformalGrid:
@@ -247,15 +240,13 @@ def _tip_arc_position(grid: ConformalGrid, mask: np.ndarray, node: int, arc: np.
 def rescaled_profile(flow: DilatedFlow, span: float) -> RescaledProfile:
     """Profile of dilated curvature at the picked time out to unit-curvature distance span."""
     if not span > 0.0:
-        raise ExtentError(f"profile span must be positive, got {span}")
+        raise DomainError(f"profile span must be positive, got {span}")
     grid = flow.grid_at(0.0)
     r = scalar_curvature(grid)
     node = flow.pick.node
     r_tip = float(r[node])
     if not r_tip > 0.0:
-        raise DegeneratePickError(
-            f"dilated curvature at the picked node is not positive: {r_tip}"
-        )
+        raise DomainError(f"dilated curvature at the picked node is not positive: {r_tip}")
     mask = trusted_mask(grid)
     mask[node] = True
     arc = cumulative_trapezoid(np.sqrt(grid.u), grid.nodes)
@@ -263,7 +254,7 @@ def rescaled_profile(flow: DilatedFlow, span: float) -> RescaledProfile:
     s_hat = np.abs(arc - arc_tip) * math.sqrt(r_tip)
     reach = float(s_hat[mask].max())
     if reach < span:
-        raise ExtentError(
+        raise DomainError(
             f"grid supports the profile only to distance {reach:.3g}, span {span} requested"
         )
     keep = mask & (s_hat <= span)
@@ -307,7 +298,7 @@ def classify_type(traj: FlowTrajectory, t0: float = CLASSIFIER_T0) -> Classifica
     times = traj.times
     tol = 1e-9 * max(1.0, abs(float(times[0])))
     if float(times[-1]) < t0 - tol:
-        raise WindowError(f"trajectory ends at {float(times[-1])}, before t0 = {t0}")
+        raise DomainError(f"trajectory ends at {float(times[-1])}, before t0 = {t0}")
 
     windows = []
     T = 2.0 * t0
@@ -315,7 +306,7 @@ def classify_type(traj: FlowTrajectory, t0: float = CLASSIFIER_T0) -> Classifica
         windows.append(T)
         T *= 2.0
     if len(windows) < MIN_WINDOWS:
-        raise WindowError(
+        raise DomainError(
             f"need {MIN_WINDOWS} dyadic windows inside the trajectory, only {len(windows)} fit"
         )
 
@@ -330,7 +321,7 @@ def classify_type(traj: FlowTrajectory, t0: float = CLASSIFIER_T0) -> Classifica
     for T in windows:
         vals = [v for t, v in zip(sample_times, sample_values) if t >= T - tol]
         if not vals:
-            raise WindowError(f"no snapshots inside window [{T}, {t0}]")
+            raise DomainError(f"no snapshots inside window [{T}, {t0}]")
         samples.append((T, max(vals)))
 
     s_vals = [s for _, s in samples]

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from geomflow import exact
-from geomflow.errors import DomainError, ExtentError
+from geomflow.errors import DomainError
 from geomflow.grids import CYLINDER, RADIAL
 
 # hand-frozen closed-form values
@@ -238,7 +238,7 @@ def test_sample_grid_radial():
     assert g.nodes[0] == 0.0 and g.extent == 10.0
     assert g.provenance == exact.cigar(4.0)
     assert g.t == 0.0
-    with pytest.raises(ExtentError):
+    with pytest.raises(DomainError, match="^radial sampling needs extent > 0$"):
         exact.sample_grid(exact.cigar(4.0), 0.0, n=64)
 
 
@@ -248,8 +248,8 @@ def test_sample_grid_cylinder():
     assert g.nodes[0] == -8.0 and g.nodes[-1] == 8.0
     g = exact.sample_grid(exact.rosenau(), -1.0, n=64, x_lo=-2.0, x_hi=6.0)
     assert g.nodes[0] == -2.0 and g.nodes[-1] == 6.0
-    with pytest.raises(ExtentError):
+    with pytest.raises(DomainError, match="^cylinder sampling needs x_hi > x_lo$"):
         exact.sample_grid(exact.rosenau(), -1.0, n=64, x_lo=3.0, x_hi=3.0)
     # a width beyond float64 range is rejected before np.linspace overflows (and warns)
-    with pytest.raises(ExtentError, match="finite width"):
+    with pytest.raises(DomainError, match="^cylinder sampling needs a finite width"):
         exact.sample_grid(exact.rosenau(), -1.0, n=64, extent=1e308)

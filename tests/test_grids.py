@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geomflow.errors import DomainError, ExtentError
+from geomflow.errors import DomainError
 from geomflow.grids import (
     CYLINDER,
     MAX_NODE,
@@ -154,21 +154,12 @@ def test_grid_shares_read_only_input_and_copies_writable_input():
     assert again.u is g.u and again.nodes is g.nodes
 
 
-def test_with_u_replaces_only_field_and_time():
-    g = make_grid(n=32)
-    g2 = g.with_u(2.0 * g.u, t=1.5)
-    assert g2.t == 1.5
-    assert g2.u[0] == 2.0
-    assert g.u[0] == 1.0
-    assert np.array_equal(g2.nodes, g.nodes)
-
-
 def test_index_of():
     g = make_grid(n=31, extent=3.0)
     assert g.index_of(0.0) == 0
     assert g.index_of(3.0) == 30
     assert g.index_of(1.04) == 10  # nearest node at 1.0
-    with pytest.raises(ExtentError):
+    with pytest.raises(DomainError, match=r"^coordinate 3.5 outside \[0.0, 3.0\]$"):
         g.index_of(3.5)
 
 

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from geomflow import cli, exact, geometry, rescaling, solver
-from geomflow.errors import (
-    DegeneratePickError,
-    DomainError,
-    ExtentError,
-    WindowError,
-)
+from geomflow.errors import DomainError
 
 
 def ladder_trajectory(j, h_target=0.05, snapshot_count=65):
@@ -102,7 +97,7 @@ def test_pick_rejects_bad_gamma(gamma):
 
 def test_pick_needs_window_coverage():
     traj = ladder_trajectory(1)  # starts at -2
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match="^trajectory starts at -2.0, window needs coverage from -4.0$"):
         rescaling.pick_point(traj, -4.0, 0.5)
 
 
@@ -111,14 +106,14 @@ def test_pick_needs_strictly_backward_times():
     times = np.array([-1.0, 0.0])
     U = np.stack([base.u] * 2)
     traj = solver.FlowTrajectory(base.chart, base.nodes, times, U, None, ())
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match="^backward pick needs snapshot times strictly before 0$"):
         rescaling.pick_point(traj, -1.0, 0.5)
 
 
 def test_flat_pick_is_degenerate():
     times = np.linspace(-2.0, -0.5, 9)
     traj = solver.exact_trajectory(exact.flat(), times, n=201, extent=10.0)
-    with pytest.raises(DegeneratePickError):
+    with pytest.raises(DomainError, match="^curvature score vanishes on the searched window$"):
         rescaling.pick_point(traj, -2.0, 0.5)
 
 
@@ -312,7 +307,7 @@ def test_dilated_window_is_open():
     lo, hi = flow.window
     assert lo == -pick.alpha_j and hi == pick.omega_j
     for t in (lo, hi, lo - 1.0, hi + 1.0):
-        with pytest.raises(WindowError):
+        with pytest.raises(DomainError, match=r"^dilated time \S+ outside \(\S+, \S+\)$"):
             flow.u_at(t)
 
 
@@ -367,10 +362,10 @@ def test_rescaled_profile_structure():
 def test_profile_span_errors():
     traj, pick = ladder_pick(3)
     flow = rescaling.dilate(traj, pick)
-    with pytest.raises(ExtentError):
+    with pytest.raises(DomainError, match="^profile span must be positive, got 0.0$"):
         rescaling.rescaled_profile(flow, 0.0)
     # trusted region ends near unit-curvature distance 10.8 on this grid
-    with pytest.raises(ExtentError):
+    with pytest.raises(DomainError, match=r"^grid supports the profile only to distance \S+, span 20.0 requested$"):
         rescaling.rescaled_profile(flow, 20.0)
 
 
@@ -446,14 +441,14 @@ def test_classifier_rejects_bad_t0():
 def test_classifier_needs_enough_windows():
     times = np.linspace(-4.0, -1.0, 13)
     traj = solver.exact_trajectory(exact.rosenau(), times, n=401, x_lo=-22.0, x_hi=22.0)
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match="^need 4 dyadic windows inside the trajectory, only 2 fit$"):
         rescaling.classify_type(traj)
 
 
 def test_classifier_needs_coverage_up_to_t0():
     times = np.linspace(-64.0, -2.0, 63)
     traj = solver.exact_trajectory(exact.rosenau(), times, n=1001, x_lo=-77.0, x_hi=77.0)
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match="^trajectory ends at -2.0, before t0 = -1.0$"):
         rescaling.classify_type(traj, t0=-1.0)
 
 

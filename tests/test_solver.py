@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from geomflow import exact, geometry, solver
-from geomflow.errors import BlowUpError, DomainError, StepRejectedError, WindowError
+from geomflow.errors import DomainError, GeomflowError
 from geomflow.grids import CYLINDER, RADIAL, ConformalGrid, reliable_slice, trust_mask
 
 
@@ -28,11 +28,19 @@ def rosenau_run(n=800, cfl=0.4, t0=-2.0, t1=-1.0, snapshots=17):
     return solver.evolve(grid, t1, cfl=cfl, output_times=np.linspace(t0, t1, snapshots))
 
 
+def one_step(grid, dt):
+    """The run of one step of dt from grid: evolve steps exactly once to an output
+    time when dt <= cfl * min(h, 1 / R_max)."""
+    traj = solver.evolve(grid, grid.t + dt, output_times=[grid.t + dt])
+    assert len(traj.steps) == 1
+    return traj
+
+
 def test_step_tracks_exact_solution_one_step():
     spec = exact.rosenau()
     grid = exact.sample_grid(spec, -2.0, n=400, x_lo=-6.0, x_hi=6.0)
     dt = 1e-4
-    stepped = solver.step(grid, dt)
+    stepped = one_step(grid, dt).snapshot(-1)
     assert stepped.t == grid.t + dt
     u_ref = exact.u_profile(spec, stepped.nodes, stepped.t)
     err = np.abs(stepped.u - u_ref).max()
@@ -48,18 +56,11 @@ def test_step_evaluates_the_pinned_boundary_once(monkeypatch, grid, calls):
         return exact.log_u_profile(spec, coords, t)
 
     monkeypatch.setattr(solver, "log_u_profile", counted)
-    dt = 1e-3
-    stepped = solver.step(grid, dt)
+    traj = one_step(grid, 1e-3)
+    dt = traj.steps[0].dt
     # one call for both stages: the trapezoid stage ends at t + gamma dt, the BDF2 stage at t + dt
     assert seen == [(grid.t + solver.GAMMA * dt, grid.t + dt)] * calls
-    assert np.all(np.isfinite(stepped.u))
-
-
-@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
-def test_step_rejects_bad_dt(dt):
-    grid = rosenau_grid(n=64, extent=5.0)
-    with pytest.raises(DomainError):
-        solver.step(grid, dt)
+    assert np.all(np.isfinite(traj.U[-1]))
 
 
 def test_invalid_state_is_rejected_with_first_bad_node():
@@ -79,9 +80,10 @@ def test_invalid_state_is_rejected_with_first_bad_node():
             w[node] = value
         with np.errstate(over="ignore"):
             u = np.exp(w)
-        with pytest.raises(StepRejectedError) as excinfo:
+        message = r"^step toward t=1.0 produced an invalid conformal factor at node \d+$"
+        with pytest.raises(GeomflowError, match=message) as excinfo:
             solver._check_state(w, u, 1.0)
-        assert excinfo.value.node == first
+        assert int(str(excinfo.value).rsplit(" ", 1)[1]) == first
     solver._check_state(np.zeros(8), np.ones(8), 1.0)
 
 
@@ -99,8 +101,8 @@ def test_failed_linear_solve_is_a_rejected_step(monkeypatch):
 
     for pair in ((failed_pttrf, real_pttrs), (real_pttrf, failed_pttrs)):
         monkeypatch.setattr(solver, "_lapack_pt", lambda pair=pair: pair)
-        with pytest.raises(StepRejectedError, match="linear solve failed"):
-            solver.step(free_radial_grid(), 1e-3)
+        with pytest.raises(GeomflowError, match="^linear solve failed during step toward t="):
+            one_step(free_radial_grid(), 1e-3)
 
 
 def test_missing_lapack_extension_names_the_file(monkeypatch, tmp_path):
@@ -216,17 +218,20 @@ def test_lean_step_matches_reference_formulation(monkeypatch, grid, t_end):
 
 
 def test_semi_implicit_huge_step_stays_positive():
+    # far beyond evolve's step cap: the backward Euler fallback takes this step
     grid = free_radial_grid()
-    stepped = solver.step(grid, 1e8)
-    assert np.all(np.isfinite(stepped.u))
-    assert np.all(stepped.u > 0.0)
+    st = solver._Stencil(grid)
+    w = np.log(grid.u)
+    u = solver._advance(st, w, grid.u, st.apply(w) / grid.u, grid.t, 1e8)[1]
+    assert np.all(np.isfinite(u))
+    assert np.all(u > 0.0)
 
 
 def test_flat_data_is_stationary():
     sampled = exact.sample_grid(exact.flat(), 0.0, n=64, extent=5.0)
     free = ConformalGrid(CYLINDER, np.linspace(-5.0, 5.0, 64), np.ones(64), 0.0)
     for grid in (sampled, free):
-        stepped = solver.step(grid, 0.01)
+        stepped = one_step(grid, 0.01).snapshot(-1)
         assert np.abs(stepped.u - 1.0).max() <= 1e-15
 
 
@@ -322,10 +327,12 @@ def test_u_decreases_toward_extinction():
 
 def test_blow_up_aborts_with_structured_error():
     grid = exact.sample_grid(exact.rosenau(), -0.01, n=64, x_lo=-3.0, x_hi=3.0)
-    with pytest.raises(BlowUpError) as excinfo:
+    message = r"curvature maximum (\S+) crossed 1000 at t=(\S+)"
+    with pytest.raises(GeomflowError, match=f"^{message}$") as excinfo:
         solver.evolve(grid, -1e-5, cfl=0.5)
-    assert excinfo.value.r_max > 1e3
-    assert -1e-2 < excinfo.value.t < 0.0
+    r_max, t = re.fullmatch(message, str(excinfo.value)).groups()
+    assert float(r_max) > 1e3
+    assert -1e-2 < float(t) < 0.0
 
 
 def test_sphere_rmax_tracks_inverse_time():
@@ -386,7 +393,7 @@ def test_diagnostics_flat_run_all_zero():
 
 def test_diagnostics_needs_three_snapshots():
     traj = solver.exact_trajectory(exact.rosenau(), [-2.0, -1.0], n=64, extent=5.0)
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match="^diagnostics needs at least 3 snapshots$"):
         solver.diagnostics(traj)
 
 
@@ -490,6 +497,22 @@ def test_blocked_diagnostics_equal_the_row_by_row_loop(make):
     assert report.rmax == solver.rmax_series(traj)
 
 
+def test_diagnostics_samples_each_closed_form_row_twice(monkeypatch):
+    # the blocks scan yields the rows it sampled, so the defect loop reads no
+    # others; m_of_t needs the final trust mask and samples rows once more
+    traj = _closed_form_rosenau()
+    expected = row_by_row_diagnostics(traj)
+    rows = []
+
+    def counted(spec, coords, times, *args):
+        rows.append(len(times))
+        return exact.log_u_profile(spec, coords, times, *args)
+
+    monkeypatch.setattr(solver, "log_u_profile", counted)
+    assert solver.diagnostics(traj) == expected
+    assert sum(rows) == 2 * traj.times.size == 30
+
+
 @pytest.mark.parametrize(
     "grid, t_end",
     [(rosenau_grid(n=3001), -1.0), (exact.sample_grid(exact.cigar(4.0), 0.0, n=3001, extent=30.0), 0.5)],
@@ -525,11 +548,11 @@ def test_trajectory_validation():
         make(chart="sphere")
     with pytest.raises(DomainError):
         make(U=np.stack([g.u, -g.u]))
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match="^snapshot times must be strictly increasing$"):
         make(times=(1.0, 0.0))
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match="^snapshot times must be strictly increasing$"):
         make(times=(0.0, 0.0))
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match="^trajectory needs at least one snapshot$"):
         make(times=(), U=np.ones((0, 64)))
     # rows that are not stored are sampled from a family on the trajectory's chart
     with pytest.raises(DomainError, match="without stored rows"):
@@ -558,16 +581,17 @@ def test_trajectory_u_at_interpolates_linearly():
     assert np.abs(mid - expected).max() <= 1e-15
     assert np.array_equal(traj.u_at(-2.0), U[0])
     assert np.array_equal(traj.u_at(-1.0), U[-1])
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match=r"^time -3.0 outside snapshot range \[-2.0, -1.0\]$"):
         traj.u_at(-3.0)
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match=r"^time -0.5 outside snapshot range \[-2.0, -1.0\]$"):
         traj.u_at(-0.5)
 
 
 def test_exact_trajectory_validation():
-    with pytest.raises(WindowError):
+    message = "^exact trajectory needs at least two strictly increasing times$"
+    with pytest.raises(DomainError, match=message):
         solver.exact_trajectory(exact.rosenau(), [-2.0], n=64, extent=5.0)
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match=message):
         solver.exact_trajectory(exact.rosenau(), [-1.0, -1.0], n=64, extent=5.0)
     traj = solver.exact_trajectory(exact.rosenau(), [-2.0, -1.0], n=64, extent=5.0)
     assert traj.steps == ()
@@ -614,10 +638,11 @@ def test_exact_trajectory_rows_match_sampled_grids():
         assert np.array_equal(solver.trusted_mask(snap), solver.trusted_mask(grid))
     assert np.array_equal(traj.snapshot(-1).u, traj.snapshot(2).u)
     # one block holds all three rows; its rows are the sampled grids' fields
-    ((rows, r, trusted),) = traj.blocks()
+    ((rows, u, r, trusted),) = traj.blocks()
     assert rows == slice(0, 3)
     for k, t in enumerate(times):
         grid = exact.sample_grid(exact.rosenau(), t, n=64, extent=5.0)
+        assert np.array_equal(u[k], grid.u)
         assert np.array_equal(r[k], geometry.scalar_curvature(grid))
         assert np.array_equal(trusted[k], solver.trusted_mask(grid))
 
@@ -687,14 +712,14 @@ def test_evolve_validations():
     # boundary pinning needs the family alive through t_end
     with pytest.raises(DomainError):
         solver.evolve(grid, 1.0)
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match=r"^output times must lie in \[-2.0, -1.9\], got "):
         solver.evolve(grid, -1.9, output_times=[-2.0, -1.5])
     with pytest.raises(DomainError):
         solver.evolve(grid, -1.9, cfl=0.0)
     # snapshots closer than the time tolerance 1e-9 * max(1, |t|)
-    with pytest.raises(WindowError, match="apart"):
+    with pytest.raises(DomainError, match="^snapshot times must lie more than .* apart$"):
         solver.evolve(grid, -1.5, output_times=[-2.0, -1.75, -1.75 + 1e-10, -1.5])
-    with pytest.raises(WindowError, match="apart"):
+    with pytest.raises(DomainError, match="^snapshot times must lie more than .* apart$"):
         solver.evolve(grid, -2.0 + 1e-9)
 
 
