@@ -15,13 +15,24 @@ Families:
             R = (1 + cosh t cosh x) / (sinh(-t) (cosh x + cosh t)),
             R_max(t) = coth(-t).
 
-Hyperbolic evaluations run in log space so coordinates with |x| of a few
-hundred stay finite and hit their asymptotic limits instead of overflowing.
-Their log-space sums go through _logaddexp, not numpy's logaddexp ufunc,
-which runs as a scalar libm loop. _logaddexp applies the same formula with
-numpy's vectorized exp and log1p, so its results may differ from the ufunc's
-by about an ulp. The speed-up relies on those vectorized loops; a numpy build
-without them does the same libm work as the ufunc (unmeasured).
+The Rosenau u is sampled in linear space, as sinh(-t) / (cosh x + cosh t)
+scaled by 2 e^t:
+
+  u = (1 - q^2) / (A q_k + 1 + q^2),  q = e^t, q_k = e^(t + k),
+  A = e^(|x| - k) + e^(-|x| - k),    k = max(0, ceil(max|x|) - 709).
+
+A holds everything that depends on the node alone and q, q_k everything that
+depends on the time alone, so a row costs one multiply, add and divide per
+node. The integral shift k keeps A and q_k finite on charts wider than the
+exp range: their product 2 cosh(x) e^t overflows only where u is below the
+smallest normal float64, and there u is 0. 1 - q^2 is taken as -expm1(2t),
+which keeps its digits as t approaches 0. Every other family, and the
+Rosenau R and du/dt, are evaluated in log space, so coordinates with |x| of
+a few hundred stay finite and hit their asymptotic limits instead of
+overflowing. Their log-space sums go through _logaddexp, not numpy's
+logaddexp ufunc, which runs as a scalar libm loop. _logaddexp applies the
+same formula with numpy's vectorized exp and log1p, so its results may differ
+from the ufunc's by about an ulp.
 """
 
 from __future__ import annotations
@@ -44,6 +55,8 @@ FAMILIES = (CIGAR, ROSENAU, SPHERE, FLAT, DS_SOLITON)
 _LOG2 = math.log(2.0)
 # exp overflow threshold for float64; beyond it log-space paths are mandatory
 _EXP_MAX = 700.0
+# largest |x| - k of the Rosenau node factor, so A <= 2 e^709 stays finite
+_ROSENAU_NODE_MAX = 709.0
 # closest approach to a finite singular time: curvature ~ 1/|t| and its square
 # stay inside the float64 range
 _SINGULAR_MARGIN = math.sqrt(np.finfo(float).tiny)
@@ -69,21 +82,18 @@ def _logsinh(y):
     return out
 
 
-def _logaddexp(a, b, out=None, scratch=None):
+def _logaddexp(a, b):
     """log(exp(a) + exp(b)) by numpy's npy_logaddexp formula, hi + log1p(exp(lo - hi)),
     on vectorized ufuncs; lo - hi is exactly -|a - b|. Broadcasts like numpy's
-    logaddexp. The result goes to out, or to a new array (0-d for scalar inputs);
-    hi = max(a, b) goes to scratch, or to a temporary. Neither may overlap a or b."""
+    logaddexp; scalar inputs give a 0-d array."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    np.subtract(a, b, out=out)
+    out = np.subtract(a, b, out=np.empty(np.broadcast_shapes(a.shape, b.shape)))
     np.abs(out, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    out += np.maximum(a, b, out=scratch)
+    out += np.maximum(a, b)
     return out
 
 
@@ -187,47 +197,80 @@ def _ds_shift(beta: float, delta: float, t: float) -> float:
     return math.exp(arg)
 
 
+def node_factor(spec: ExactSolutionSpec, coords: np.ndarray):
+    """The terms of spec's u that depend on the nodes alone, for u_profile's factor:
+    for Rosenau the node factor A and the shift k of the module docstring, for
+    the other families None."""
+    if spec.family != ROSENAU:
+        return None
+    ax = np.abs(np.asarray(coords, dtype=float))
+    k = max(0.0, float(np.ceil(ax.max(initial=0.0))) - _ROSENAU_NODE_MAX)
+    a = np.exp(ax - k)
+    a += np.exp(-ax - k)
+    return a, k
+
+
+def u_profile(
+    spec: ExactSolutionSpec, coords: np.ndarray, t: float | tuple[float, ...], out=None, factor=None
+) -> np.ndarray:
+    """u along the generator line (rho or x nodes) at time t.
+
+    t may also be a tuple of times; row k of the result is then the profile
+    at t[k], bitwise as if evaluated alone, and the rows go to out when
+    given. factor is node_factor(spec, coords), for a caller that samples the
+    same coords at many times. The Rosenau rows are one 2-d block in linear
+    space (see the module docstring); the other families exponentiate their
+    log_u_profile rows.
+    """
+    if spec.family != ROSENAU:
+        return np.exp(log_u_profile(spec, coords, t, out), out=out)
+    times = np.array(t if isinstance(t, tuple) else (t,), dtype=float)[:, None]
+    if times.size:
+        # the existence interval is convex: the earliest and latest time decide
+        # for all (a NaN time makes both NaN)
+        check_time(spec, float(times.min()))
+        check_time(spec, float(times.max()))
+    c = np.asarray(coords, dtype=float)
+    a, k = node_factor(spec, c) if factor is None else factor
+    rows = np.empty((times.shape[0], c.size)) if out is None else out
+    # A q_k is finite on every row whose end nodes' u is a normal float64; on other
+    # rows it can overflow (or be 0 * inf), leaving u = 0 or NaN at some nodes and
+    # u = 0 at the ends, which every caller's positivity check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(a, np.exp(times + k), out=rows)
+        rows += 1.0 + np.exp(2.0 * times)
+        np.divide(-np.expm1(2.0 * times), rows, out=rows)
+    return rows if isinstance(t, tuple) else rows[0]
+
+
 def log_u_profile(
-    spec: ExactSolutionSpec, coords: np.ndarray, t: float | tuple[float, ...], out=None, scratch=None
+    spec: ExactSolutionSpec, coords: np.ndarray, t: float | tuple[float, ...], out=None
 ) -> np.ndarray:
     """log u along the generator line (rho or x nodes) at time t.
 
     t may also be a tuple of times; row k of the result is then the profile
-    at t[k], bitwise as if evaluated alone. The rows go to out when given,
-    and the Rosenau family, which evaluates them as one 2-d block, may
-    overwrite scratch, of the same shape; with both, it allocates nothing of
-    that shape. The other families fill the rows one at a time.
+    at t[k], bitwise as if evaluated alone, and the rows go to out when
+    given. Rosenau takes the log of its u_profile; the other families have
+    log-space formulas and fill the rows one at a time.
     """
+    if spec.family == ROSENAU:
+        u = u_profile(spec, coords, t, out)
+        return np.log(u, out=u)
     c = np.asarray(coords, dtype=float)
     if isinstance(t, tuple):
-        if spec.family != ROSENAU:
-            rows = np.empty((len(t),) + c.shape) if out is None else out
-            for row, s in zip(rows, t):
-                row[...] = log_u_profile(spec, c, s)
-            return rows
-        for s in t:
-            check_time(spec, s)
-        # the Rosenau time terms broadcast over the rows
-        t = np.array(t)[:, None]
-    else:
-        check_time(spec, t)
+        rows = np.empty((len(t),) + c.shape) if out is None else out
+        for row, s in zip(rows, t):
+            row[...] = log_u_profile(spec, c, s)
+        return rows
+    check_time(spec, t)
     fam = spec.family
     if fam == FLAT:
         return np.zeros_like(c)
-    if fam == ROSENAU:
-        lcx = _logcosh(c)
-        lct = _logcosh(t)
-        lse = _logaddexp(lcx, lct, out, scratch)
-        return np.subtract(_logsinh(-t), lse, out=lse)
     if fam == SPHERE:
         return math.log(-8.0 * t) - 2.0 * np.log1p(c * c)
     beta, delta = _ds_params(spec)
     shift = _ds_shift(beta, delta, t)
     return math.log(2.0 / beta) - np.log(c * c + shift)
-
-
-def u_profile(spec: ExactSolutionSpec, coords: np.ndarray, t: float) -> np.ndarray:
-    return np.exp(log_u_profile(spec, coords, t))
 
 
 def r_profile(spec: ExactSolutionSpec, coords: np.ndarray, t: float) -> np.ndarray:
@@ -280,7 +323,7 @@ def check_extremes(spec: ExactSolutionSpec, coords: np.ndarray, times) -> None:
     (rho = 0 or x = 0) and least at an end node, so those three nodes bound it."""
     c = np.asarray(coords, dtype=float)
     bounds = c[[0, int(np.argmin(np.abs(c))), -1]]
-    check_positive(np.exp(log_u_profile(spec, bounds, tuple(float(t) for t in times))))
+    check_positive(u_profile(spec, bounds, tuple(float(t) for t in times)))
 
 
 def sample_grid(

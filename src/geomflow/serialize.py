@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import os
-import secrets
 
 import numpy as np
 
@@ -73,7 +72,8 @@ def atomic_write_text(path: str, text: str) -> None:
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    # os.urandom, not secrets.token_hex: secrets loads OpenSSL (about 3.6 MB) for nothing
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:

@@ -40,7 +40,8 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .errors import DomainError, GeomflowError
-from .exact import ExactSolutionSpec, check_extremes, check_time, log_u_profile, sample_grid
+from .exact import ExactSolutionSpec, check_extremes, check_time, log_u_profile, node_factor
+from .exact import sample_grid, u_profile
 from .geometry import curvature_field
 from .grids import CYLINDER, RADIAL, ConformalGrid, check_layout, check_positive, readonly
 from .grids import reliable_slice, trust_mask
@@ -146,16 +147,16 @@ class FlowTrajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "U", U)
 
-    def u_rows(self, start: int = 0, stop: int | None = None, out=None, scratch=None) -> np.ndarray:
+    def u_rows(self, start: int = 0, stop: int | None = None, out=None, factor=None) -> np.ndarray:
         """Rows start..stop-1 of u: a view of the stored U, or the family sampled at
-        those times and checked finite and positive. Sampled rows go to out (and
-        log_u_profile may overwrite scratch) when given, else to a new read-only array."""
+        those times and checked finite and positive. Sampled rows go to out when
+        given, else to a new read-only array; factor is the family's node_factor
+        on the nodes, for a caller that samples many blocks."""
         stop = self.times.size if stop is None else stop
         if self.U is not None:
             return self.U[start:stop]
         times = tuple(self.times[start:stop].tolist())
-        u = log_u_profile(self.provenance, self.nodes, times, out, scratch)
-        np.exp(u, out=u)
+        u = u_profile(self.provenance, self.nodes, times, out, factor)
         check_positive(u)
         if out is None:
             u.setflags(write=False)
@@ -188,10 +189,11 @@ class FlowTrajectory:
         shape = (max(1, min(stop - start, BLOCK_CELLS // n)), n)
         sampled, w, r, scratch = np.empty((4,) + shape)
         trusted = np.empty(shape, dtype=bool)
+        factor = None if self.U is not None else node_factor(self.provenance, self.nodes)
         for rows in row_blocks(start, stop, n):
             m = rows.stop - rows.start
             # u_rows ignores sampled for stored rows, and a cylinder Laplacian ignores scratch
-            u = self.u_rows(rows.start, rows.stop, sampled[:m], scratch[:m])
+            u = self.u_rows(rows.start, rows.stop, sampled[:m], factor)
             np.log(u, out=w[:m])
             curvature_field(w[:m], u, self.nodes, self.h, self.chart, r[:m], scratch[:m])
             yield rows, u, r[:m], trust_mask(u, self.chart, CURVATURE_TRUST_FLOOR, trusted[:m])
@@ -511,9 +513,11 @@ def resolve_output_times(t0: float, t_end: float, output_times) -> np.ndarray:
     if output_times is None:
         times = np.linspace(t0, t_end, DEFAULT_OUTPUT_COUNT)
     else:
-        times = np.unique(np.asarray(output_times, dtype=float))
+        times = np.sort(np.asarray(output_times, dtype=float), axis=None)
         if times.size == 0 or not np.all(np.isfinite(times)):
             raise DomainError("output times must be a nonempty finite collection")
+        # exact duplicates dropped, as np.unique would, which imports numpy.ma
+        times = times[np.append(True, times[1:] != times[:-1])]
         if times[0] < t0 - tol or times[-1] > t_end + tol:
             raise DomainError(
                 f"output times must lie in [{t0}, {t_end}], got [{times[0]}, {times[-1]}]"
@@ -661,7 +665,7 @@ def closed_form_error(traj: FlowTrajectory) -> float:
     rel = reliable_slice(traj.chart, traj.nodes.size)
     worst = 0.0
     for rows in row_blocks(0, traj.times.size, traj.nodes.size):
-        u_ref = np.exp(log_u_profile(traj.provenance, traj.nodes, tuple(traj.times[rows].tolist())))
+        u_ref = u_profile(traj.provenance, traj.nodes, tuple(traj.times[rows].tolist()))
         u = traj.u_rows(rows.start, rows.stop)
         worst = max(worst, float(np.abs((u - u_ref) / u_ref)[:, rel].max()))
     return worst

@@ -143,6 +143,26 @@ def test_rosenau_far_field_is_finite_and_stable():
     assert r[-1] == pytest.approx(ROSENAU_RMAX_M1, rel=1e-12)
 
 
+@pytest.mark.parametrize("extent", [20.0, 300.0, 709.0, 740.0, 1000.0, 1400.0])
+def test_rosenau_rows_match_an_extended_precision_reference(extent):
+    # charts past the exp range (k > 0) and times down to -1000: within 1e-13 of
+    # sinh(-t) / (cosh x + cosh t) wherever that is a normal float64, and below
+    # the normal range wherever it is not
+    mpmath = pytest.importorskip("mpmath")
+    x = np.sort(np.concatenate((np.linspace(-extent, extent, 81), [0.37 - extent, 1e-9, 0.37])))
+    times = (-1000.0, -800.0, -700.0, -300.0, -64.0, -32.0005, -2.0, -1.0, -0.3, -1e-3, -1e-6, -1e-12)
+    rows = exact.u_profile(exact.rosenau(), x, times)
+    tiny = np.finfo(float).tiny
+    with mpmath.workdps(40):
+        for t, row in zip(times, rows):
+            for xi, ui in zip(x.tolist(), row.tolist()):
+                ref = mpmath.sinh(-mpmath.mpf(t)) / (mpmath.cosh(xi) + mpmath.cosh(t))
+                if ref < tiny:
+                    assert 0.0 <= ui < tiny
+                else:
+                    assert abs(ui / ref - 1) <= 1e-13, (xi, t)
+
+
 @pytest.mark.parametrize("spec", [exact.rosenau(), exact.sphere()])
 def test_ancient_families_reject_nonnegative_time(spec):
     lo, hi = spec.existence_interval()

@@ -38,11 +38,11 @@ def classifier_rosenau_trajectory():
 HEADLINE = [
     # (j, node, x_j, t_j, profile distance)
     (1, 786, -5.28, -0.001, 0.40149637961091333),
-    (2, 437, -13.26, -1.7818046875, 0.045441208587874704),
+    (2, 437, -13.26, -1.7818046875, 0.045440909870647306),
     (3, 425, -15.5, -4.0005, 5.549844149792538e-4),
-    (4, 425, -19.5, -8.0005, 1.4524470641874565e-5),
+    (4, 425, -19.5, -8.0005, 1.4339591997480916e-5),
     (5, 425, -27.5, -16.0005, 1.4724151608636049e-5),
-    (6, 425, -43.5, -32.0005, 1.4355901121754222e-5),
+    (6, 425, -43.5, -32.0005, 1.4724146528477533e-5),
 ]
 
 

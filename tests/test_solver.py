@@ -506,9 +506,9 @@ def test_diagnostics_samples_each_closed_form_row_twice(monkeypatch):
 
     def counted(spec, coords, times, *args):
         rows.append(len(times))
-        return exact.log_u_profile(spec, coords, times, *args)
+        return exact.u_profile(spec, coords, times, *args)
 
-    monkeypatch.setattr(solver, "log_u_profile", counted)
+    monkeypatch.setattr(solver, "u_profile", counted)
     assert solver.diagnostics(traj) == expected
     assert sum(rows) == 2 * traj.times.size == 30
 
