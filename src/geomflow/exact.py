@@ -15,8 +15,9 @@ Families:
             R = (1 + cosh t cosh x) / (sinh(-t) (cosh x + cosh t)),
             R_max(t) = coth(-t).
 
-The Rosenau u is sampled in linear space, as sinh(-t) / (cosh x + cosh t)
-scaled by 2 e^t:
+u_profile samples every family's u above in linear space, as one
+(times x nodes) block, and log_u_profile is its log. The Rosenau u is taken
+as sinh(-t) / (cosh x + cosh t) scaled by 2 e^t:
 
   u = (1 - q^2) / (A q_k + 1 + q^2),  q = e^t, q_k = e^(t + k),
   A = e^(|x| - k) + e^(-|x| - k),    k = max(0, ceil(max|x|) - 709).
@@ -26,13 +27,10 @@ depends on the time alone, so a row costs one multiply, add and divide per
 node. The integral shift k keeps A and q_k finite on charts wider than the
 exp range: their product 2 cosh(x) e^t overflows only where u is below the
 smallest normal float64, and there u is 0. 1 - q^2 is taken as -expm1(2t),
-which keeps its digits as t approaches 0. Every other family, and the
-Rosenau R and du/dt, are evaluated in log space, so coordinates with |x| of
-a few hundred stay finite and hit their asymptotic limits instead of
-overflowing. Their log-space sums go through _logaddexp, not numpy's
-logaddexp ufunc, which runs as a scalar libm loop. _logaddexp applies the
-same formula with numpy's vectorized exp and log1p, so its results may differ
-from the ufunc's by about an ulp.
+which keeps its digits as t approaches 0. The Rosenau R and du/dt are
+evaluated in log space through numpy's logaddexp, so coordinates with |x| of
+a few hundred and times down to -1000 stay finite and accurate instead of
+overflowing.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ DS_SOLITON = "DSSoliton"
 FAMILIES = (CIGAR, ROSENAU, SPHERE, FLAT, DS_SOLITON)
 
 _LOG2 = math.log(2.0)
-# exp overflow threshold for float64; beyond it log-space paths are mandatory
+# exp overflow threshold for float64, with a margin
 _EXP_MAX = 700.0
 # largest |x| - k of the Rosenau node factor, so A <= 2 e^709 stays finite
 _ROSENAU_NODE_MAX = 709.0
@@ -65,36 +63,6 @@ _SINGULAR_MARGIN = math.sqrt(np.finfo(float).tiny)
 def _logcosh(y):
     y = np.abs(np.asarray(y, dtype=float))
     return y + np.log1p(np.exp(-2.0 * y)) - _LOG2
-
-
-def _logsinh(y):
-    """log(sinh(y)) for y > 0, stable for both tiny and huge y."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise DomainError("logsinh expects positive argument")
-    small = y < 1e-3
-    # the large-y form only sees large y: log1p(-exp(-2y)) is -inf below y ~ 1e-17
-    yl = np.where(small, 1.0, y)
-    out = yl + np.log1p(-np.exp(-2.0 * yl)) - _LOG2
-    if np.any(small):
-        ys = np.where(small, y, 1.0)
-        out = np.where(small, np.log(ys) + ys * ys / 6.0, out)
-    return out
-
-
-def _logaddexp(a, b):
-    """log(exp(a) + exp(b)) by numpy's npy_logaddexp formula, hi + log1p(exp(lo - hi)),
-    on vectorized ufuncs; lo - hi is exactly -|a - b|. Broadcasts like numpy's
-    logaddexp; scalar inputs give a 0-d array."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.subtract(a, b, out=np.empty(np.broadcast_shapes(a.shape, b.shape)))
-    np.abs(out, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    out += np.maximum(a, b)
-    return out
 
 
 @dataclass(frozen=True)
@@ -188,13 +156,16 @@ def _ds_params(spec: ExactSolutionSpec) -> tuple[float, float]:
     return spec.p["beta"], spec.p["delta"]
 
 
-def _ds_shift(beta: float, delta: float, t: float) -> float:
-    arg = math.log(delta) + 2.0 * beta * t
+def _ds_shift(beta: float, delta: float, t):
+    """delta e^{2 beta t} at a time or at each of an array of times."""
+    with np.errstate(over="ignore"):
+        arg = math.log(delta) + 2.0 * beta * np.asarray(t, dtype=float)
     # the profiles square the shift (dudt divides by (rho^2 + shift)^2), so it stays
     # within half the exp range: no overflow, and no underflow to 0 on the axis
-    if not -_EXP_MAX / 2.0 <= arg <= _EXP_MAX / 2.0:
-        raise DomainError(f"soliton time shift exp({arg}) leaves the float64 range; rescale first")
-    return math.exp(arg)
+    bad = arg[~(np.abs(arg) <= _EXP_MAX / 2.0)]
+    if bad.size:
+        raise DomainError(f"soliton time shift exp({bad.flat[0]}) leaves the float64 range; rescale first")
+    return np.exp(arg)
 
 
 def node_factor(spec: ExactSolutionSpec, coords: np.ndarray):
@@ -217,13 +188,10 @@ def u_profile(
 
     t may also be a tuple of times; row k of the result is then the profile
     at t[k], bitwise as if evaluated alone, and the rows go to out when
-    given. factor is node_factor(spec, coords), for a caller that samples the
-    same coords at many times. The Rosenau rows are one 2-d block in linear
-    space (see the module docstring); the other families exponentiate their
-    log_u_profile rows.
+    given. Every family fills the rows as one (times x nodes) block in linear
+    space (see the module docstring). factor is node_factor(spec, coords), for
+    a caller that samples the same coords at many times.
     """
-    if spec.family != ROSENAU:
-        return np.exp(log_u_profile(spec, coords, t, out), out=out)
     times = np.array(t if isinstance(t, tuple) else (t,), dtype=float)[:, None]
     if times.size:
         # the existence interval is convex: the earliest and latest time decide
@@ -231,46 +199,38 @@ def u_profile(
         check_time(spec, float(times.min()))
         check_time(spec, float(times.max()))
     c = np.asarray(coords, dtype=float)
-    a, k = node_factor(spec, c) if factor is None else factor
     rows = np.empty((times.shape[0], c.size)) if out is None else out
-    # A q_k is finite on every row whose end nodes' u is a normal float64; on other
-    # rows it can overflow (or be 0 * inf), leaving u = 0 or NaN at some nodes and
-    # u = 0 at the ends, which every caller's positivity check rejects
+    fam = spec.family
+    # a row whose u leaves the float64 range can overflow (or meet 0 * inf), leaving
+    # u = inf, 0 or NaN at some nodes, which every caller's positivity check rejects;
+    # the Rosenau A q_k is finite on every row whose end nodes' u is a normal float64
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(a, np.exp(times + k), out=rows)
-        rows += 1.0 + np.exp(2.0 * times)
-        np.divide(-np.expm1(2.0 * times), rows, out=rows)
+        if fam == FLAT:
+            rows.fill(1.0)
+        elif fam == SPHERE:
+            # dividing by 1 + rho^2 twice keeps u wherever it is a normal float64,
+            # also where (1 + rho^2)^2 would overflow
+            d = 1.0 + c * c
+            np.divide(-8.0 * times, d, out=rows)
+            rows /= d
+        elif fam == ROSENAU:
+            a, k = node_factor(spec, c) if factor is None else factor
+            np.multiply(a, np.exp(times + k), out=rows)
+            rows += 1.0 + np.exp(2.0 * times)
+            np.divide(-np.expm1(2.0 * times), rows, out=rows)
+        else:
+            beta, delta = _ds_params(spec)
+            np.add(c * c, _ds_shift(beta, delta, times), out=rows)
+            np.divide(2.0 / beta, rows, out=rows)
     return rows if isinstance(t, tuple) else rows[0]
 
 
 def log_u_profile(
     spec: ExactSolutionSpec, coords: np.ndarray, t: float | tuple[float, ...], out=None
 ) -> np.ndarray:
-    """log u along the generator line (rho or x nodes) at time t.
-
-    t may also be a tuple of times; row k of the result is then the profile
-    at t[k], bitwise as if evaluated alone, and the rows go to out when
-    given. Rosenau takes the log of its u_profile; the other families have
-    log-space formulas and fill the rows one at a time.
-    """
-    if spec.family == ROSENAU:
-        u = u_profile(spec, coords, t, out)
-        return np.log(u, out=u)
-    c = np.asarray(coords, dtype=float)
-    if isinstance(t, tuple):
-        rows = np.empty((len(t),) + c.shape) if out is None else out
-        for row, s in zip(rows, t):
-            row[...] = log_u_profile(spec, c, s)
-        return rows
-    check_time(spec, t)
-    fam = spec.family
-    if fam == FLAT:
-        return np.zeros_like(c)
-    if fam == SPHERE:
-        return math.log(-8.0 * t) - 2.0 * np.log1p(c * c)
-    beta, delta = _ds_params(spec)
-    shift = _ds_shift(beta, delta, t)
-    return math.log(2.0 / beta) - np.log(c * c + shift)
+    """log u along the generator line: the log of u_profile(spec, coords, t, out)."""
+    u = u_profile(spec, coords, t, out)
+    return np.log(u, out=u)
 
 
 def r_profile(spec: ExactSolutionSpec, coords: np.ndarray, t: float) -> np.ndarray:
@@ -283,8 +243,8 @@ def r_profile(spec: ExactSolutionSpec, coords: np.ndarray, t: float) -> np.ndarr
     if fam == ROSENAU:
         lcx = _logcosh(c)
         lct = _logcosh(t)
-        num = _logaddexp(0.0, lcx + lct)
-        return np.exp(num - _logsinh(-t) - _logaddexp(lcx, lct))
+        log_sinh = -t - _LOG2 + math.log(-math.expm1(2.0 * t))
+        return np.exp(np.logaddexp(0.0, lcx + lct) - log_sinh - np.logaddexp(lcx, lct))
     if fam == SPHERE:
         return np.full_like(c, 1.0 / (-t))
     beta, delta = _ds_params(spec)
@@ -302,7 +262,7 @@ def dudt_profile(spec: ExactSolutionSpec, coords: np.ndarray, t: float) -> np.nd
     if fam == ROSENAU:
         lcx = _logcosh(c)
         lct = _logcosh(t)
-        return -np.exp(_logaddexp(0.0, lcx + lct) - 2.0 * _logaddexp(lcx, lct))
+        return -np.exp(np.logaddexp(0.0, lcx + lct) - 2.0 * np.logaddexp(lcx, lct))
     if fam == SPHERE:
         return -8.0 / (1.0 + c * c) ** 2
     beta, delta = _ds_params(spec)

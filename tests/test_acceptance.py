@@ -128,8 +128,8 @@ def test_criterion_values_are_pinned():
     soliton = solver.exact_trajectory(exact.ds_soliton(), np.linspace(1.0, 2.0, 17), n=800, extent=15.0)
     diag = solver.diagnostics(soliton)
     assert diag.harnack_defect == 0.0
-    assert diag.f_defect == 0.0012172040018132435
-    assert diag.length_evolution_defect == 0.0036274660000393537
+    assert diag.f_defect == 0.0012172038557372034
+    assert diag.length_evolution_defect == 0.003627466656896746
 
 
 @pytest.fixture

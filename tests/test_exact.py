@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from geomflow import exact
 from geomflow.errors import DomainError
@@ -79,38 +77,11 @@ def test_profile_at_several_times_is_bitwise_one_row_per_time(spec, coords, ts):
     assert rows.shape == (len(ts), coords.size)
     for row, t in zip(rows, ts):
         assert np.array_equal(row, exact.log_u_profile(spec, coords, t))
-
-
-_LSE_VALUE = st.floats(-750.0, 750.0, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def _lse_arguments(draw):
-    """(a, b) as 0-d arrays, 1-d arrays of one length, or a (k, 1) x (n,) broadcast."""
-    shape = draw(st.sampled_from(["0-d", "1-d", "broadcast"]))
-    if shape == "0-d":
-        return np.array(draw(_LSE_VALUE)), np.array(draw(_LSE_VALUE))
-    n = draw(st.integers(1, 12))
-    b = np.array(draw(st.lists(_LSE_VALUE, min_size=n, max_size=n)))
-    k = n if shape == "1-d" else draw(st.integers(1, 6))
-    a = np.array(draw(st.lists(_LSE_VALUE, min_size=k, max_size=k)))
-    return (a, b) if shape == "1-d" else (a[:, None], b)
-
-
-@given(_lse_arguments())
-@example((np.array(-750.0), np.array(750.0)))
-@example((np.array([0.0, 41.0, -700.0]), np.array([-41.0, 0.0, 700.0])))
-def test_logaddexp_helper_agrees_with_numpy(args):
-    # far-apart arguments underflow exp(lo - hi) to 0 without a RuntimeWarning
-    # (pytest turns warnings into errors)
-    a, b = args
-    got = exact._logaddexp(a, b)
-    ref = np.logaddexp(a, b)
-    assert np.shape(got) == np.shape(ref)
-    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * scale)
-    assert np.array_equal(exact._logaddexp(b, a), got)
-    assert np.array_equal(exact._logaddexp(a, a), a + math.log(2.0))
+    # the scans sample u into their block workspace
+    out = np.empty((len(ts), coords.size))
+    assert exact.u_profile(spec, coords, ts, out) is out
+    for row, t in zip(out, ts):
+        assert np.array_equal(row, exact.u_profile(spec, coords, t))
 
 
 def test_rosenau_even_in_x():
@@ -143,24 +114,80 @@ def test_rosenau_far_field_is_finite_and_stable():
     assert r[-1] == pytest.approx(ROSENAU_RMAX_M1, rel=1e-12)
 
 
-@pytest.mark.parametrize("extent", [20.0, 300.0, 709.0, 740.0, 1000.0, 1400.0])
+ROSENAU_EXTENTS = [20.0, 300.0, 709.0, 740.0, 1000.0, 1400.0]
+ROSENAU_EXTREME_TIMES = (-1000.0, -800.0, -700.0, -300.0, -64.0, -32.0005, -2.0, -1.0, -0.3, -1e-3, -1e-6, -1e-12)
+
+
+def _rosenau_extreme_nodes(extent):
+    return np.sort(np.concatenate((np.linspace(-extent, extent, 81), [0.37 - extent, 1e-9, 0.37])))
+
+
+def _assert_matches_reference(value, ref, rtol):
+    """Within rtol of ref wherever ref is a normal float64, and below the normal
+    range wherever it is not."""
+    tiny = np.finfo(float).tiny
+    if abs(ref) < tiny:
+        assert abs(value) < tiny
+    else:
+        assert abs(value / ref - 1) <= rtol
+
+
+@pytest.mark.parametrize("extent", ROSENAU_EXTENTS)
 def test_rosenau_rows_match_an_extended_precision_reference(extent):
     # charts past the exp range (k > 0) and times down to -1000: within 1e-13 of
-    # sinh(-t) / (cosh x + cosh t) wherever that is a normal float64, and below
-    # the normal range wherever it is not
+    # sinh(-t) / (cosh x + cosh t)
     mpmath = pytest.importorskip("mpmath")
-    x = np.sort(np.concatenate((np.linspace(-extent, extent, 81), [0.37 - extent, 1e-9, 0.37])))
-    times = (-1000.0, -800.0, -700.0, -300.0, -64.0, -32.0005, -2.0, -1.0, -0.3, -1e-3, -1e-6, -1e-12)
-    rows = exact.u_profile(exact.rosenau(), x, times)
-    tiny = np.finfo(float).tiny
+    x = _rosenau_extreme_nodes(extent)
+    rows = exact.u_profile(exact.rosenau(), x, ROSENAU_EXTREME_TIMES)
     with mpmath.workdps(40):
-        for t, row in zip(times, rows):
+        for t, row in zip(ROSENAU_EXTREME_TIMES, rows):
             for xi, ui in zip(x.tolist(), row.tolist()):
                 ref = mpmath.sinh(-mpmath.mpf(t)) / (mpmath.cosh(xi) + mpmath.cosh(t))
-                if ref < tiny:
-                    assert 0.0 <= ui < tiny
+                assert ui >= 0.0
+                _assert_matches_reference(ui, ref, 1e-13)
+
+
+@pytest.mark.parametrize("extent", ROSENAU_EXTENTS)
+def test_rosenau_curvature_and_rate_match_an_extended_precision_reference(extent):
+    # R = (1 + cosh t cosh x) / (sinh(-t) (cosh x + cosh t)) and du/dt = -R u, which
+    # stay in log space, on the same charts and times as the rows
+    mpmath = pytest.importorskip("mpmath")
+    x = _rosenau_extreme_nodes(extent)
+    with mpmath.workdps(40):
+        for t in ROSENAU_EXTREME_TIMES:
+            r = exact.r_profile(exact.rosenau(), x, t)
+            dudt = exact.dudt_profile(exact.rosenau(), x, t)
+            for xi, ri, di in zip(x.tolist(), r.tolist(), dudt.tolist()):
+                ch = mpmath.cosh(xi) + mpmath.cosh(t)
+                num = 1 + mpmath.cosh(t) * mpmath.cosh(xi)
+                _assert_matches_reference(ri, num / (mpmath.sinh(-mpmath.mpf(t)) * ch), 1e-12)
+                _assert_matches_reference(di, -num / ch**2, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, times",
+    [
+        (exact.sphere(), (-50.0, -1.0, -1e-6)),
+        (exact.cigar(4.0), (-3.0, 0.0, 0.5, 1.0)),
+        (exact.ds_soliton(), (-5.0, 0.0, 2.0)),
+    ],
+)
+def test_radial_rows_match_an_extended_precision_reference(spec, times):
+    # rho from the axis to 1e30, where every u here is a normal float64
+    mpmath = pytest.importorskip("mpmath")
+    rho = np.concatenate((np.linspace(0.0, 30.0, 61), np.geomspace(1e-9, 1e30, 79)))
+    rows = exact.u_profile(spec, rho, times)
+    with mpmath.workdps(40):
+        p = {key: mpmath.mpf(value) for key, value in spec.p.items()}
+        beta, delta = (p["r0"] / 2, 4 / p["r0"]) if "r0" in p else (p.get("beta"), p.get("delta"))
+        for t, row in zip(times, rows):
+            for r, ui in zip(rho.tolist(), row.tolist()):
+                r2 = mpmath.mpf(r) ** 2
+                if spec.family == exact.SPHERE:
+                    ref = -8 * mpmath.mpf(t) / (1 + r2) ** 2
                 else:
-                    assert abs(ui / ref - 1) <= 1e-13, (xi, t)
+                    ref = (2 / beta) / (r2 + delta * mpmath.exp(2 * beta * t))
+                _assert_matches_reference(ui, ref, 1e-15)
 
 
 @pytest.mark.parametrize("spec", [exact.rosenau(), exact.sphere()])
