@@ -196,7 +196,7 @@ def criterion_6() -> CriterionResult:
         pick = rescaling.pick_point(
             traj, rescaling.default_window(j), rescaling.default_gamma(j), j=j
         )
-        distances.append(rescaling.profile_distance(rescaling.dilate(traj, pick), 3.0))
+        distances.append(rescaling.profile_distance(traj, pick, 3.0))
     elapsed = time.perf_counter() - start
     # equality tolerance 1e-6 absorbs the sup-norm roundoff on the plateau
     monotone = all(b <= a + 1e-6 for a, b in zip(distances, distances[1:]))
@@ -324,7 +324,7 @@ def _determinism_artifact() -> str:
     text = serialize.csv_text(header, rows)
     traj = rescaling.backward_rosenau_trajectory(2, h_target=0.05, snapshot_count=65)
     pick = rescaling.pick_point(traj, -4.0, rescaling.default_gamma(2), j=2)
-    distance = rescaling.profile_distance(rescaling.dilate(traj, pick), 3.0)
+    distance = rescaling.profile_distance(traj, pick, 3.0)
     text += serialize.json_text(serialize.rescaling_record(pick, distance))
     text += serialize.json_text(serialize.checkpoint_payload(grid))
     return text

@@ -247,7 +247,8 @@ def _task_invariants(config: ScenarioConfig, out_dir: str) -> int:
     else:
         times = config.output_times
         if times is None:
-            times = np.linspace(config.t0, config.t1, solver.DEFAULT_OUTPUT_COUNT)
+            count = 1 if config.t0 == config.t1 else solver.DEFAULT_OUTPUT_COUNT
+            times = np.linspace(config.t0, config.t1, count)
         grids = (
             exact.sample_grid(spec, float(t), n=config.resolution, extent=config.extent)
             for t in times
@@ -279,7 +280,7 @@ def _task_rescale(config: ScenarioConfig, out_dir: str) -> int:
         pick = rescaling.pick_point(
             traj, rescaling.default_window(j), rescaling.default_gamma(j), j=j
         )
-        distance = rescaling.profile_distance(rescaling.dilate(traj, pick), RESCALE_SPAN)
+        distance = rescaling.profile_distance(traj, pick, RESCALE_SPAN)
         serialize.write_json(
             os.path.join(out_dir, f"rescale_j{j}.json"),
             serialize.rescaling_record(pick, distance),

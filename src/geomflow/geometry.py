@@ -204,13 +204,13 @@ def _tail_fit(grid: ConformalGrid, x: np.ndarray, y: np.ndarray, degree: int) ->
     try:
         # far from unit scale polyfit's column norms underflow or overflow, or its
         # scaled columns lose rank
-        with np.errstate(divide="raise", invalid="raise"), warnings.catch_warnings():
+        with np.errstate(divide="raise", over="raise", invalid="raise"), warnings.catch_warnings():
             warnings.simplefilter("error", np.exceptions.RankWarning)
             return float(np.polyfit(x, y, degree)[0])
     except (FloatingPointError, np.linalg.LinAlgError, np.exceptions.RankWarning) as err:
         raise DomainError(
-            f"the tail fits of the invariants fail at extent {grid.extent:g} ({err}); "
-            "use an extent nearer unit scale"
+            f"the tail fits of the invariants fail at t = {grid.t:g}, extent {grid.extent:g} ({err}); "
+            "the snapshot is too far from unit scale"
         ) from err
 
 

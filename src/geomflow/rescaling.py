@@ -1,4 +1,4 @@
-"""Point-picking, space-time dilation, cigar-profile comparison, classification.
+"""Point-picking, cigar-profile comparison of the picked snapshot, classification.
 
 For an ancient flow (defined for t < 0) the scale-invariant score
 |t| (t - T) M(x, t), with M = R/2 the curvature magnitude, is maximized
@@ -7,10 +7,10 @@ concentrates. Dilating about the selected (x_j, t_j) by M_j maps the
 window onto (-alpha_j, omega_j) with alpha_j = (t_j - T) M_j and
 omega_j = -t_j M_j. On flows whose |t| R_max diverges backward in time
 both endpoints grow without bound and the dilated curvature profile near
-the picked point approaches the unit cigar profile sech^2(s/2); profile
-distances are measured with the geodesic coordinate renormalized to unit
-tip curvature, which makes the comparison free of the M-convention
-constant.
+the picked point approaches the unit cigar profile sech^2(s/2). Profile
+distances use the geodesic coordinate renormalized to unit tip curvature,
+which is free of M_j, so the profile is read from the picked snapshot's own
+curvature and trust rows.
 
 The classifier samples S(T) = max |t| M over dyadic backward windows and
 labels the growth pattern Diverging or Bounded. The verdict is a
@@ -26,9 +26,8 @@ import numpy as np
 
 from .errors import DomainError
 from .exact import rosenau
-from .geometry import scalar_curvature
 from .grids import RADIAL, ConformalGrid, cumulative_trapezoid
-from .solver import FlowTrajectory, curvature_range, exact_trajectory, trusted_mask
+from .solver import FlowTrajectory, curvature_range, exact_trajectory
 
 DIVERGING = "Diverging"
 BOUNDED = "Bounded"
@@ -130,7 +129,7 @@ def pick_point(
         scores = weight * np.where(trusted[0], 0.5 * np.abs(r[0]), -np.inf)
         node = int(np.nonzero(scores >= band)[0][0])
         t_j = float(times[k])
-        m_j = float(scores[node]) / weight
+        m_j = 0.5 * abs(float(r[0, node]))
         return RescalingPick(
             j=j,
             T_j=T_j,
@@ -149,9 +148,9 @@ def pick_point(
 class DilatedFlow:
     """Evaluator of the dilation u_j(x, t) = M_j * u(x, t_j + t / M_j).
 
-    Defined on the open dilated window t in (-alpha_j, omega_j); the
-    picked event sits at t = 0 with dilated curvature magnitude 1
-    (dilated R equal to 2 under the M = R/2 convention).
+    Defined on the open dilated window t in (-alpha_j, omega_j), where the
+    picked event sits at t = 0 with dilated R = 2. The pipeline does not use
+    it; it serves the magnitude-bound check at other times and perfbench's span.
     """
 
     def __init__(self, traj: FlowTrajectory, pick: RescalingPick):
@@ -186,9 +185,9 @@ def cigar_profile(s):
 class RescaledProfile:
     """Tip-normalized curvature versus unit-curvature geodesic distance.
 
-    s is the geodesic distance from the picked node in the dilated metric
-    renormalized to unit tip curvature (multiplied by sqrt of the dilated
-    tip curvature), so a cigar of any scale collapses onto sech^2(s/2).
+    s is the geodesic distance from the picked node renormalized to unit tip
+    curvature (multiplied by sqrt of the tip curvature), so a cigar of any
+    scale collapses onto sech^2(s/2). R0 = R_tip / M_j, the dilated tip curvature, is 2.
     """
 
     s: np.ndarray
@@ -204,7 +203,9 @@ class RescaledProfile:
             raise DomainError("profile distances must be nondecreasing")
 
 
-def _tip_arc_position(grid: ConformalGrid, mask: np.ndarray, node: int, arc: np.ndarray) -> float:
+def _tip_arc_position(
+    chart: str, nodes: np.ndarray, u: np.ndarray, mask: np.ndarray, node: int, arc: np.ndarray
+) -> float:
     """Arc coordinate of the curvature-profile tip.
 
     Normally the picked node itself. When the discrete maximum sits at the
@@ -213,7 +214,6 @@ def _tip_arc_position(grid: ConformalGrid, mask: np.ndarray, node: int, arc: np.
     cutoff using the measured exponential taper of u toward the grid end
     (remaining length of an e^{-beta x} end is 2 sqrt(u_end) / beta).
     """
-    u = grid.u
     n = u.size
     side = 0
     for d in (-1, 1):
@@ -221,7 +221,7 @@ def _tip_arc_position(grid: ConformalGrid, mask: np.ndarray, node: int, arc: np.
         if 0 <= nb < n:
             if mask[nb] or u[nb] >= u[node]:
                 continue
-        elif grid.chart == RADIAL and d == -1:
+        elif chart == RADIAL and d == -1:
             continue  # the axis is an interior point, not an end
         side = d
         break
@@ -229,7 +229,7 @@ def _tip_arc_position(grid: ConformalGrid, mask: np.ndarray, node: int, arc: np.
         return float(arc[node])
     end = n - 1 if side > 0 else 0
     inner = end - side
-    h_end = abs(float(grid.nodes[end] - grid.nodes[inner]))
+    h_end = abs(float(nodes[end] - nodes[inner]))
     beta = (math.log(u[inner]) - math.log(u[end])) / h_end
     if not (math.isfinite(beta) and beta > 0.0):
         return float(arc[node])
@@ -237,20 +237,21 @@ def _tip_arc_position(grid: ConformalGrid, mask: np.ndarray, node: int, arc: np.
     return float(arc[end] + side * tail)
 
 
-def rescaled_profile(flow: DilatedFlow, span: float) -> RescaledProfile:
-    """Profile of dilated curvature at the picked time out to unit-curvature distance span."""
+def rescaled_profile(traj: FlowTrajectory, pick: RescalingPick, span: float) -> RescaledProfile:
+    """Curvature profile of the traj.blocks row pick_point scored, out to distance span."""
     if not span > 0.0:
         raise DomainError(f"profile span must be positive, got {span}")
-    grid = flow.grid_at(0.0)
-    r = scalar_curvature(grid)
-    node = flow.pick.node
+    k = int(np.searchsorted(traj.times, pick.t_j))
+    if k == traj.times.size or float(traj.times[k]) != pick.t_j:
+        raise DomainError(f"picked time {pick.t_j} is not a snapshot time of the trajectory")
+    _, (u,), (r,), (mask,) = next(traj.blocks(k, k + 1))
+    node = pick.node
     r_tip = float(r[node])
     if not r_tip > 0.0:
-        raise DomainError(f"dilated curvature at the picked node is not positive: {r_tip}")
-    mask = trusted_mask(grid)
+        raise DomainError(f"curvature at the picked node is not positive: {r_tip}")
     mask[node] = True
-    arc = cumulative_trapezoid(np.sqrt(grid.u), grid.nodes)
-    arc_tip = _tip_arc_position(grid, mask, node, arc)
+    arc = cumulative_trapezoid(np.sqrt(u), traj.nodes)
+    arc_tip = _tip_arc_position(traj.chart, traj.nodes, u, mask, node, arc)
     s_hat = np.abs(arc - arc_tip) * math.sqrt(r_tip)
     reach = float(s_hat[mask].max())
     if reach < span:
@@ -265,12 +266,12 @@ def rescaled_profile(flow: DilatedFlow, span: float) -> RescaledProfile:
         # censored tip: the node at s = 0 is synthetic, Rn = 1 by construction
         s_sorted = np.concatenate(([0.0], s_sorted))
         rn_sorted = np.concatenate(([1.0], rn_sorted))
-    return RescaledProfile(s=s_sorted, Rn=rn_sorted, R0=r_tip)
+    return RescaledProfile(s=s_sorted, Rn=rn_sorted, R0=r_tip / pick.M_j)
 
 
-def profile_distance(flow: DilatedFlow, span: float) -> float:
-    """Sup distance of the tip-normalized profile from sech^2(s/2) on [0, span]."""
-    prof = rescaled_profile(flow, span)
+def profile_distance(traj: FlowTrajectory, pick: RescalingPick, span: float) -> float:
+    """Sup distance of the picked snapshot's tip-normalized profile from sech^2(s/2) on [0, span]."""
+    prof = rescaled_profile(traj, pick, span)
     return float(np.abs(prof.Rn - cigar_profile(prof.s)).max())
 
 

@@ -174,7 +174,8 @@ class FlowTrajectory:
 
     def blocks(self, start: int = 0, stop: int | None = None):
         """Yield (rows, u, R, trusted) over snapshots start..stop-1, one row_blocks block
-        at a time, trusted as in trusted_mask: every snapshot scan's one curvature pass.
+        at a time, trusted where u >= CURVATURE_TRUST_FLOOR on the reliable slice
+        (grids.trust_mask): every snapshot scan's one curvature pass.
 
         The block arrays are a workspace allocated once per call and filled in
         place, so the scan allocates nothing of a block's size after it starts:
@@ -499,11 +500,6 @@ def _advance(st: _Stencil, w: np.ndarray, u: np.ndarray, f: np.ndarray, t: float
         raise GeomflowError(f"linear solve failed during step toward t={t + dt}") from None
     _check_state(state[0], state[1], t + dt)
     return state
-
-
-def trusted_mask(grid: ConformalGrid) -> np.ndarray:
-    """Reliable-slice nodes whose conformal factor supports curvature statistics."""
-    return trust_mask(grid.u, grid.chart, CURVATURE_TRUST_FLOOR)
 
 
 def resolve_output_times(t0: float, t_end: float, output_times) -> np.ndarray:

@@ -371,6 +371,19 @@ def test_out_of_scale_radial_fits_exit_2_with_one_line(tmp_path, n, extent):
     assert not os.path.exists(out)
 
 
+def test_a_snapshot_far_from_unit_scale_exits_2_with_one_line_naming_its_time(tmp_path):
+    # the Sphere's u is about 1e300 at t = -1e300: polyfit's column norms overflow, which
+    # numpy would also print as a RuntimeWarning
+    args = ["invariants", "--family", "sphere", "--t0=-1e300", "--t1=-1e300"]
+    out = str(tmp_path / "out")
+    proc = run_python(tmp_path, "-m", "geomflow.cli", *args, "--out", out)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "at t = -1e+300, extent 20 " in lines[0]
+    assert not os.path.exists(out)
+
+
 def test_resume_from_an_old_format_checkpoint_exits_2_without_an_out_dir(tmp_path, capsys):
     checkpoint = tmp_path / "old.json"
     checkpoint.write_text(json.dumps({"chart": "radial", "t": 0.0, "nodes": [0.0, 1.0], "u": [1.0, 1.0]}))
@@ -435,6 +448,15 @@ def test_flat_invariants_row(tmp_path):
     assert circ == math.inf
     assert avr == pytest.approx(1.0, abs=1e-6)
     assert r_max == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("t1, rows", [("0", 1), ("1", solver.DEFAULT_OUTPUT_COUNT)])
+def test_invariants_sample_a_one_time_window_once(tmp_path, t1, rows):
+    out = str(tmp_path / "out")
+    args = ["invariants", "--family", "flat", "--t0", "0", "--t1", t1, "--n", "400", "--out", out]
+    assert cli.main(args) == 0
+    _, table = read_csv(os.path.join(out, "invariants.csv"))
+    assert len(table) == rows
 
 
 def test_flat_verify_task_has_no_ratio_to_judge(tmp_path):

@@ -133,14 +133,15 @@ def test_trust_mask_of_a_block_is_the_mask_of_each_row(chart):
 def test_one_trust_rule_with_two_floors():
     # grid statistics keep u down to U_NOISE_FLOOR, curvature statistics on
     # flows only down to CURVATURE_TRUST_FLOOR; both apply the same margin
-    from geomflow.solver import CURVATURE_TRUST_FLOOR, trusted_mask
+    from geomflow.solver import CURVATURE_TRUST_FLOOR
 
     u = np.ones(40)
     u[10] = 0.1 * CURVATURE_TRUST_FLOOR
     g = make_grid(n=40, chart=CYLINDER, u=u)
+    trusted = trust_mask(g.u, g.chart, CURVATURE_TRUST_FLOOR)
     assert U_NOISE_FLOOR < u[10]
-    assert g.reliable_mask()[10] and not trusted_mask(g)[10]
-    for mask in (g.reliable_mask(), trusted_mask(g)):
+    assert g.reliable_mask()[10] and not trusted[10]
+    for mask in (g.reliable_mask(), trusted):
         assert not mask[:RELIABLE_MARGIN].any() and not mask[-RELIABLE_MARGIN:].any()
 
 

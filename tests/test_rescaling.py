@@ -6,6 +6,7 @@ import pytest
 
 from geomflow import cli, exact, geometry, rescaling, solver
 from geomflow.errors import DomainError
+from geomflow.grids import trust_mask
 
 
 def ladder_trajectory(j, h_target=0.05, snapshot_count=65):
@@ -37,12 +38,12 @@ def classifier_rosenau_trajectory():
 # them on purpose updates this table and says why.
 HEADLINE = [
     # (j, node, x_j, t_j, profile distance)
-    (1, 786, -5.28, -0.001, 0.40149637961091333),
-    (2, 437, -13.26, -1.7818046875, 0.045440909870647306),
-    (3, 425, -15.5, -4.0005, 5.549844149792538e-4),
-    (4, 425, -19.5, -8.0005, 1.4339591997480916e-5),
-    (5, 425, -27.5, -16.0005, 1.4724151608636049e-5),
-    (6, 425, -43.5, -32.0005, 1.4724146528477533e-5),
+    (1, 786, -5.28, -0.001, 0.4005009164302036),
+    (2, 437, -13.26, -1.7818046875, 0.04544120858856737),
+    (3, 425, -15.5, -4.0005, 5.551226429522105e-4),
+    (4, 425, -19.5, -8.0005, 1.4524482505273717e-5),
+    (5, 425, -27.5, -16.0005, 1.453925271754919e-5),
+    (6, 425, -43.5, -32.0005, 1.4539256110834842e-5),
 ]
 
 
@@ -54,7 +55,7 @@ def test_headline_picks_and_profile_distances_are_pinned(j, node, x_j, t_j, dist
     assert pick.x_j == traj.nodes[node]
     assert pick.x_j == pytest.approx(x_j, abs=1e-12)
     assert pick.t_j == pytest.approx(t_j, abs=1e-12)
-    measured = rescaling.profile_distance(rescaling.dilate(traj, pick), cli.RESCALE_SPAN)
+    measured = rescaling.profile_distance(traj, pick, cli.RESCALE_SPAN)
     assert measured == pytest.approx(distance, rel=1e-6)
 
 
@@ -132,7 +133,7 @@ def masked_magnitude(traj, k):
     untrusted nodes sent to -inf."""
     snapshot = traj.snapshot(k)
     magnitude = 0.5 * np.abs(geometry.scalar_curvature(snapshot))
-    magnitude[~solver.trusted_mask(snapshot)] = -np.inf
+    magnitude[~trust_mask(snapshot.u, snapshot.chart, solver.CURVATURE_TRUST_FLOOR)] = -np.inf
     return magnitude
 
 
@@ -150,7 +151,8 @@ def test_blocked_peaks_equal_the_masked_magnitude_maxima():
         lo, hi = solver.curvature_range(traj, start, stop)
         for i, k in enumerate(range(start, stop)):
             snapshot = traj.snapshot(k)
-            trusted_r = geometry.scalar_curvature(snapshot)[solver.trusted_mask(snapshot)]
+            trusted = trust_mask(snapshot.u, snapshot.chart, solver.CURVATURE_TRUST_FLOOR)
+            trusted_r = geometry.scalar_curvature(snapshot)[trusted]
             assert lo[i] == trusted_r.min() and hi[i] == trusted_r.max()
         # the peaks pick_point and classify_type read: bitwise the old maxima of |R|/2
         expected = [float(masked_magnitude(traj, k).max()) for k in range(start, stop)]
@@ -206,7 +208,7 @@ def test_stored_and_closed_form_rows_give_equal_results(spec, kwargs):
             solver.diagnostics(traj),
             solver.closed_form_error(traj),
             pick,
-            rescaling.profile_distance(rescaling.dilate(traj, pick), cli.RESCALE_SPAN),
+            rescaling.profile_distance(traj, pick, cli.RESCALE_SPAN),
             rescaling.classify_type(traj),
             [traj.snapshot(i).u for i in range(times.size)],
             traj.u_at(float(times[k])),
@@ -277,7 +279,8 @@ def test_pick_attains_searched_supremum():
         if weight <= 0.0:
             continue
         mag = 0.5 * np.abs(geometry.scalar_curvature(grid))
-        sup = max(sup, weight * float(mag[solver.trusted_mask(grid)].max()))
+        trusted = trust_mask(grid.u, grid.chart, solver.CURVATURE_TRUST_FLOOR)
+        sup = max(sup, weight * float(mag[trusted].max()))
     assert pick.score >= pick.gamma_j * sup
     assert pick.score >= sup * (1.0 - 2.0 * rescaling.PICK_TIE_RTOL)
 
@@ -323,10 +326,14 @@ def test_dilation_scales_conformal_factor():
 
 
 def test_dilated_tip_curvature_is_two():
-    traj, pick = ladder_pick(3)
-    flow = rescaling.dilate(traj, pick)
-    r = geometry.scalar_curvature(flow.grid_at(0.0))
-    assert float(r[pick.node]) == pytest.approx(2.0, rel=1e-12)
+    # R0 = R_tip / M_j with M_j = R_tip / 2 from the same row: exact, whatever the
+    # rounding of R_tip
+    for j in range(1, 7):
+        traj = rescaling.backward_rosenau_trajectory(j)
+        pick = rescaling.pick_point(traj, rescaling.default_window(j), rescaling.default_gamma(j), j=j)
+        prof = rescaling.rescaled_profile(traj, pick, cli.RESCALE_SPAN)
+        assert prof.R0 == 2.0
+        assert prof.Rn[0] == 1.0
 
 
 def test_magnitude_bound_holds_inside_window():
@@ -343,17 +350,17 @@ def test_magnitude_bound_holds_inside_window():
     for t in np.linspace(lo + 0.05, hi - 0.05, 21):
         grid = flow.grid_at(float(t))
         mag = 0.5 * np.abs(geometry.scalar_curvature(grid))
-        peak = float(mag[solver.trusted_mask(grid)].max())
+        trusted = trust_mask(grid.u, grid.chart, solver.CURVATURE_TRUST_FLOOR)
+        peak = float(mag[trusted].max())
         assert peak <= bound(float(t))
 
 
 def test_rescaled_profile_structure():
     traj, pick = ladder_pick(3)
-    flow = rescaling.dilate(traj, pick)
-    prof = rescaling.rescaled_profile(flow, 3.0)
+    prof = rescaling.rescaled_profile(traj, pick, 3.0)
     assert prof.s[0] == 0.0
-    assert prof.Rn[0] == pytest.approx(1.0, abs=1e-12)
-    assert prof.R0 == pytest.approx(2.0, rel=1e-12)
+    assert prof.Rn[0] == 1.0
+    assert prof.R0 == 2.0
     assert np.all(np.diff(prof.s) >= 0.0)
     assert float(prof.s[-1]) <= 3.0
     assert prof.s.size > 100
@@ -361,12 +368,20 @@ def test_rescaled_profile_structure():
 
 def test_profile_span_errors():
     traj, pick = ladder_pick(3)
-    flow = rescaling.dilate(traj, pick)
     with pytest.raises(DomainError, match="^profile span must be positive, got 0.0$"):
-        rescaling.rescaled_profile(flow, 0.0)
+        rescaling.rescaled_profile(traj, pick, 0.0)
     # trusted region ends near unit-curvature distance 10.8 on this grid
     with pytest.raises(DomainError, match=r"^grid supports the profile only to distance \S+, span 20.0 requested$"):
-        rescaling.rescaled_profile(flow, 20.0)
+        rescaling.rescaled_profile(traj, pick, 20.0)
+
+
+@pytest.mark.parametrize("rows", [slice(1, None, 2), slice(0, 10)], ids=["between", "after"])
+def test_profile_needs_the_picked_time_among_the_snapshots(rows):
+    traj, pick = ladder_pick(3)
+    assert pick.t_j == traj.times[32]
+    other = solver.FlowTrajectory(traj.chart, traj.nodes, traj.times[rows], traj.u_rows()[rows], None, ())
+    with pytest.raises(DomainError, match=r"^picked time \S+ is not a snapshot time of the trajectory$"):
+        rescaling.rescaled_profile(other, pick, 3.0)
 
 
 def test_profile_validation_rejects_malformed_arrays():
@@ -390,10 +405,9 @@ def test_profile_distance_ladder_approaches_cigar():
     mins = []
     for j in range(1, 7):
         traj, pick = ladder_pick(j)
-        flow = rescaling.dilate(traj, pick)
-        dists.append(rescaling.profile_distance(flow, 3.0))
+        dists.append(rescaling.profile_distance(traj, pick, 3.0))
         mins.append(min(pick.alpha_j, pick.omega_j))
-    expected = [8.175413e-1, 1.591337e-1, 2.053736e-3, 1.144657e-4, 1.146530e-4, 1.145182e-4]
+    expected = [8.179981e-1, 1.591337e-1, 2.053718e-3, 1.144657e-4, 1.145856e-4, 1.146530e-4]
     for got, want in zip(dists, expected):
         assert got == pytest.approx(want, rel=1e-2, abs=5e-7)
     # sup-norm noise on the far plateau sits near 2e-7; 1e-6 absorbs it
@@ -410,7 +424,7 @@ def test_solver_path_pick_matches_exact_magnitude():
     assert pick.t_j == pytest.approx(-1.7556, abs=1e-3)
     assert pick.x_j == pytest.approx(-13.2, abs=0.3)
     assert 2.0 * pick.M_j == pytest.approx(1.0 / math.tanh(-pick.t_j), abs=5e-4)
-    dist = rescaling.profile_distance(rescaling.dilate(traj, pick), 3.0)
+    dist = rescaling.profile_distance(traj, pick, 3.0)
     assert 0.1 < dist < 0.2
 
 
@@ -427,7 +441,7 @@ def test_sphere_pick_forward_endpoint_stays_bounded():
 def test_sphere_profile_stays_far_from_cigar():
     traj = sphere_trajectory()
     pick = rescaling.pick_point(traj, -8.0, 0.9)
-    dist = rescaling.profile_distance(rescaling.dilate(traj, pick), 2.0)
+    dist = rescaling.profile_distance(traj, pick, 2.0)
     assert dist == pytest.approx(0.5717, abs=0.02)
     assert dist > 0.5
 
@@ -512,7 +526,7 @@ def test_evolved_backward_data_reproduces_the_exact_pick_and_profile():
     # the backward analysis on evolved data, not only on the closed form: row 0
     # of the exact j = 4 trajectory, evolved over the same snapshot times, must
     # pick the same point and stay within 2x of the exact profile distance
-    # (measured 1.65e-5 against 1.45e-5; the trapezoid-corrector stepper read
+    # (measured 1.60e-5 against 1.45e-5; the trapezoid-corrector stepper read
     # 8.5e-4 and picked the mirror node)
     j = 4
     exact_traj = rescaling.backward_rosenau_trajectory(j)
@@ -525,6 +539,6 @@ def test_evolved_backward_data_reproduces_the_exact_pick_and_profile():
     for traj in (exact_traj, evolved):
         pick = rescaling.pick_point(traj, window, gamma, j=j)
         picks.append((pick.t_j, pick.node))
-        dists.append(rescaling.profile_distance(rescaling.dilate(traj, pick), 3.0))
+        dists.append(rescaling.profile_distance(traj, pick, 3.0))
     assert picks[1] == picks[0]
     assert dists[1] <= 2.0 * dists[0]

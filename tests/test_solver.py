@@ -287,7 +287,8 @@ def test_blocked_rmax_series_equals_the_row_by_row_maxima(spec, times, kwargs):
     for k, (t, rm) in enumerate(values):
         assert t == float(traj.times[k])
         snapshot = traj.snapshot(k)
-        assert rm == float(geometry.scalar_curvature(snapshot)[solver.trusted_mask(snapshot)].max())
+        trusted = trust_mask(snapshot.u, snapshot.chart, solver.CURVATURE_TRUST_FLOOR)
+        assert rm == float(geometry.scalar_curvature(snapshot)[trusted].max())
 
 
 def test_refinement_reduces_rosenau_errors():
@@ -401,7 +402,7 @@ def row_by_row_diagnostics(traj):
     """Reference: diagnostics as one curvature pass and one trust mask per snapshot."""
     times = traj.times
     snapshots = [traj.snapshot(k) for k in range(times.size)]
-    trusted = [solver.trusted_mask(snapshot) for snapshot in snapshots]
+    trusted = [trust_mask(snapshot.u, snapshot.chart, solver.CURVATURE_TRUST_FLOOR) for snapshot in snapshots]
     mask = np.logical_and.reduce(trusted)
     if not mask.any():
         mask = np.zeros(traj.nodes.size, dtype=bool)
@@ -635,7 +636,8 @@ def test_exact_trajectory_rows_match_sampled_grids():
         assert np.array_equal(snap.nodes, grid.nodes)
         assert (snap.t, snap.provenance, snap.chart) == (grid.t, grid.provenance, grid.chart)
         assert np.array_equal(geometry.scalar_curvature(snap), geometry.scalar_curvature(grid))
-        assert np.array_equal(solver.trusted_mask(snap), solver.trusted_mask(grid))
+        floor = solver.CURVATURE_TRUST_FLOOR
+        assert np.array_equal(trust_mask(snap.u, snap.chart, floor), trust_mask(grid.u, grid.chart, floor))
     assert np.array_equal(traj.snapshot(-1).u, traj.snapshot(2).u)
     # one block holds all three rows; its rows are the sampled grids' fields
     ((rows, u, r, trusted),) = traj.blocks()
@@ -644,7 +646,7 @@ def test_exact_trajectory_rows_match_sampled_grids():
         grid = exact.sample_grid(exact.rosenau(), t, n=64, extent=5.0)
         assert np.array_equal(u[k], grid.u)
         assert np.array_equal(r[k], geometry.scalar_curvature(grid))
-        assert np.array_equal(trusted[k], solver.trusted_mask(grid))
+        assert np.array_equal(trusted[k], trust_mask(grid.u, grid.chart, solver.CURVATURE_TRUST_FLOOR))
 
 
 @pytest.mark.parametrize(
