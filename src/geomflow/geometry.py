@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .grids import CYLINDER, RADIAL, RELIABLE_MARGIN, ConformalGrid, cumulative_trapezoid
+from .grids import CYLINDER, RADIAL, RELIABLE_MARGIN, ConformalGrid, cumulative_trapezoid, trust_mask
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,7 +217,8 @@ def _tail_fit(grid: ConformalGrid, x: np.ndarray, y: np.ndarray, degree: int) ->
 def invariant_report(grid: ConformalGrid) -> InvariantReport:
     """Every invariant this chart supports, from one evaluation of R, s, l and A.
 
-    r_max: maximum of R over grid.reliable_mask().
+    r_max: maximum of R over trust_mask(grid.u, grid.chart), the nodes every
+        snapshot scan trusts (FlowTrajectory.blocks).
     tau: trapezoid quadrature of the integral of K = R/2. extras["tau_flux"] is
         its boundary-flux form, -pi * [rho d(log u)/drho] at the reliable radius
         (radial) or between the reliable ends (cylinder), and extras
@@ -242,7 +243,7 @@ def invariant_report(grid: ConformalGrid) -> InvariantReport:
     r_field = scalar_curvature(grid)
     w = np.log(grid.u)
     h = grid.h
-    mask = grid.reliable_mask()
+    mask = trust_mask(grid.u, grid.chart)
     r_max = float(r_field[mask].max())
     i_r = _reliable_outer_index(grid)
     warnings: list[str] = []

@@ -23,7 +23,8 @@ the accepted state is carried into the next step, so a step applies L
 twice, and it also yields the step's curvature peak and its embedded error
 estimate. The step is limited only by accuracy, dt = cfl * min(h, 1 / R_max);
 an explicit rule would need dt ~ h^2 * u_min, prohibitive when the far
-field is tiny.
+field is tiny. A step whose matrix is not positive definite is rejected:
+TR-BDF2 is the one step path.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .errors import DomainError, GeomflowError
 from .exact import ExactSolutionSpec, check_extremes, check_time, log_u_profile, node_factor
 from .exact import sample_grid, u_profile
 from .geometry import curvature_field
-from .grids import CYLINDER, RADIAL, ConformalGrid, check_layout, check_positive, readonly
-from .grids import reliable_slice, trust_mask
+from .grids import CURVATURE_TRUST_FLOOR, CYLINDER, RADIAL, ConformalGrid, check_layout
+from .grids import check_positive, readonly, reliable_slice, trust_mask
 
 # the one time stepper's name, as scenario configs may spell it
 SEMI_IMPLICIT = "SemiImplicit"
@@ -67,13 +68,6 @@ CIRCLE_FRACTIONS = (0.25, 0.5, 0.75)
 # largest benchmark trajectory, 253 snapshots of ~3,085 nodes
 MAX_TRAJECTORY_CELLS = 2**26
 
-# Trust region for curvature statistics on evolved data. R = -lap(w)/u divides
-# a second difference by u, so the smooth O(h^2 + dt^2) integration error in w
-# is amplified like 1/u; below u ~ 1e-5 that amplification exceeds the ~1e-4
-# accuracy the statistics promise (measured on boundary-pinned runs), while the
-# discarded tail carries curvature within 1e-6 of the retained region's values.
-CURVATURE_TRUST_FLOOR = 1.0e-5
-
 # float64 values in one row block (256 KiB) of a blocked snapshot scan: the
 # scan's workspace arrays are this size, never the size of a trajectory
 BLOCK_CELLS = 2**15
@@ -86,10 +80,9 @@ class StepRecord:
     residual is the step's embedded TR-BDF2 local error estimate in w = log u
     (Hosea & Shampine 1996), the max over the trusted nodes of
     2|C| dt |f_n / gamma - f_gamma / (gamma (1 - gamma)) + f_{n+1} / (1 - gamma)|,
-    C = (-3 gamma^2 + 4 gamma - 2) / (12 (2 - gamma)); a backward Euler
-    fallback step records its first-order estimate dt/2 |f_{n+1} - f_n|.
-    The untrusted far field is left out because there f = exp(-w) L w is
-    rounding amplified by 1/u, not truncation error.
+    C = (-3 gamma^2 + 4 gamma - 2) / (12 (2 - gamma)). The untrusted far
+    field is left out because there f = exp(-w) L w is rounding amplified
+    by 1/u, not truncation error.
     r_max is the curvature maximum -f_{n+1} over the trusted nodes, taken
     from the stepper's own stencil; rmax_series and rmax.csv measure it with
     the measurement operator instead, so the two can differ near the axis.
@@ -174,8 +167,8 @@ class FlowTrajectory:
 
     def blocks(self, start: int = 0, stop: int | None = None):
         """Yield (rows, u, R, trusted) over snapshots start..stop-1, one row_blocks block
-        at a time, trusted where u >= CURVATURE_TRUST_FLOOR on the reliable slice
-        (grids.trust_mask): every snapshot scan's one curvature pass.
+        at a time, trusted by grids.trust_mask: every snapshot scan's one curvature
+        pass.
 
         The block arrays are a workspace allocated once per call and filled in
         place, so the scan allocates nothing of a block's size after it starts:
@@ -197,7 +190,7 @@ class FlowTrajectory:
             u = self.u_rows(rows.start, rows.stop, sampled[:m], factor)
             np.log(u, out=w[:m])
             curvature_field(w[:m], u, self.nodes, self.h, self.chart, r[:m], scratch[:m])
-            yield rows, u, r[:m], trust_mask(u, self.chart, CURVATURE_TRUST_FLOOR, trusted[:m])
+            yield rows, u, r[:m], trust_mask(u, self.chart, trusted[:m])
 
     def u_at(self, t: float) -> np.ndarray:
         """Conformal factor at time t, linear in time between snapshots."""
@@ -307,9 +300,10 @@ class _Stencil:
     It is positive definite whenever theta R < 1 at every node (f = -R),
     which the step cap dt <= cfl / R_max keeps on the trusted nodes, so
     LAPACK's pttrf factors it as L D L^T once per step and pttrs solves each
-    stage against those factors; a step where pttrf reports otherwise falls
-    back to backward Euler. A pinned node is an identity row; its coupling
-    into the neighbouring row moves to the right-hand side.
+    stage against those factors; a step where pttrf reports otherwise is
+    rejected (LinAlgError), as is one whose pttrs fails. A pinned node is an
+    identity row; its coupling into the neighbouring row moves to the
+    right-hand side.
     """
 
     def __init__(self, grid: ConformalGrid):
@@ -388,17 +382,14 @@ class _Stencil:
         return log_u_profile(self.provenance, self.pinned_nodes, times)
 
     def factor(self, wu: np.ndarray, shift):
-        """pttrf factors of the scaled matrix with diagonal wu * shift + k_{i-1} + k_i.
-
-        Returns None when the matrix is not positive definite.
-        """
+        """pttrf factors of the scaled matrix with diagonal wu * shift + k_{i-1} + k_i."""
         d = wu * shift
         d += self.cond_sums
         d[self.pinned] = 1.0
         d, e, info = self._pttrf(d, self.off, overwrite_d=1)
-        if info < 0:
-            raise LinAlgError(f"malformed pttrf argument {-info}")
-        return (d, e) if info == 0 else None
+        if info != 0:
+            raise LinAlgError(f"step matrix is not positive definite (pttrf info {info})")
+        return d, e
 
     def solve(self, factors, rhs: np.ndarray, pin_delta: np.ndarray) -> np.ndarray:
         """Solve the factored system for a scaled rhs (consumed), given the pinned increments."""
@@ -433,8 +424,6 @@ def _step_tr_bdf2(st: _Stencil, w: np.ndarray, u: np.ndarray, f: np.ndarray, t: 
     theta = 0.5 * GAMMA * dt
     wu = st.weights * u
     factors = st.factor(wu, f + 1.0 / theta)
-    if factors is None:
-        return _step_backward_euler(st, w, f, wu, t, dt)
     pins = st.pin_values(t + GAMMA * dt, t + dt)
     # stage 1, trapezoid over gamma dt: (I - theta J) d1 = gamma dt f, rows scaled by omega u / theta
     rhs = wu * f
@@ -456,25 +445,6 @@ def _step_tr_bdf2(st: _Stencil, w: np.ndarray, u: np.ndarray, f: np.ndarray, t: 
     err += np.multiply(f_new, 1.0 / (1.0 - GAMMA), out=u_g)
     np.abs(err, out=err)
     err *= ERR_SCALE * dt
-    return w_new, u_new, f_new, err
-
-
-def _step_backward_euler(st: _Stencil, w: np.ndarray, f: np.ndarray, wu: np.ndarray, t: float, dt: float):
-    """Frozen-coefficient backward Euler, (I - dt diag(exp(-w)) L) d = dt f.
-
-    The fallback for a step so long that I - theta J is not positive
-    definite: this matrix, scaled by omega u / dt, is positive definite for
-    every dt and keeps a maximum principle. Its error estimate is the
-    first-order one, dt/2 |f_new - f|.
-    """
-    factors = st.factor(wu, 1.0 / dt)
-    if factors is None:
-        raise LinAlgError("backward Euler matrix is not positive definite")
-    w_new = st.solve(factors, wu * f, st.pin_values(t + dt)[0] - w[st.pinned])
-    w_new += w
-    u_new, f_new = st.rate(w_new)
-    err = np.abs(f_new - f)
-    err *= 0.5 * dt
     return w_new, u_new, f_new, err
 
 

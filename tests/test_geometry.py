@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from geomflow import exact, geometry
+from geomflow import exact, geometry, solver
 from geomflow.errors import DomainError
-from geomflow.grids import CYLINDER, RADIAL, RELIABLE_MARGIN, ConformalGrid
+from geomflow.grids import CYLINDER, RADIAL, RELIABLE_MARGIN, ConformalGrid, trust_mask
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,7 +39,7 @@ def test_curvature_field_matches_closed_form(spec, t, kwargs, tol):
     g = exact.sample_grid(spec, t, n=2000, **kwargs)
     r_hat = geometry.scalar_curvature(g)
     r_exact = exact.r_profile(spec, g.nodes, t)
-    mask = g.reliable_mask()
+    mask = trust_mask(g.u, g.chart)
     assert np.max(np.abs(r_hat[mask] - r_exact[mask])) < tol
 
 
@@ -117,6 +117,23 @@ def test_total_curvature_cigar_quadrature_and_flux():
     assert abs(rep.extras["tau_flux"] - TWO_PI * rho_r**2 / (1.0 + rho_r**2)) < 2e-6
     assert rep.extras["tau_disagreement"] < 1e-3
     assert rep.warnings == ()
+
+
+def test_rosenau_r_max_is_the_scan_maximum_and_converges():
+    # the grid statistic and the snapshot scan apply one trust rule, so they
+    # agree exactly
+    spec = exact.rosenau()
+    r_max = geometry.invariant_report(exact.sample_grid(spec, -1.0, n=32001, extent=20.0)).r_max
+    traj = solver.exact_trajectory(spec, [-1.0, -0.5], n=32001, extent=20.0)
+    assert r_max == solver.rmax_series(traj).values[0][1]
+    assert r_max == pytest.approx(exact.rosenau_rmax(-1.0), rel=1e-3)
+
+
+def test_sphere_r_max_converges_at_fine_resolution():
+    # the chart end (u ~ 1.3e-6) lies below the trust floor: there the curvature
+    # is the eps / (h^2 u) rounding noise of u, which rises under refinement
+    rep = geometry.invariant_report(exact.sample_grid(exact.sphere(), -1.0, n=32001, extent=50.0))
+    assert rep.r_max == pytest.approx(1.0, abs=2e-4)
 
 
 def test_total_curvature_bump_hits_target():
@@ -234,7 +251,7 @@ def test_cylinder_cigar_fixture_matches_closed_form():
     r_hat = geometry.scalar_curvature(g)
     s0 = math.asinh(math.exp(float(g.nodes[0])))
     s = s0 + geometry.s_profile(g)
-    mask = g.reliable_mask()
+    mask = trust_mask(g.u, g.chart)
     assert np.max(np.abs(r_hat[mask] - 4.0 / np.cosh(s[mask]) ** 2)) < 2e-3
     assert at(g, geometry.circle_length_profile, 10.0) == pytest.approx(TWO_PI, rel=1e-8)
 
@@ -335,7 +352,7 @@ def test_curvature_bump_grid_properties():
     assert bump.u[0] == pytest.approx(1.0, abs=1e-15)
     assert np.all(np.diff(bump.u) < 0.0)
     r = geometry.scalar_curvature(bump)
-    assert float(r[bump.reliable_mask()].min()) > -1e-6
+    assert float(r[trust_mask(bump.u, bump.chart)].min()) > -1e-6
     assert float(r[:200].min()) > 1e-3  # bump region is genuinely curved
 
 
@@ -420,7 +437,7 @@ def reference_volume_ratio(grid):
 def reference_report(grid):
     r_field = geometry.scalar_curvature(grid)
     tau, flux, disagreement, warnings = reference_total_curvature(grid, r_field)
-    mask = grid.reliable_mask()
+    mask = trust_mask(grid.u, grid.chart)
     fields = dict(t=grid.t, tau=tau, r_max=float(r_field[mask].max()))
     extras = {"tau_flux": flux, "tau_disagreement": disagreement}
     if grid.chart != RADIAL:

@@ -3,11 +3,11 @@ import pytest
 
 from geomflow.errors import DomainError
 from geomflow.grids import (
+    CURVATURE_TRUST_FLOOR,
     CYLINDER,
     MAX_NODE,
     RADIAL,
     RELIABLE_MARGIN,
-    U_NOISE_FLOOR,
     ConformalGrid,
     check_layout,
     check_positive,
@@ -101,21 +101,21 @@ def test_reliable_slice_margins():
     assert sl.start == RELIABLE_MARGIN and sl.stop == 40 - RELIABLE_MARGIN
 
 
-def test_reliable_mask_drops_noise_floor():
+def test_trust_mask_drops_nodes_below_the_floor():
     u = np.ones(40)
-    u[10] = 0.5 * U_NOISE_FLOOR
+    u[10] = 0.5 * CURVATURE_TRUST_FLOOR
     g = make_grid(n=40, u=u)
-    mask = g.reliable_mask()
+    mask = trust_mask(g.u, g.chart)
     assert not mask[10]
     assert mask[0] and mask[11]
     assert not mask[-1]  # outer margin
 
 
-def test_reliable_mask_degenerate_keeps_best_node():
-    u = np.full(40, 0.1 * U_NOISE_FLOOR)
-    u[3] = 0.9 * U_NOISE_FLOOR
+def test_trust_mask_degenerate_keeps_best_node():
+    u = np.full(40, 0.1 * CURVATURE_TRUST_FLOOR)
+    u[3] = 0.9 * CURVATURE_TRUST_FLOOR
     g = make_grid(n=40, u=u)
-    mask = g.reliable_mask()
+    mask = trust_mask(g.u, g.chart)
     assert mask.sum() == 1 and mask[3]
 
 
@@ -124,25 +124,34 @@ def test_trust_mask_of_a_block_is_the_mask_of_each_row(chart):
     block = 10.0 ** np.random.default_rng(5).uniform(-9.0, 0.0, size=(4, 40))
     block[2] = 1e-9  # no node reaches the floor: the row keeps its argmax
     block[2, 17] = 2e-9
-    masks = trust_mask(block, chart, 1e-5)
+    masks = trust_mask(block, chart)
     for row, mask in zip(block, masks):
-        assert np.array_equal(mask, trust_mask(row, chart, 1e-5))
+        assert np.array_equal(mask, trust_mask(row, chart))
     assert np.flatnonzero(masks[2]).tolist() == [17]
 
 
-def test_one_trust_rule_with_two_floors():
-    # grid statistics keep u down to U_NOISE_FLOOR, curvature statistics on
-    # flows only down to CURVATURE_TRUST_FLOOR; both apply the same margin
-    from geomflow.solver import CURVATURE_TRUST_FLOOR
+def test_one_trust_floor_for_grid_statistics_and_scans():
+    # u = exp(-x^2 / 4) has R = exp(x^2 / 4) / 2, largest where u is smallest,
+    # and the reliable ends reach u ~ 1e-6 < CURVATURE_TRUST_FLOOR: a statistic
+    # that trusted any node with 1e-7 < u < 1e-5 would report a larger maximum
+    from geomflow.geometry import invariant_report, scalar_curvature
+    from geomflow.solver import FlowTrajectory, rmax_series
 
-    u = np.ones(40)
-    u[10] = 0.1 * CURVATURE_TRUST_FLOOR
-    g = make_grid(n=40, chart=CYLINDER, u=u)
-    trusted = trust_mask(g.u, g.chart, CURVATURE_TRUST_FLOOR)
-    assert U_NOISE_FLOOR < u[10]
-    assert g.reliable_mask()[10] and not trusted[10]
-    for mask in (g.reliable_mask(), trusted):
-        assert not mask[:RELIABLE_MARGIN].any() and not mask[-RELIABLE_MARGIN:].any()
+    x = np.linspace(-8.0, 8.0, 401)
+    g = make_grid(n=401, chart=CYLINDER, extent=8.0, u=np.exp(-(x**2) / 4.0))
+    r = scalar_curvature(g)
+    rel = g.reliable_slice()
+    below = np.zeros(g.n, dtype=bool)
+    below[rel] = (1e-7 < g.u[rel]) & (g.u[rel] < CURVATURE_TRUST_FLOOR)
+    trusted = trust_mask(g.u, g.chart)
+    assert below.any() and not trusted[below].any()
+    assert not trusted[:RELIABLE_MARGIN].any() and not trusted[-RELIABLE_MARGIN:].any()
+    assert r[below].max() > 10.0 * r[trusted].max()
+    scan = FlowTrajectory(g.chart, g.nodes, np.array([g.t]), g.u[None], None, ())
+    ((_, _, _, scanned),) = scan.blocks()
+    assert np.array_equal(scanned[0], trusted)
+    r_max = float(r[trusted].max())
+    assert invariant_report(g).r_max == rmax_series(scan).values[0][1] == r_max
 
 
 def test_grid_shares_read_only_input_and_copies_writable_input():

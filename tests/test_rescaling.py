@@ -6,7 +6,7 @@ import pytest
 
 from geomflow import cli, exact, geometry, rescaling, solver
 from geomflow.errors import DomainError
-from geomflow.grids import trust_mask
+from geomflow.grids import CURVATURE_TRUST_FLOOR, trust_mask
 
 
 def ladder_trajectory(j, h_target=0.05, snapshot_count=65):
@@ -47,7 +47,7 @@ HEADLINE = [
 ]
 
 
-@pytest.mark.parametrize("j, node, x_j, t_j, distance", HEADLINE)
+@pytest.mark.parametrize("j, node, x_j, t_j, distance", HEADLINE, ids=[f"j{row[0]}" for row in HEADLINE])
 def test_headline_picks_and_profile_distances_are_pinned(j, node, x_j, t_j, distance):
     traj = rescaling.backward_rosenau_trajectory(j)
     pick = rescaling.pick_point(traj, rescaling.default_window(j), rescaling.default_gamma(j), j=j)
@@ -133,7 +133,7 @@ def masked_magnitude(traj, k):
     untrusted nodes sent to -inf."""
     snapshot = traj.snapshot(k)
     magnitude = 0.5 * np.abs(geometry.scalar_curvature(snapshot))
-    magnitude[~trust_mask(snapshot.u, snapshot.chart, solver.CURVATURE_TRUST_FLOOR)] = -np.inf
+    magnitude[~trust_mask(snapshot.u, snapshot.chart)] = -np.inf
     return magnitude
 
 
@@ -142,7 +142,7 @@ def test_blocked_peaks_equal_the_masked_magnitude_maxima():
     U = np.array(base.u_rows())
     U[7] *= 1e-6  # below the trust floor at every node: the argmax fallback decides
     traj = solver.FlowTrajectory(base.chart, base.nodes, base.times, U, base.provenance, ())
-    assert not np.any(traj.U[7] >= solver.CURVATURE_TRUST_FLOOR)
+    assert not np.any(traj.U[7] >= CURVATURE_TRUST_FLOOR)
     count = traj.times.size
     rows = solver.row_blocks(0, count, traj.nodes.size)[0].stop
     assert 8 < rows < count
@@ -151,7 +151,7 @@ def test_blocked_peaks_equal_the_masked_magnitude_maxima():
         lo, hi = solver.curvature_range(traj, start, stop)
         for i, k in enumerate(range(start, stop)):
             snapshot = traj.snapshot(k)
-            trusted = trust_mask(snapshot.u, snapshot.chart, solver.CURVATURE_TRUST_FLOOR)
+            trusted = trust_mask(snapshot.u, snapshot.chart)
             trusted_r = geometry.scalar_curvature(snapshot)[trusted]
             assert lo[i] == trusted_r.min() and hi[i] == trusted_r.max()
         # the peaks pick_point and classify_type read: bitwise the old maxima of |R|/2
@@ -279,7 +279,7 @@ def test_pick_attains_searched_supremum():
         if weight <= 0.0:
             continue
         mag = 0.5 * np.abs(geometry.scalar_curvature(grid))
-        trusted = trust_mask(grid.u, grid.chart, solver.CURVATURE_TRUST_FLOOR)
+        trusted = trust_mask(grid.u, grid.chart)
         sup = max(sup, weight * float(mag[trusted].max()))
     assert pick.score >= pick.gamma_j * sup
     assert pick.score >= sup * (1.0 - 2.0 * rescaling.PICK_TIE_RTOL)
@@ -350,7 +350,7 @@ def test_magnitude_bound_holds_inside_window():
     for t in np.linspace(lo + 0.05, hi - 0.05, 21):
         grid = flow.grid_at(float(t))
         mag = 0.5 * np.abs(geometry.scalar_curvature(grid))
-        trusted = trust_mask(grid.u, grid.chart, solver.CURVATURE_TRUST_FLOOR)
+        trusted = trust_mask(grid.u, grid.chart)
         peak = float(mag[trusted].max())
         assert peak <= bound(float(t))
 

@@ -89,8 +89,8 @@ def test_invalid_state_is_rejected_with_first_bad_node():
 
 def test_failed_linear_solve_is_a_rejected_step(monkeypatch):
     # LAPACK reports failure through info > 0: pttrf for a matrix that is not
-    # positive definite (here also the backward Euler fallback's), pttrs never
-    # in practice; either way the step is rejected, not returned
+    # positive definite, pttrs never in practice; either way the step is
+    # rejected, not returned
     real_pttrf, real_pttrs = solver._lapack_pt()
 
     def failed_pttrf(d, e, overwrite_d=0):
@@ -208,7 +208,7 @@ def test_lean_step_matches_reference_formulation(monkeypatch, grid, t_end):
     assert len(taken) == len(traj.steps) > 0
     for (st, w, f, t, dt, (w_new, u_new, f_new, err)), record in zip(taken, traj.steps):
         ref_w, ref_f, ref_err = _reference_step(st, w, f, t, dt)
-        mask = trust_mask(u_new, grid.chart, solver.CURVATURE_TRUST_FLOOR)
+        mask = trust_mask(u_new, grid.chart)
         assert np.abs(w_new - ref_w).max() <= 1e-13 * np.abs(ref_w).max()
         assert np.abs(f_new - ref_f).max() <= 1e-9 * np.abs(ref_f).max()
         assert err[mask].max() == pytest.approx(ref_err[mask].max(), rel=2e-2)
@@ -218,13 +218,15 @@ def test_lean_step_matches_reference_formulation(monkeypatch, grid, t_end):
 
 
 def test_semi_implicit_huge_step_stays_positive():
-    # far beyond evolve's step cap: the backward Euler fallback takes this step
+    # far beyond evolve's step cap, theta R > 1 somewhere, so I - theta J is not
+    # positive definite: the step is rejected whole, never returned with a
+    # nonpositive or nonfinite conformal factor
     grid = free_radial_grid()
     st = solver._Stencil(grid)
     w = np.log(grid.u)
-    u = solver._advance(st, w, grid.u, st.apply(w) / grid.u, grid.t, 1e8)[1]
-    assert np.all(np.isfinite(u))
-    assert np.all(u > 0.0)
+    message = re.escape(f"linear solve failed during step toward t={grid.t + 1e8}")
+    with pytest.raises(GeomflowError, match=f"^{message}$"):
+        solver._advance(st, w, grid.u, st.apply(w) / grid.u, grid.t, 1e8)
 
 
 def test_flat_data_is_stationary():
@@ -287,7 +289,7 @@ def test_blocked_rmax_series_equals_the_row_by_row_maxima(spec, times, kwargs):
     for k, (t, rm) in enumerate(values):
         assert t == float(traj.times[k])
         snapshot = traj.snapshot(k)
-        trusted = trust_mask(snapshot.u, snapshot.chart, solver.CURVATURE_TRUST_FLOOR)
+        trusted = trust_mask(snapshot.u, snapshot.chart)
         assert rm == float(geometry.scalar_curvature(snapshot)[trusted].max())
 
 
@@ -402,7 +404,7 @@ def row_by_row_diagnostics(traj):
     """Reference: diagnostics as one curvature pass and one trust mask per snapshot."""
     times = traj.times
     snapshots = [traj.snapshot(k) for k in range(times.size)]
-    trusted = [trust_mask(snapshot.u, snapshot.chart, solver.CURVATURE_TRUST_FLOOR) for snapshot in snapshots]
+    trusted = [trust_mask(snapshot.u, snapshot.chart) for snapshot in snapshots]
     mask = np.logical_and.reduce(trusted)
     if not mask.any():
         mask = np.zeros(traj.nodes.size, dtype=bool)
@@ -458,7 +460,7 @@ def _disjointly_trusted_trajectory():
     U[7] *= 1e-6 * np.exp(-0.5 * base.nodes)
     U[8] *= 1e-6 * np.exp(0.5 * base.nodes)
     traj = solver.FlowTrajectory(base.chart, base.nodes, base.times, U, None, ())
-    assert not np.logical_and.reduce(trust_mask(traj.U, traj.chart, solver.CURVATURE_TRUST_FLOOR)).any()
+    assert not np.logical_and.reduce(trust_mask(traj.U, traj.chart)).any()
     return traj
 
 
@@ -636,8 +638,7 @@ def test_exact_trajectory_rows_match_sampled_grids():
         assert np.array_equal(snap.nodes, grid.nodes)
         assert (snap.t, snap.provenance, snap.chart) == (grid.t, grid.provenance, grid.chart)
         assert np.array_equal(geometry.scalar_curvature(snap), geometry.scalar_curvature(grid))
-        floor = solver.CURVATURE_TRUST_FLOOR
-        assert np.array_equal(trust_mask(snap.u, snap.chart, floor), trust_mask(grid.u, grid.chart, floor))
+        assert np.array_equal(trust_mask(snap.u, snap.chart), trust_mask(grid.u, grid.chart))
     assert np.array_equal(traj.snapshot(-1).u, traj.snapshot(2).u)
     # one block holds all three rows; its rows are the sampled grids' fields
     ((rows, u, r, trusted),) = traj.blocks()
@@ -646,7 +647,7 @@ def test_exact_trajectory_rows_match_sampled_grids():
         grid = exact.sample_grid(exact.rosenau(), t, n=64, extent=5.0)
         assert np.array_equal(u[k], grid.u)
         assert np.array_equal(r[k], geometry.scalar_curvature(grid))
-        assert np.array_equal(trusted[k], trust_mask(grid.u, grid.chart, solver.CURVATURE_TRUST_FLOOR))
+        assert np.array_equal(trusted[k], trust_mask(grid.u, grid.chart))
 
 
 @pytest.mark.parametrize(
