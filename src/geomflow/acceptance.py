@@ -66,10 +66,10 @@ def _budget(elapsed: float, budget: float) -> CriterionCheck:
     )
 
 
-def flow_residual(spec: exact.ExactSolutionSpec, t: float, **sample) -> float:
+def flow_residual(spec: exact.ExactSolutionSpec, t: float, *, n: int, extent: float) -> float:
     """Sup over the reliable nodes of |du/dt - lap(log u)| for the family sampled at
-    time t with sample_grid(**sample); it falls at order 2 as the grid refines."""
-    grid = exact.sample_grid(spec, t, **sample)
+    time t with sample_grid; it falls at order 2 as the grid refines."""
+    grid = exact.sample_grid(spec, t, n=n, extent=extent)
     lap = laplacian_field(np.log(grid.u), grid.nodes, grid.h, grid.chart)
     residual = exact.dudt_profile(spec, grid.nodes, t) - lap
     return float(np.abs(residual[grid.reliable_slice()]).max())
@@ -82,14 +82,14 @@ def _soliton_grid():
 
 @lru_cache(maxsize=None)
 def _accuracy_run():
-    grid = exact.sample_grid(exact.rosenau(), -2.0, n=2000, x_lo=-20.0, x_hi=20.0)
+    grid = exact.sample_grid(exact.rosenau(), -2.0, n=2000, extent=20.0)
     return solver.evolve(grid, -1.0, cfl=0.4, output_times=np.linspace(-2.0, -1.0, 65))
 
 
 @lru_cache(maxsize=None)
 def _compact_ancient_classifier_trajectory():
     times = np.linspace(-64.0, -1.0, 253)
-    return solver.exact_trajectory(exact.rosenau(), times, n=3081, x_lo=-77.0, x_hi=77.0)
+    return solver.exact_trajectory(exact.rosenau(), times, n=3081, extent=77.0)
 
 
 def criterion_1() -> CriterionResult:
@@ -97,11 +97,11 @@ def criterion_1() -> CriterionResult:
     start = time.perf_counter()
     checks = []
     fixtures = (
-        ("compact ancient", exact.rosenau(), -1.0, dict(x_lo=-12.0, x_hi=12.0)),
-        ("radial soliton", exact.ds_soliton(), 0.0, dict(extent=20.0)),
+        ("compact ancient", exact.rosenau(), -1.0, 12.0),
+        ("radial soliton", exact.ds_soliton(), 0.0, 20.0),
     )
-    for name, spec, t, kwargs in fixtures:
-        errors = [flow_residual(spec, t, n=n, **kwargs) for n in RESOLUTIONS]
+    for name, spec, t, extent in fixtures:
+        errors = [flow_residual(spec, t, n=n, extent=extent) for n in RESOLUTIONS]
         ratios = [a / b for a, b in zip(errors, errors[1:])]
         ok = all(3.0 <= r <= 5.0 for r in ratios)
         checks.append(
@@ -193,9 +193,7 @@ def criterion_6() -> CriterionResult:
     distances = []
     for j in range(1, 7):
         traj = rescaling.backward_rosenau_trajectory(j)
-        pick = rescaling.pick_point(
-            traj, rescaling.default_window(j), rescaling.default_gamma(j), j=j
-        )
+        pick = rescaling.pick_point(traj, j)
         distances.append(rescaling.profile_distance(traj, pick, 3.0))
     elapsed = time.perf_counter() - start
     # equality tolerance 1e-6 absorbs the sup-norm roundoff on the plateau
@@ -323,7 +321,7 @@ def _determinism_artifact() -> str:
     header, rows = serialize.invariant_table([invariant_report(grid)])
     text = serialize.csv_text(header, rows)
     traj = rescaling.backward_rosenau_trajectory(2, h_target=0.05, snapshot_count=65)
-    pick = rescaling.pick_point(traj, -4.0, rescaling.default_gamma(2), j=2)
+    pick = rescaling.pick_point(traj, 2)
     distance = rescaling.profile_distance(traj, pick, 3.0)
     text += serialize.json_text(serialize.rescaling_record(pick, distance))
     text += serialize.json_text(serialize.checkpoint_payload(grid))

@@ -277,9 +277,7 @@ def _task_rescale(config: ScenarioConfig, out_dir: str) -> int:
         else:
             times = np.linspace(rescaling.default_window(j), -1e-3, 257)
             traj = solver.exact_trajectory(spec, times, n=config.resolution, extent=config.extent)
-        pick = rescaling.pick_point(
-            traj, rescaling.default_window(j), rescaling.default_gamma(j), j=j
-        )
+        pick = rescaling.pick_point(traj, j)
         distance = rescaling.profile_distance(traj, pick, RESCALE_SPAN)
         serialize.write_json(
             os.path.join(out_dir, f"rescale_j{j}.json"),

@@ -88,11 +88,6 @@ class ExactSolutionSpec:
             if key in ("r0", "beta", "delta") and value <= 0.0:
                 raise DomainError(f"{self.family} requires {key} > 0")
             params[key] = value
-        if self.family == DS_SOLITON:
-            if params.get("x0", 0.0) != 0.0 or params.get("y0", 0.0) != 0.0:
-                # off-center solitons are not rotationally symmetric about the
-                # chart origin, so they cannot live on the radial grid
-                raise DomainError("DSSoliton center must be the chart origin")
         object.__setattr__(self, "params", tuple(sorted(params.items())))
 
     @property
@@ -114,7 +109,7 @@ _FAMILY_PARAMS: dict[str, dict[str, float]] = {
     ROSENAU: {},
     SPHERE: {},
     FLAT: {},
-    DS_SOLITON: {"beta": 2.0, "delta": 1.0, "x0": 0.0, "y0": 0.0},
+    DS_SOLITON: {"beta": 2.0, "delta": 1.0},
 }
 
 
@@ -286,30 +281,13 @@ def check_extremes(spec: ExactSolutionSpec, coords: np.ndarray, times) -> None:
     check_positive(u_profile(spec, bounds, tuple(float(t) for t in times)))
 
 
-def sample_grid(
-    spec: ExactSolutionSpec,
-    t: float,
-    *,
-    n: int,
-    extent: float | None = None,
-    x_lo: float | None = None,
-    x_hi: float | None = None,
-) -> ConformalGrid:
-    """Sample the family on a uniform grid of its chart at time t."""
-    if spec.chart == RADIAL:
-        if extent is None or extent <= 0.0:
-            raise DomainError("radial sampling needs extent > 0")
-        nodes = np.linspace(0.0, float(extent), int(n))
-    else:
-        if x_lo is None or x_hi is None:
-            if extent is None or extent <= 0.0:
-                raise DomainError("cylinder sampling needs extent > 0 or explicit bounds")
-            x_lo, x_hi = -float(extent), float(extent)
-        if not x_hi > x_lo:
-            raise DomainError("cylinder sampling needs x_hi > x_lo")
-        if not float(x_hi) - float(x_lo) < math.inf:
-            raise DomainError("cylinder sampling needs a finite width x_hi - x_lo")
-        nodes = np.linspace(float(x_lo), float(x_hi), int(n))
+def sample_grid(spec: ExactSolutionSpec, t: float, *, n: int, extent: float) -> ConformalGrid:
+    """Sample the family at time t on n uniform nodes rho in [0, extent] (radial)
+    or x in [-extent, extent] (cylinder)."""
+    lo = 0.0 if spec.chart == RADIAL else -float(extent)
+    if not (extent > 0.0 and float(extent) - lo < math.inf):
+        raise DomainError(f"{spec.chart} sampling needs an extent > 0 with a finite width, got {extent}")
+    nodes = np.linspace(lo, float(extent), int(n))
     # a layout the grid would reject must not reach the closed form, where it overflows
     check_layout(spec.chart, nodes)
     u = u_profile(spec, nodes, t)

@@ -5,7 +5,7 @@ uniformly spaced nodes of one generator line:
 
   radial   : nodes are rho in [0, extent], g = u(rho) (drho^2 + rho^2 dtheta^2)
              written conformally on the plane, u sampled along a ray;
-  cylinder : nodes are x in [x_lo, x_hi], g = u(x) (dx^2 + dtheta^2) on
+  cylinder : nodes are x in [a, b], g = u(x) (dx^2 + dtheta^2) on
              R x S^1 with theta of period 2*pi.
 """
 

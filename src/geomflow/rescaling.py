@@ -43,7 +43,9 @@ PICK_TIE_RTOL = 2e-5
 
 
 def default_window(j: int) -> float:
-    """Backward window T_j = -2^j for the j-th pick."""
+    """Backward window T_j = -2^j for the j-th pick, j an int from 1 to 1023 (a float64 T_j)."""
+    if not (isinstance(j, int) and 1 <= j <= 1023):
+        raise DomainError(f"pick index must be an int in [1, 1023], got {j!r}")
     return -float(2**j)
 
 
@@ -56,7 +58,7 @@ def default_gamma(j: int) -> float:
 class RescalingPick:
     """Maximizer of |t|(t - T_j) M over a backward window of a trajectory."""
 
-    j: int | None
+    j: int
     T_j: float
     gamma_j: float
     x_j: float
@@ -80,20 +82,17 @@ class RescalingPick:
             raise DomainError("dilated window endpoints must be positive")
 
 
-def pick_point(
-    traj: FlowTrajectory, T_j: float, gamma_j: float, *, j: int | None = None
-) -> RescalingPick:
-    """Exhaustive snapshot-and-node maximizer of |t|(t - T_j) M(x, t).
+def pick_point(traj: FlowTrajectory, j: int) -> RescalingPick:
+    """The j-th pick: exhaustive snapshot-and-node maximizer of |t|(t - T_j) M(x, t)
+    over the window T_j = default_window(j), which rejects a j that is no int from 1 to 1023.
 
     Scores within PICK_TIE_RTOL of the supremum count as tied; among ties
-    the earliest snapshot wins, then the smallest node index.
+    the earliest snapshot wins, then the smallest node index. That maximizer
+    reaches the fraction gamma_j = default_gamma(j) of the supremum for every
+    j, so gamma_j never moves the pick; it is recorded for rescale_jN.json and
+    for the magnitude bound.
     """
-    T_j = float(T_j)
-    gamma_j = float(gamma_j)
-    if not T_j < 0.0:
-        raise DomainError(f"window start must be negative, got {T_j}")
-    if not 0.0 < gamma_j < 1.0:
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma_j}")
+    T_j = default_window(j)
     times = traj.times
     tol = 1e-9 * max(1.0, abs(T_j))
     if float(times[0]) > T_j + tol:
@@ -133,7 +132,7 @@ def pick_point(
         return RescalingPick(
             j=j,
             T_j=T_j,
-            gamma_j=gamma_j,
+            gamma_j=default_gamma(j),
             x_j=float(traj.nodes[node]),
             node=node,
             t_j=t_j,
@@ -340,10 +339,8 @@ def backward_rosenau_trajectory(
     The extent |T_j|/2 + 20 keeps pole truncation of the tip-normalized
     profile below 1e-3 for the optimizing time near T_j/2.
     """
-    if j < 1:
-        raise DomainError(f"pick index must be >= 1, got {j}")
     T = default_window(j)
     extent = abs(T) / 2.0 + 20.0
     n = int(round(2.0 * extent / h_target)) + 1
     times = np.linspace(T, -1e-3, snapshot_count)
-    return exact_trajectory(rosenau(), times, n=n, x_lo=-extent, x_hi=extent)
+    return exact_trajectory(rosenau(), times, n=n, extent=extent)

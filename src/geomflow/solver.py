@@ -59,6 +59,8 @@ BDF2_CARRY = (1.0 - GAMMA) ** 2 / (GAMMA * (2.0 - GAMMA))
 ERR_SCALE = 2.0 * abs(-3.0 * GAMMA**2 + 4.0 * GAMMA - 2.0) / (12.0 * (2.0 - GAMMA))
 
 BLOW_UP_RMAX = 1.0e3
+# steps one evolve may take; cfl * h bounds every step, so evolve checks this up front
+MAX_STEPS = 2_000_000
 DEFAULT_OUTPUT_COUNT = 17
 # snapshots diagnostics needs: the length defect reads d(length)/dt at interior ones
 DIAGNOSTIC_SNAPSHOTS = 3
@@ -517,17 +519,10 @@ def check_trajectory_size(times: int, n: int) -> None:
         )
 
 
-def evolve(
-    grid: ConformalGrid,
-    t_end: float,
-    cfl: float = 0.5,
-    *,
-    output_times=None,
-    max_steps: int = 2_000_000,
-) -> FlowTrajectory:
+def evolve(grid: ConformalGrid, t_end: float, cfl: float = 0.5, *, output_times=None) -> FlowTrajectory:
     """Evolve to t_end, snapshotting at the requested output times.
 
-    Steps never exceed cfl * h, so a run that needs more than max_steps of
+    Steps never exceed cfl * h, so a run that needs more than MAX_STEPS of
     them, or more than MAX_TRAJECTORY_CELLS snapshot values, is rejected
     before anything is allocated.
     """
@@ -539,9 +534,9 @@ def evolve(
         check_time(grid.provenance, t_end)
     h = grid.h
     fewest_steps = (t_end - grid.t) / (cfl * h)
-    if fewest_steps > max_steps:
+    if fewest_steps > MAX_STEPS:
         raise DomainError(
-            f"reaching t={t_end} takes at least {fewest_steps:.3g} steps, over the budget {max_steps}"
+            f"reaching t={t_end} takes at least {fewest_steps:.3g} steps, over the budget {MAX_STEPS}"
         )
     targets = resolve_output_times(grid.t, float(t_end), output_times)
     check_trajectory_size(targets.size, grid.n)
@@ -571,24 +566,17 @@ def evolve(
                 raise GeomflowError(
                     f"curvature maximum {r_max:.6g} crossed {BLOW_UP_RMAX:.6g} at t={t:.6g}"
                 )
-            if len(steps) >= max_steps:
-                raise GeomflowError(f"step budget {max_steps} exhausted at t={t}")
+            if len(steps) >= MAX_STEPS:
+                raise GeomflowError(f"step budget {MAX_STEPS} exhausted at t={t}")
         t = float(target)
         U[k] = u
     U.setflags(write=False)
     return FlowTrajectory(grid.chart, grid.nodes, targets, U, grid.provenance, tuple(steps))
 
 
-def exact_trajectory(
-    spec,
-    times,
-    *,
-    n: int,
-    extent: float | None = None,
-    x_lo: float | None = None,
-    x_hi: float | None = None,
-) -> FlowTrajectory:
-    """Trajectory of a family at the given times (no stepping, no error).
+def exact_trajectory(spec, times, *, n: int, extent: float) -> FlowTrajectory:
+    """Trajectory of a family at the given times (no stepping, no error), on
+    sample_grid's n nodes over extent.
 
     Its rows are not stored: every read samples them (FlowTrajectory.u_rows),
     so the size limit bounds the work of a scan, not its memory. The size, the
@@ -599,7 +587,7 @@ def exact_trajectory(
     if times.size < 2 or np.any(np.diff(times) <= 0.0):
         raise DomainError("exact trajectory needs at least two strictly increasing times")
     check_trajectory_size(times.size, int(n))
-    grid = sample_grid(spec, float(times[0]), n=n, extent=extent, x_lo=x_lo, x_hi=x_hi)
+    grid = sample_grid(spec, float(times[0]), n=n, extent=extent)
     check_extremes(spec, grid.nodes, times)
     return FlowTrajectory(grid.chart, grid.nodes, times, None, spec, ())
 

@@ -100,7 +100,7 @@ def test_verify_command_twice_is_byte_identical(tmp_path):
 
 def test_convergence_order_survives_halved_resolution():
     spec = exact.rosenau()
-    errors = [acceptance.flow_residual(spec, -1.0, n=n, x_lo=-12.0, x_hi=12.0) for n in (125, 250, 500, 1000)]
+    errors = [acceptance.flow_residual(spec, -1.0, n=n, extent=12.0) for n in (125, 250, 500, 1000)]
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.0 <= coarse / fine <= 5.0
 
@@ -108,12 +108,12 @@ def test_convergence_order_survives_halved_resolution():
 def test_flow_residual_is_the_reliable_sup_of_the_pointwise_residual():
     # on this short chart the one-sided end rows carry the largest residual, outside the reliable slice
     spec = exact.rosenau()
-    grid = exact.sample_grid(spec, -1.0, n=100, x_lo=-3.0, x_hi=3.0)
+    grid = exact.sample_grid(spec, -1.0, n=100, extent=3.0)
     lap = laplacian_field(np.log(grid.u), grid.nodes, grid.h, grid.chart)
     residual = np.abs(exact.dudt_profile(spec, grid.nodes, -1.0) - lap)
     expected = float(residual[grid.reliable_slice()].max())
     assert 0.0 < expected < residual.max()
-    assert acceptance.flow_residual(spec, -1.0, n=100, x_lo=-3.0, x_hi=3.0) == expected
+    assert acceptance.flow_residual(spec, -1.0, n=100, extent=3.0) == expected
 
 
 def test_criterion_values_are_pinned():

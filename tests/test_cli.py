@@ -283,7 +283,7 @@ def test_stepping_loads_lapack_without_scipy_linalg(tmp_path):
 import sys
 import numpy as np
 from geomflow import exact, solver
-grid = exact.sample_grid(exact.rosenau(), -2.0, n=200, x_lo=-10.0, x_hi=10.0)
+grid = exact.sample_grid(exact.rosenau(), -2.0, n=200, extent=10.0)
 traj = solver.evolve(grid, -1.9, cfl=0.4)
 assert traj.steps and grid.provenance is not None
 print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
@@ -607,7 +607,7 @@ def test_identical_commands_produce_identical_bytes(tmp_path):
 
 
 def test_simulate_from_checkpoint_starts_at_saved_time(tmp_path):
-    grid = exact.sample_grid(exact.rosenau(), -2.0, n=800, x_lo=-20.0, x_hi=20.0)
+    grid = exact.sample_grid(exact.rosenau(), -2.0, n=800, extent=20.0)
     checkpoint = str(tmp_path / "start.json")
     serialize.save_checkpoint(checkpoint, grid)
     out = str(tmp_path / "out")
@@ -674,7 +674,7 @@ _EDGE_VALUES = {
     "name": st.just(""),
     "family": st.sampled_from(["rosenau", "cone", ""]),
     "checkpoint": st.sampled_from(["missing.json", "config.json", ""]),
-    "params": st.dictionaries(st.sampled_from(["r0", "x0", "k"]), st.floats(-2.0, 2.0), max_size=2),
+    "params": st.dictionaries(st.sampled_from(["r0", "beta", "k"]), st.floats(-2.0, 2.0), max_size=2),
     "extent": st.sampled_from([0.0, -1.0, math.nan, math.inf]),
     "resolution": st.sampled_from([-2, 0, 15, 16.5, 1e300]),
     "t0": st.sampled_from([0.0, -1e-3, math.inf, math.nan]),

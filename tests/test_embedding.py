@@ -51,7 +51,7 @@ def test_profile_rejects_past_equator_caps():
 
 
 def test_profile_needs_radial_chart():
-    grid = exact.sample_grid(exact.rosenau(), -1.0, n=200, x_lo=-5.0, x_hi=5.0)
+    grid = exact.sample_grid(exact.rosenau(), -1.0, n=200, extent=5.0)
     with pytest.raises(DomainError):
         embedding.profile_from_metric(grid)
 

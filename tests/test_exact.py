@@ -5,7 +5,7 @@ import pytest
 
 from geomflow import exact
 from geomflow.errors import DomainError
-from geomflow.grids import CYLINDER, RADIAL
+from geomflow.grids import CYLINDER, RADIAL, ConformalGrid
 
 # hand-frozen closed-form values
 ROSENAU_U_00_M1 = 0.46211715726000974   # tanh(1/2)
@@ -265,8 +265,9 @@ def test_parameter_validation():
         exact.ds_soliton(delta=math.nan)
     with pytest.raises(DomainError):
         exact.ExactSolutionSpec("Cigar", (("bogus", 1.0),))
-    with pytest.raises(DomainError):
-        exact.ExactSolutionSpec("DSSoliton", (("x0", 0.5),))
+    # the soliton is centred at the chart origin: it takes no centre parameters
+    with pytest.raises(DomainError, match=r"^DSSoliton does not take params \['x0'\]$"):
+        exact.spec_from_name("dssoliton", x0=0.0)
     with pytest.raises(DomainError):
         exact.ExactSolutionSpec("Oval")
 
@@ -285,18 +286,18 @@ def test_sample_grid_radial():
     assert g.nodes[0] == 0.0 and g.extent == 10.0
     assert g.provenance == exact.cigar(4.0)
     assert g.t == 0.0
-    with pytest.raises(DomainError, match="^radial sampling needs extent > 0$"):
-        exact.sample_grid(exact.cigar(4.0), 0.0, n=64)
+    with pytest.raises(DomainError, match="^radial sampling needs an extent > 0 with a finite width, got 0.0$"):
+        exact.sample_grid(exact.cigar(4.0), 0.0, n=64, extent=0.0)
 
 
 def test_sample_grid_cylinder():
     g = exact.sample_grid(exact.rosenau(), -1.0, n=64, extent=8.0)
     assert g.chart == CYLINDER
     assert g.nodes[0] == -8.0 and g.nodes[-1] == 8.0
-    g = exact.sample_grid(exact.rosenau(), -1.0, n=64, x_lo=-2.0, x_hi=6.0)
-    assert g.nodes[0] == -2.0 and g.nodes[-1] == 6.0
-    with pytest.raises(DomainError, match="^cylinder sampling needs x_hi > x_lo$"):
-        exact.sample_grid(exact.rosenau(), -1.0, n=64, x_lo=3.0, x_hi=3.0)
-    # a width beyond float64 range is rejected before np.linspace overflows (and warns)
-    with pytest.raises(DomainError, match="^cylinder sampling needs a finite width"):
+    # sampling is symmetric about x = 0; a grid takes any uniform layout of the closed form
+    nodes = np.linspace(-2.0, 6.0, 64)
+    g = ConformalGrid(CYLINDER, nodes, exact.u_profile(exact.rosenau(), nodes, -1.0), -1.0, exact.rosenau())
+    assert g.nodes[0] == -2.0 and g.nodes[-1] == 6.0 and g.h == 8.0 / 63
+    # a width 2 * extent beyond float64 range is rejected before np.linspace overflows (and warns)
+    with pytest.raises(DomainError, match="^cylinder sampling needs an extent > 0 with a finite width, got 1e"):
         exact.sample_grid(exact.rosenau(), -1.0, n=64, extent=1e308)

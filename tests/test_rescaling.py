@@ -17,10 +17,7 @@ def ladder_trajectory(j, h_target=0.05, snapshot_count=65):
 
 def ladder_pick(j, **kwargs):
     traj = ladder_trajectory(j, **kwargs)
-    pick = rescaling.pick_point(
-        traj, rescaling.default_window(j), rescaling.default_gamma(j), j=j
-    )
-    return traj, pick
+    return traj, rescaling.pick_point(traj, j)
 
 
 def sphere_trajectory(t_start=-8.0, snapshots=257):
@@ -30,7 +27,7 @@ def sphere_trajectory(t_start=-8.0, snapshots=257):
 
 def classifier_rosenau_trajectory():
     times = np.linspace(-64.0, -1.0, 253)
-    return solver.exact_trajectory(exact.rosenau(), times, n=3081, x_lo=-77.0, x_hi=77.0)
+    return solver.exact_trajectory(exact.rosenau(), times, n=3081, extent=77.0)
 
 
 # The paper's headline: the rescale task's pick and profile distance for
@@ -50,7 +47,7 @@ HEADLINE = [
 @pytest.mark.parametrize("j, node, x_j, t_j, distance", HEADLINE, ids=[f"j{row[0]}" for row in HEADLINE])
 def test_headline_picks_and_profile_distances_are_pinned(j, node, x_j, t_j, distance):
     traj = rescaling.backward_rosenau_trajectory(j)
-    pick = rescaling.pick_point(traj, rescaling.default_window(j), rescaling.default_gamma(j), j=j)
+    pick = rescaling.pick_point(traj, j)
     assert pick.node == node
     assert pick.x_j == traj.nodes[node]
     assert pick.x_j == pytest.approx(x_j, abs=1e-12)
@@ -82,40 +79,41 @@ def test_cigar_profile_values():
     assert np.all(np.diff(prof) < 0.0)
 
 
-@pytest.mark.parametrize("T", [0.0, 1.0, float("nan")])
-def test_pick_rejects_nonnegative_window(T):
+@pytest.mark.parametrize("j", [0, -1, 1024])
+def test_pick_rejects_an_index_outside_one_to_1023(j):
     traj = ladder_trajectory(1)
-    with pytest.raises(DomainError):
-        rescaling.pick_point(traj, T, 0.5)
+    with pytest.raises(DomainError, match=rf"^pick index must be an int in \[1, 1023\], got {j}$"):
+        rescaling.pick_point(traj, j)
 
 
-@pytest.mark.parametrize("gamma", [0.0, 1.0, -0.2, 1.5])
-def test_pick_rejects_bad_gamma(gamma):
-    traj = ladder_trajectory(1)
-    with pytest.raises(DomainError):
-        rescaling.pick_point(traj, -2.0, gamma)
+@pytest.mark.parametrize("j", [1, 2])
+def test_pick_records_the_window_and_gamma_of_its_index(j):
+    traj, pick = ladder_pick(j)
+    assert pick.j == j
+    assert pick.T_j == -(2.0**j)
+    assert pick.gamma_j == rescaling.default_gamma(j)
 
 
 def test_pick_needs_window_coverage():
     traj = ladder_trajectory(1)  # starts at -2
     with pytest.raises(DomainError, match="^trajectory starts at -2.0, window needs coverage from -4.0$"):
-        rescaling.pick_point(traj, -4.0, 0.5)
+        rescaling.pick_point(traj, 2)
 
 
 def test_pick_needs_strictly_backward_times():
     base = exact.sample_grid(exact.flat(), -1.0, n=64, extent=5.0)
-    times = np.array([-1.0, 0.0])
+    times = np.array([-2.0, 0.0])
     U = np.stack([base.u] * 2)
     traj = solver.FlowTrajectory(base.chart, base.nodes, times, U, None, ())
     with pytest.raises(DomainError, match="^backward pick needs snapshot times strictly before 0$"):
-        rescaling.pick_point(traj, -1.0, 0.5)
+        rescaling.pick_point(traj, 1)
 
 
 def test_flat_pick_is_degenerate():
     times = np.linspace(-2.0, -0.5, 9)
     traj = solver.exact_trajectory(exact.flat(), times, n=201, extent=10.0)
     with pytest.raises(DomainError, match="^curvature score vanishes on the searched window$"):
-        rescaling.pick_point(traj, -2.0, 0.5)
+        rescaling.pick_point(traj, 1)
 
 
 def test_tied_scores_resolve_to_earliest_snapshot():
@@ -124,7 +122,7 @@ def test_tied_scores_resolve_to_earliest_snapshot():
     traj = solver.FlowTrajectory(
         base.chart, base.nodes, np.array([-4.0, -3.0, -1.0]), np.stack([base.u] * 3), None, ()
     )
-    pick = rescaling.pick_point(traj, -4.0, 0.5)
+    pick = rescaling.pick_point(traj, 2)
     assert pick.t_j == -3.0
 
 
@@ -180,27 +178,26 @@ def test_pick_equals_the_row_by_row_reference_pick(j):
     U = np.array(traj.u_rows())
     U[-1] *= 1e-6  # the last snapshot untrusted everywhere: its fallback node competes
     traj = solver.FlowTrajectory(traj.chart, traj.nodes, traj.times, U, traj.provenance, ())
-    T = rescaling.default_window(j)
-    pick = rescaling.pick_point(traj, T, rescaling.default_gamma(j), j=j)
-    k, node, score = reference_pick(traj, T)
+    pick = rescaling.pick_point(traj, j)
+    k, node, score = reference_pick(traj, rescaling.default_window(j))
     assert (pick.t_j, pick.node, pick.score) == (float(traj.times[k]), node, score)
 
 
 @pytest.mark.parametrize(
-    "spec, kwargs",
-    [(exact.rosenau(), dict(x_lo=-20.0, x_hi=20.0)), (exact.sphere(), dict(extent=30.0))],
+    "spec, extent",
+    [(exact.rosenau(), 20.0), (exact.sphere(), 30.0)],
     ids=["cylinder", "radial"],
 )
-def test_stored_and_closed_form_rows_give_equal_results(spec, kwargs):
+def test_stored_and_closed_form_rows_give_equal_results(spec, extent):
     # 15 snapshots of 5,001 nodes: three row blocks, so every scan carries state
     # across two block boundaries
     times = np.linspace(-16.0, -0.5, 15)
-    closed = solver.exact_trajectory(spec, times, n=5001, **kwargs)
+    closed = solver.exact_trajectory(spec, times, n=5001, extent=extent)
     stored = solver.FlowTrajectory(closed.chart, closed.nodes, closed.times, closed.u_rows(), spec, ())
     assert closed.U is None and len(solver.row_blocks(0, times.size, 5001)) == 3
 
     def results(traj):
-        pick = rescaling.pick_point(traj, -16.0, rescaling.default_gamma(4), j=4)
+        pick = rescaling.pick_point(traj, 4)
         k = 7  # mid-block: u_at interpolates with weight exactly 1
         return (
             solver.curvature_range(traj),
@@ -234,7 +231,7 @@ def test_pick_and_classify_scan_in_blocks_not_whole_arrays():
         build = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        rescaling.pick_point(traj, -64.0, rescaling.default_gamma(6), j=6)
+        rescaling.pick_point(traj, 6)
         rescaling.classify_type(traj, t0=-1.0)
         scan = tracemalloc.get_traced_memory()[1] - held
     finally:
@@ -246,10 +243,7 @@ def test_pick_and_classify_scan_in_blocks_not_whole_arrays():
 
 def test_pick_is_reproducible():
     traj, pick = ladder_pick(3)
-    again = rescaling.pick_point(
-        traj, rescaling.default_window(3), rescaling.default_gamma(3), j=3
-    )
-    assert again == pick
+    assert rescaling.pick_point(traj, 3) == pick
 
 
 def test_backward_pick_lands_mid_window_at_half_coth():
@@ -287,7 +281,7 @@ def test_pick_attains_searched_supremum():
 
 def test_pick_validation_rejects_inconsistent_fields():
     good = dict(
-        j=None, T_j=-2.0, gamma_j=0.5, x_j=0.0, node=0,
+        j=1, T_j=-2.0, gamma_j=0.5, x_j=0.0, node=0,
         t_j=-1.0, M_j=1.0, alpha_j=1.0, omega_j=1.0, score=1.0,
     )
     rescaling.RescalingPick(**good)
@@ -330,7 +324,7 @@ def test_dilated_tip_curvature_is_two():
     # rounding of R_tip
     for j in range(1, 7):
         traj = rescaling.backward_rosenau_trajectory(j)
-        pick = rescaling.pick_point(traj, rescaling.default_window(j), rescaling.default_gamma(j), j=j)
+        pick = rescaling.pick_point(traj, j)
         prof = rescaling.rescaled_profile(traj, pick, cli.RESCALE_SPAN)
         assert prof.R0 == 2.0
         assert prof.Rn[0] == 1.0
@@ -418,9 +412,9 @@ def test_profile_distance_ladder_approaches_cigar():
 
 
 def test_solver_path_pick_matches_exact_magnitude():
-    grid0 = exact.sample_grid(exact.rosenau(), -4.0, n=881, x_lo=-22.0, x_hi=22.0)
+    grid0 = exact.sample_grid(exact.rosenau(), -4.0, n=881, extent=22.0)
     traj = solver.evolve(grid0, -0.01, cfl=0.4, output_times=np.linspace(-4.0, -0.01, 65))
-    pick = rescaling.pick_point(traj, -4.0, rescaling.default_gamma(2), j=2)
+    pick = rescaling.pick_point(traj, 2)
     assert pick.t_j == pytest.approx(-1.7556, abs=1e-3)
     assert pick.x_j == pytest.approx(-13.2, abs=0.3)
     assert 2.0 * pick.M_j == pytest.approx(1.0 / math.tanh(-pick.t_j), abs=5e-4)
@@ -430,7 +424,7 @@ def test_solver_path_pick_matches_exact_magnitude():
 
 def test_sphere_pick_forward_endpoint_stays_bounded():
     traj = sphere_trajectory()
-    picks = [rescaling.pick_point(traj, T, 0.9) for T in (-4.0, -8.0)]
+    picks = [rescaling.pick_point(traj, j) for j in (2, 3)]
     for pick in picks:
         # omega = -t_j M_j pins the |t| R / 2 = 1/2 identity of the round family
         assert pick.omega_j == pytest.approx(0.5, abs=1e-3)
@@ -440,7 +434,7 @@ def test_sphere_pick_forward_endpoint_stays_bounded():
 
 def test_sphere_profile_stays_far_from_cigar():
     traj = sphere_trajectory()
-    pick = rescaling.pick_point(traj, -8.0, 0.9)
+    pick = rescaling.pick_point(traj, 3)
     dist = rescaling.profile_distance(traj, pick, 2.0)
     assert dist == pytest.approx(0.5717, abs=0.02)
     assert dist > 0.5
@@ -454,14 +448,14 @@ def test_classifier_rejects_bad_t0():
 
 def test_classifier_needs_enough_windows():
     times = np.linspace(-4.0, -1.0, 13)
-    traj = solver.exact_trajectory(exact.rosenau(), times, n=401, x_lo=-22.0, x_hi=22.0)
+    traj = solver.exact_trajectory(exact.rosenau(), times, n=401, extent=22.0)
     with pytest.raises(DomainError, match="^need 4 dyadic windows inside the trajectory, only 2 fit$"):
         rescaling.classify_type(traj)
 
 
 def test_classifier_needs_coverage_up_to_t0():
     times = np.linspace(-64.0, -2.0, 63)
-    traj = solver.exact_trajectory(exact.rosenau(), times, n=1001, x_lo=-77.0, x_hi=77.0)
+    traj = solver.exact_trajectory(exact.rosenau(), times, n=1001, extent=77.0)
     with pytest.raises(DomainError, match="^trajectory ends at -2.0, before t0 = -1.0$"):
         rescaling.classify_type(traj, t0=-1.0)
 
@@ -513,8 +507,10 @@ def test_classifier_is_scale_invariant():
 
 
 def test_backward_trajectory_validation_and_layout():
-    with pytest.raises(DomainError):
-        rescaling.backward_rosenau_trajectory(0)
+    # 1024 would overflow T_j = -2^j, and a fractional j is no pick index
+    for j in (0, 2.5, 1024):
+        with pytest.raises(DomainError, match="^pick index must be an int in"):
+            rescaling.backward_rosenau_trajectory(j)
     traj = rescaling.backward_rosenau_trajectory(1, h_target=0.5, snapshot_count=5)
     assert traj.grid0.n == 85
     assert traj.grid0.nodes[0] == -21.0
@@ -534,10 +530,9 @@ def test_evolved_backward_data_reproduces_the_exact_pick_and_profile():
         exact_traj.grid0, float(exact_traj.times[-1]), cfl=0.4, output_times=exact_traj.times
     )
     assert np.array_equal(evolved.times, exact_traj.times)
-    window, gamma = rescaling.default_window(j), rescaling.default_gamma(j)
     picks, dists = [], []
     for traj in (exact_traj, evolved):
-        pick = rescaling.pick_point(traj, window, gamma, j=j)
+        pick = rescaling.pick_point(traj, j)
         picks.append((pick.t_j, pick.node))
         dists.append(rescaling.profile_distance(traj, pick, 3.0))
     assert picks[1] == picks[0]

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from geomflow import exact, serialize
 from geomflow.errors import DomainError
 from geomflow.geometry import FIELD_ORDER, invariant_report
+from geomflow.grids import CYLINDER, ConformalGrid
 
 
 @pytest.mark.parametrize(
@@ -146,9 +147,15 @@ def _f8_text(values) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
+def asymmetric_rosenau_grid(n):
+    """Rosenau at t = -1.5 on n uniform nodes of [-9, 11], off-centre like a checkpoint of any layout."""
+    nodes = np.linspace(-9.0, 11.0, n)
+    return ConformalGrid(CYLINDER, nodes, exact.u_profile(exact.rosenau(), nodes, -1.5), -1.5, exact.rosenau())
+
+
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     radial = exact.sample_grid(exact.cigar(4.0), 0.3, n=300, extent=30.0)
-    cylinder = exact.sample_grid(exact.rosenau(), -1.5, n=400, x_lo=-9.0, x_hi=11.0)
+    cylinder = asymmetric_rosenau_grid(400)
     for i, grid in enumerate((radial, cylinder)):
         path = os.path.join(tmp_path, f"checkpoint_{i}.json")
         serialize.save_checkpoint(path, grid)
@@ -166,9 +173,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 
 
 def test_checkpoints_with_shared_nodes_never_reuse_stale_text(tmp_path):
-    from geomflow.grids import ConformalGrid
-
-    a = exact.sample_grid(exact.rosenau(), -1.5, n=64, x_lo=-9.0, x_hi=11.0)
+    a = asymmetric_rosenau_grid(64)
     # the same nodes with other values, then one node moved by an ulp, then the first again
     b = ConformalGrid(a.chart, a.nodes.copy(), a.u * 2.0, -1.2, a.provenance)
     nodes = a.nodes.copy()
@@ -197,8 +202,6 @@ def test_checkpoint_rerender_is_byte_identical(tmp_path):
 
 
 def test_checkpoint_without_provenance_loads_as_plain_grid(tmp_path):
-    from geomflow.grids import ConformalGrid
-
     grid = ConformalGrid("radial", np.linspace(0.0, 5.0, 64), np.full(64, 2.0), 0.0)
     path = os.path.join(tmp_path, "plain.json")
     serialize.save_checkpoint(path, grid)
@@ -268,7 +271,7 @@ def test_rescaling_record_keys():
     from geomflow import rescaling
 
     traj = rescaling.backward_rosenau_trajectory(2, h_target=0.05, snapshot_count=65)
-    pick = rescaling.pick_point(traj, -4.0, rescaling.default_gamma(2), j=2)
+    pick = rescaling.pick_point(traj, 2)
     record = serialize.rescaling_record(pick, 0.125)
     assert sorted(record) == [
         "M_j",

@@ -14,7 +14,7 @@ from geomflow.grids import CYLINDER, RADIAL, ConformalGrid, reliable_slice, trus
 
 
 def rosenau_grid(n=800, extent=20.0, t=-2.0):
-    return exact.sample_grid(exact.rosenau(), t, n=n, x_lo=-extent, x_hi=extent)
+    return exact.sample_grid(exact.rosenau(), t, n=n, extent=extent)
 
 
 def free_radial_grid(n=64, extent=10.0):
@@ -38,7 +38,7 @@ def one_step(grid, dt):
 
 def test_step_tracks_exact_solution_one_step():
     spec = exact.rosenau()
-    grid = exact.sample_grid(spec, -2.0, n=400, x_lo=-6.0, x_hi=6.0)
+    grid = exact.sample_grid(spec, -2.0, n=400, extent=6.0)
     dt = 1e-4
     stepped = one_step(grid, dt).snapshot(-1)
     assert stepped.t == grid.t + dt
@@ -315,7 +315,7 @@ def test_convergence_order_two():
     t1 = -1.5
     errs = []
     for n in (250, 500):
-        grid = exact.sample_grid(spec, -2.0, n=n, x_lo=-20.0, x_hi=20.0)
+        grid = exact.sample_grid(spec, -2.0, n=n, extent=20.0)
         traj = solver.evolve(grid, t1, cfl=0.4, output_times=[-2.0, t1])
         u_ref = exact.u_profile(spec, traj.nodes, t1)
         errs.append(float(np.abs(traj.U[-1] - u_ref).max()))
@@ -329,7 +329,7 @@ def test_u_decreases_toward_extinction():
 
 
 def test_blow_up_aborts_with_structured_error():
-    grid = exact.sample_grid(exact.rosenau(), -0.01, n=64, x_lo=-3.0, x_hi=3.0)
+    grid = exact.sample_grid(exact.rosenau(), -0.01, n=64, extent=3.0)
     message = r"curvature maximum (\S+) crossed 1000 at t=(\S+)"
     with pytest.raises(GeomflowError, match=f"^{message}$") as excinfo:
         solver.evolve(grid, -1e-5, cfl=0.5)
@@ -654,7 +654,7 @@ def test_exact_trajectory_rows_match_sampled_grids():
     "spec, times, kwargs",
     [
         # Rosenau broadcasts its time terms over a block; the others go row by row
-        (exact.rosenau(), np.linspace(-6.0, -0.5, 24), dict(x_lo=-20.0, x_hi=20.0)),
+        (exact.rosenau(), np.linspace(-6.0, -0.5, 24), dict(extent=20.0)),
         (exact.sphere(), np.linspace(-6.0, -0.5, 24), dict(extent=20.0)),
         (exact.cigar(2.0), np.linspace(-1.0, 1.0, 24), dict(extent=20.0)),
     ],
@@ -736,8 +736,9 @@ def test_evolve_rejects_a_run_over_the_step_budget_up_front(monkeypatch):
     with pytest.raises(DomainError, match="budget"):
         solver.evolve(grid, 1e9)
     # steps are at most cfl * h = 0.5 * 5 / 63, so 100 time units need at least 2520
+    monkeypatch.setattr(solver, "MAX_STEPS", 2519)
     with pytest.raises(DomainError, match="budget"):
-        solver.evolve(grid, 100.0, max_steps=2519)
+        solver.evolve(grid, 100.0)
 
 
 def test_step_record_validation():
