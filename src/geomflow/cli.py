@@ -395,29 +395,37 @@ def verify_all(out_dir: str | None = None) -> int:
     return 0 if all(res.passed for res in results) else 1
 
 
+# the flags each inline subcommand reads; argparse rejects the others, and the
+# config defaults fill in what a subcommand does not offer
+INLINE_FLAGS = {
+    "simulate": ("t0", "t1", "n", "extent", "cfl"),
+    "invariants": ("t0", "t1", "n", "extent"),
+    "rescale": ("n", "extent"),
+    "classify": ("t0", "t1", "n", "extent"),
+    "embed": ("t0", "n", "extent"),
+}
+# each flag's config key, type, help and default (classify's from CLASSIFY_DEFAULTS)
+_FLAG_SPECS = {
+    "t0": ("t0", float, "window start", -2.0),
+    "t1": ("t1", float, "window end", -1.0),
+    "n": ("resolution", int, "grid resolution", 2000),
+    "extent": ("extent", float, "chart extent", 20.0),
+    "cfl": ("cfl", float, "time-step fraction", 0.4),
+}
+
+
 def _inline_config(task: str, args: argparse.Namespace) -> ScenarioConfig:
-    return config_from_payload(
-        {
-            "name": f"{args.family}-{task}",
-            "family": args.family,
-            "extent": args.extent,
-            "resolution": args.n,
-            "t0": args.t0,
-            "t1": args.t1,
-            "cfl": args.cfl,
-            "tasks": [task],
-            "out": args.out,
-        }
-    )
+    payload = {"name": f"{args.family}-{task}", "family": args.family, "tasks": [task], "out": args.out}
+    payload.update((_FLAG_SPECS[flag][0], getattr(args, flag)) for flag in INLINE_FLAGS[task])
+    return config_from_payload(payload)
 
 
-def _add_inline_flags(sub: argparse.ArgumentParser, t0=-2.0, n=2000, extent=20.0) -> None:
+def _add_inline_flags(sub: argparse.ArgumentParser, task: str) -> None:
     sub.add_argument("--family", required=True, help="one of " + ", ".join(exact.FAMILIES))
-    sub.add_argument("--t0", type=float, default=t0, help=f"window start (default {t0:g})")
-    sub.add_argument("--t1", type=float, default=-1.0, help="window end (default -1)")
-    sub.add_argument("--n", type=int, default=n, help=f"grid resolution (default {n})")
-    sub.add_argument("--extent", type=float, default=extent, help=f"chart extent (default {extent:g})")
-    sub.add_argument("--cfl", type=float, default=0.4, help="time-step fraction (default 0.4)")
+    for flag in INLINE_FLAGS[task]:
+        _, kind, text, default = _FLAG_SPECS[flag]
+        default = CLASSIFY_DEFAULTS.get(flag, default) if task == "classify" else default
+        sub.add_argument(f"--{flag}", type=kind, default=default, help=f"{text} (default {default:g})")
     sub.add_argument("--out", default="out", help="output directory (default ./out)")
 
 
@@ -435,9 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to a scenario JSON document")
     verify_p = subs.add_parser("verify", help="run the built-in acceptance suite")
     verify_p.add_argument("--out", default=None, help="also write verify_report.csv here")
-    for task in ("simulate", "invariants", "rescale", "classify", "embed"):
+    for task in INLINE_FLAGS:
         sub = subs.add_parser(task, help=f"run the {task} task from inline flags", **notes)
-        _add_inline_flags(sub, **(CLASSIFY_DEFAULTS if task == "classify" else {}))
+        _add_inline_flags(sub, task)
     return parser
 
 

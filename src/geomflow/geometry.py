@@ -51,28 +51,56 @@ def _one_sided_first(w3: np.ndarray, h: float):
     return (3.0 * w3[..., 0] - 4.0 * w3[..., 1] + w3[..., 2]) / (2.0 * h)
 
 
+def _flux_weights(nodes: np.ndarray, h: float, chart: str) -> tuple[np.ndarray, np.ndarray]:
+    """Dimensionless conductances k (one per edge i, i+1) and weights omega (one per
+    node, carrying h^2) of the flux-form Laplacian: cylinder k = 1, omega = h^2;
+    radial k_i = (rho_i + h/2)/h, omega_i = h rho_i. The end weights close both ends
+    by mirroring: h^2/8 at the axis, h^2 k_{n-2}/2 at the radial end and h^2/2 at a
+    cylinder end. Every weight stays within the squares check_layout keeps finite.
+    """
+    if chart == RADIAL:
+        k = nodes[:-1] / h + 0.5
+        omega = nodes * h
+        omega[0] = h * h / 8.0
+        omega[-1] = 0.5 * h * h * k[-1]
+    else:
+        k = np.ones(nodes.size - 1)
+        omega = np.full(nodes.size, h * h)
+        omega[0] = omega[-1] = 0.5 * h * h
+    return k, omega
+
+
+def _flux_laplacian(w: np.ndarray, k: np.ndarray, omega: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """L w_i = (k_i d_i - k_{i-1} d_{i-1}) / omega_i with d_i = w_{i+1} - w_i and no
+    flux through either end, along w's last axis: the one interior Laplacian of the
+    measurement (laplacian_field) and of the stepper (solver._Stencil). The scaled
+    differences k d go to scratch when given, the result to out."""
+    lap = np.empty_like(w) if out is None else out
+    d = np.subtract(w[..., 1:], w[..., :-1], out=None if scratch is None else scratch[..., :-1])
+    d *= k
+    np.subtract(d[..., 1:], d[..., :-1], out=lap[..., 1:-1])
+    lap[..., 0] = d[..., 0]
+    np.negative(d[..., -1], out=lap[..., -1])
+    lap /= omega
+    return lap
+
+
 def laplacian_field(
     w: np.ndarray, nodes: np.ndarray, h: float, chart: str, out=None, scratch=None
 ) -> np.ndarray:
     """Flat-chart Laplacian of a rotationally symmetric field.
 
+    Rows 1..n-2 are _flux_laplacian's, bitwise the stepper's; the end rows are
+    this operator's own: second-order one-sided differences at the chart ends
+    and an O(h^6) even-extension stencil at the radial axis.
     w is one row of node values or a (rows, nodes) block; the stencil runs
     along the last axis, and each row of a block is bitwise its 1-d result.
-    The result goes to out when given; the radial chart's first-derivative
-    term goes to scratch, of the same shape, when given. With both, nothing
-    of w's size is allocated, and the values are the same to the bit.
+    The result goes to out and the node differences to scratch, of w's shape,
+    when given. With both, nothing of w's size is allocated, and the values
+    are the same to the bit.
     """
-    lap = np.empty_like(w) if out is None else out
-    # (w[2:] - 2 w[1:-1] + w[:-2]) / h^2, one operation at a time into lap
-    mid = np.multiply(w[..., 1:-1], 2.0, out=lap[..., 1:-1])
-    np.subtract(w[..., 2:], mid, out=mid)
-    mid += w[..., :-2]
-    mid /= h * h
+    lap = _flux_laplacian(w, *_flux_weights(nodes, h, chart), out, scratch)
     if chart == RADIAL:
-        slope = np.subtract(w[..., 2:], w[..., :-2], out=None if scratch is None else scratch[..., 1:-1])
-        slope /= 2.0 * h
-        slope /= nodes[1:-1]
-        mid += slope
         lap[..., 0] = _axis_laplacian(w, h)
         tail = w[..., -1:-5:-1]
         lap[..., -1] = _one_sided_second(tail, h) + _one_sided_first(tail, h) / nodes[-1]

@@ -43,7 +43,7 @@ from numpy.linalg import LinAlgError
 from .errors import DomainError, GeomflowError
 from .exact import ExactSolutionSpec, check_extremes, check_time, log_u_profile, node_factor
 from .exact import sample_grid, u_profile
-from .geometry import curvature_field
+from .geometry import _flux_laplacian, _flux_weights, curvature_field
 from .grids import CURVATURE_TRUST_FLOOR, CYLINDER, RADIAL, ConformalGrid, check_layout
 from .grids import check_positive, readonly, reliable_slice, trust_mask
 
@@ -188,7 +188,7 @@ class FlowTrajectory:
         factor = None if self.U is not None else node_factor(self.provenance, self.nodes)
         for rows in row_blocks(start, stop, n):
             m = rows.stop - rows.start
-            # u_rows ignores sampled for stored rows, and a cylinder Laplacian ignores scratch
+            # u_rows ignores sampled for stored rows; the Laplacian keeps its differences in scratch
             u = self.u_rows(rows.start, rows.stop, sampled[:m], factor)
             np.log(u, out=w[:m])
             curvature_field(w[:m], u, self.nodes, self.h, self.chart, r[:m], scratch[:m])
@@ -282,27 +282,24 @@ def _lapack_pt():
 
 
 class _Stencil:
-    """Tridiagonal lap(w) rows, their symmetric scaled form and the pinned rows.
+    """The stepper's lap(w), its symmetric scaled matrix and the pinned rows.
 
-    L (sub, dia, sup) is the operator the stepper integrates and
-    differentiates: the axis row uses two points and the ends close by
-    mirroring, so L stays tridiagonal. This is not
-    geometry.laplacian_field, the measurement operator, which has one-sided
-    ends and an O(h^6) axis row. On interior rows the two agree only to
-    rounding (about 1.4 * eps * max|w| / h^2, never bitwise).
+    L and the matrix come from the conductances k and weights omega of
+    geometry._flux_weights alone. L w = geometry._flux_laplacian(w, k, omega)
+    is bitwise the measurement operator on rows 1..n-2; its zero end flux and
+    the end weights close the ends (4 (w_1 - w_0) / h^2 at the axis, the mirror
+    2 (w_1 - w_0) / h^2 at a chart end), so L stays tridiagonal where the
+    measurement has one-sided ends and an O(h^6) axis row.
 
-    Row i of L times a weight omega_i is symmetric: omega is 1 on cylinder
-    interior rows, rho_i on radial interior rows, h/8 on the axis row, 1/2 at
-    a cylinder mirror end and (rho_{n-2} + h/2)/2 at the radial mirror end,
-    so that -omega L is the graph Laplacian with conductance
-    k_i = omega_i sup_i between nodes i and i+1. Row i of I - theta J, with
-    the Jacobian J = diag(exp(-w)) L - diag(f) of f = exp(-w) L w, scaled by
-    omega_i exp(w_i) / theta is then symmetric with the constant
-    off-diagonal -k and the diagonal omega u (1/theta + f) + k_{i-1} + k_i.
-    It is positive definite whenever theta R < 1 at every node (f = -R),
-    which the step cap dt <= cfl / R_max keeps on the trusted nodes, so
-    LAPACK's pttrf factors it as L D L^T once per step and pttrs solves each
-    stage against those factors; a step where pttrf reports otherwise is
+    -omega L is the graph Laplacian with conductance k_i between nodes i and
+    i+1. Row i of I - theta J, with the Jacobian J = diag(exp(-w)) L - diag(f)
+    of f = exp(-w) L w, scaled by omega_i exp(w_i) / theta is then symmetric
+    with the constant off-diagonal -k and the diagonal
+    omega u (1/theta + f) + k_{i-1} + k_i; the right-hand sides carry the
+    same scale. It is positive definite whenever theta R < 1 at every node
+    (f = -R), which the step cap dt <= cfl / R_max keeps on the trusted nodes,
+    so LAPACK's pttrf factors it as L D L^T once per step and pttrs solves
+    each stage against those factors; a step where pttrf reports otherwise is
     rejected (LinAlgError), as is one whose pttrs fails. A pinned node is an
     identity row; its coupling into the neighbouring row moves to the
     right-hand side.
@@ -310,65 +307,28 @@ class _Stencil:
 
     def __init__(self, grid: ConformalGrid):
         n = grid.n
-        h = grid.h
-        inv_h2 = 1.0 / (h * h)
-        sub = np.zeros(n)
-        dia = np.zeros(n)
-        sup = np.zeros(n)
-        dia[1:-1] = -2.0 * inv_h2
-        sub[1:-1] = inv_h2
-        sup[1:-1] = inv_h2
-        if grid.chart == RADIAL:
-            rho = grid.nodes[1:-1]
-            sub[1:-1] -= 1.0 / (2.0 * h * rho)
-            sup[1:-1] += 1.0 / (2.0 * h * rho)
-            # even extension through the axis: lap w(0) = 4 (w1 - w0) / h^2
-            dia[0] = -4.0 * inv_h2
-            sup[0] = 4.0 * inv_h2
-            # mirror closure at the outer end (replaced by pinning if provenance)
-            dia[-1] = -2.0 * inv_h2
-            sub[-1] = 2.0 * inv_h2
-            pinned = [n - 1] if grid.provenance is not None else []
-            weights = grid.nodes.copy()
-            weights[0] = h / 8.0
-            weights[-1] = 0.5 * (grid.nodes[-2] + 0.5 * h)
-            # rho_i sup_i = (rho_i + h/2) / h^2 = rho_{i+1} sub_{i+1}, the axis row included
-            cond = (grid.nodes[:-1] + 0.5 * h) * inv_h2
-        else:
-            dia[0] = -2.0 * inv_h2
-            sup[0] = 2.0 * inv_h2
-            dia[-1] = -2.0 * inv_h2
-            sub[-1] = 2.0 * inv_h2
-            pinned = [0, n - 1] if grid.provenance is not None else []
-            weights = np.ones(n)
-            weights[0] = weights[-1] = 0.5
-            cond = np.full(n - 1, inv_h2)
-        self.sub = sub
-        self.dia = dia
-        self.sup = sup
-        self.weights = weights
-        # -omega * dia: the row sums of the conductances
+        self.k, self.omega = _flux_weights(grid.nodes, grid.h, grid.chart)
+        # -omega * (L's diagonal): the row sums of the conductances
         self.cond_sums = np.zeros(n)
-        self.cond_sums[:-1] += cond
-        self.cond_sums[1:] += cond
-        self.pinned = np.array(pinned, dtype=int)
+        self.cond_sums[:-1] += self.k
+        self.cond_sums[1:] += self.k
+        # a family pins the chart ends to its values (Dirichlet rows); the axis never
+        ends = [n - 1] if grid.chart == RADIAL else [0, n - 1]
+        self.pinned = np.array(ends if grid.provenance is not None else [], dtype=int)
         self.pinned_nodes = grid.nodes[self.pinned]
         self.provenance = grid.provenance
         # a pinned node's edge, its neighbour and the conductance that moves to the rhs
         edges = np.minimum(self.pinned, n - 2)
         self.pin_nbrs = np.where(self.pinned == 0, 1, n - 2)
-        self.pin_cond = cond[edges]
-        self.off = -cond
+        self.pin_cond = self.k[edges]
+        self.off = -self.k
         self.off[edges] = 0.0
         self.rel = grid.reliable_slice()
         # loaded on first use and without scipy.linalg's import (see _lapack_pt)
         self._pttrf, self._pttrs = _lapack_pt()
 
     def apply(self, w: np.ndarray) -> np.ndarray:
-        lap = self.dia * w
-        lap[1:] += self.sub[1:] * w[:-1]
-        lap[:-1] += self.sup[:-1] * w[1:]
-        return lap
+        return _flux_laplacian(w, self.k, self.omega)
 
     def rate(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u = exp(w) and the flow's rate f = exp(-w) L w."""
@@ -424,7 +384,7 @@ def _step_tr_bdf2(st: _Stencil, w: np.ndarray, u: np.ndarray, f: np.ndarray, t: 
     Returns w, u and f at t + dt and the embedded error estimate per node.
     """
     theta = 0.5 * GAMMA * dt
-    wu = st.weights * u
+    wu = st.omega * u
     factors = st.factor(wu, f + 1.0 / theta)
     pins = st.pin_values(t + GAMMA * dt, t + dt)
     # stage 1, trapezoid over gamma dt: (I - theta J) d1 = gamma dt f, rows scaled by omega u / theta

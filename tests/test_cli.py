@@ -571,10 +571,26 @@ def test_classify_help_shows_its_defaults_and_the_others_keep_theirs(capsys):
     classify = help_of("classify")
     for needle in ("window start (default -64)", "grid resolution (default 3081)", "chart extent (default 77)"):
         assert needle in classify
+    for task in ("simulate", "invariants", "embed"):
+        assert "window start (default -2)" in help_of(task)
     for task in ("simulate", "invariants", "rescale", "embed"):
         text = help_of(task)
-        for needle in ("window start (default -2)", "grid resolution (default 2000)", "chart extent (default 20)"):
+        for needle in ("grid resolution (default 2000)", "chart extent (default 20)"):
             assert needle in text
+
+
+@pytest.mark.parametrize(
+    "task, flag",
+    [("invariants", "--cfl"), ("rescale", "--cfl"), ("classify", "--cfl"), ("embed", "--cfl"),
+     ("rescale", "--t0"), ("rescale", "--t1"), ("embed", "--t1")],
+)
+def test_inline_subcommands_reject_the_flags_they_do_not_read(tmp_path, capsys, task, flag):
+    out = str(tmp_path / "out")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([task, "--family", "sphere", flag, "-3", "--out", out])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} -3" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):

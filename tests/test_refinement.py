@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from geomflow import exact, geometry, solver
+from geomflow import embedding, exact, geometry, solver
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,3 +40,29 @@ def test_cigar_invariants_approach_their_limits_under_grid_refinement():
         circumference_gaps.append(abs(report.circumference - TWO_PI))
     for gaps in (tau_gaps, circumference_gaps):
         assert all(fine <= coarse for coarse, fine in zip(gaps, gaps[1:])), gaps
+
+
+def test_cigar_r_max_stays_at_the_tip_curvature_under_grid_refinement():
+    # invariants.csv r_max of the cigar r0 = 4 at extent 50, the O(h^6) axis row.
+    # Measured r_max - 4: -8.7e-9, -1.3e-10, -8.1e-13, -2.0e-12, 1.2e-10 and
+    # -5.2e-10 at n = 2001 ... 64001: from n = 8001 on the axis row's rounding,
+    # about eps / h^2, outgrows its truncation, so the row asserts a band, not a
+    # non-increase
+    for n in (2001, 4001, 8001, 16001, 32001, 64001):
+        report = geometry.invariant_report(exact.sample_grid(exact.cigar(4.0), 0.0, n=n, extent=50.0))
+        assert abs(report.r_max - 4.0) <= 1e-8, (n, report.r_max)
+
+
+def test_cigar_embedded_circumference_settles_under_grid_refinement():
+    # embed.json circumference of the cigar r0 = 4 at extent 50. Measured above
+    # 2 pi: 1.2573e-6, 1.2560e-6, 1.2561e-6, 1.2562e-6 and 1.2562e-6 at
+    # n = 2001 ... 32001, the finite-extent tail; the distance to the finest
+    # level reads 1.1e-9, 2.5e-10, 6.9e-11 and 2.9e-11
+    circumferences = []
+    for n in (2001, 4001, 8001, 16001, 32001):
+        grid = exact.sample_grid(exact.cigar(4.0), 0.0, n=n, extent=50.0)
+        surface = embedding.embed(embedding.profile_from_metric(grid))
+        circumferences.append(embedding.circumference_and_width(surface)[0])
+    assert all(1.2555e-6 <= c - TWO_PI <= 1.2575e-6 for c in circumferences), circumferences
+    gaps = [abs(c - circumferences[-1]) for c in circumferences[:-1]]
+    assert all(fine <= coarse for coarse, fine in zip(gaps, gaps[1:])), gaps

@@ -140,17 +140,37 @@ def test_step_factors_once_and_solves_twice(monkeypatch):
     assert calls == {"pttrf": len(traj.steps), "pttrs": 2 * len(traj.steps)}
 
 
-def _reference_step(st, w, f, t, dt):
-    """TR-BDF2 written out of place: the unsymmetric band of I - theta J and solve_banded."""
+def _reference_band(grid):
+    """The stepper's L written out per chart as rows (sub, dia, sup): the second
+    difference, the radial slope term, the two-point axis row and mirror ends."""
+    n, h, inv_h2 = grid.n, grid.h, 1.0 / grid.h**2
+    sub, dia, sup = np.full(n, inv_h2), np.full(n, -2.0 * inv_h2), np.full(n, inv_h2)
+    if grid.chart == RADIAL:
+        slope = 1.0 / (2.0 * h * grid.nodes[1:-1])
+        sub[1:-1] -= slope
+        sup[1:-1] += slope
+        dia[0], sup[0] = -4.0 * inv_h2, 4.0 * inv_h2
+    else:
+        sup[0] = 2.0 * inv_h2
+    sub[-1] = 2.0 * inv_h2
+    sub[0] = sup[-1] = 0.0
+    return sub, dia, sup
+
+
+def _reference_step(grid, st, w, f, t, dt):
+    """TR-BDF2 written out of place: the unsymmetric band of I - theta J and solve_banded.
+
+    Only the pinned nodes and their values come from the stencil under test."""
     from scipy.linalg import solve_banded
 
+    sub, dia, sup = _reference_band(grid)
     g = 2.0 - math.sqrt(2.0)
     theta = 0.5 * g * dt
     c = theta * np.exp(-w)
     ab = np.zeros((3, w.size))
-    ab[0, 1:] = -(c * st.sup)[:-1]
-    ab[1, :] = 1.0 - c * st.dia + theta * f
-    ab[2, :-1] = -(c * st.sub)[1:]
+    ab[0, 1:] = -(c * sup)[:-1]
+    ab[1, :] = 1.0 - c * dia + theta * f
+    ab[2, :-1] = -(c * sub)[1:]
     for p in st.pinned:
         ab[1, p] = 1.0
         if p + 1 < w.size:
@@ -164,7 +184,10 @@ def _reference_step(st, w, f, t, dt):
         return solve_banded((1, 1), ab, rhs, check_finite=False)
 
     def rate(v):
-        return np.exp(-v) * st.apply(v)
+        lap = dia * v
+        lap[1:] += sub[1:] * v[:-1]
+        lap[:-1] += sup[:-1] * v[1:]
+        return np.exp(-v) * lap
 
     pins = st.pin_values(t + g * dt, t + dt)
     d1 = solve(g * dt * f, pins[0] - w[st.pinned])
@@ -191,10 +214,10 @@ def _reference_step(st, w, f, t, dt):
 def test_lean_step_matches_reference_formulation(monkeypatch, grid, t_end):
     # the symmetric scaled pttrf/pttrs step with in-place stage arithmetic must
     # reproduce the band formulation at every step. Measured worst gaps over
-    # the three grids: 1.0e-14 in w (relative to max|w|), 1.6e-11 in f
-    # (relative to max|f|) and 4.3e-3 in the estimate (relative; its maximum
+    # the three grids: 3.7e-14 in w (relative to max|w|), 1.3e-11 in f
+    # (relative to max|f|) and 4.7e-3 in the estimate (relative; its maximum
     # sits at the trust floor u ~ 1e-5, where rounding in f is amplified by
-    # 1/u); each bound below leaves a margin of at least 5x.
+    # 1/u); each bound below leaves a margin of at least 2.5x.
     taken = []
     lean_step = solver._step_tr_bdf2
 
@@ -207,7 +230,7 @@ def test_lean_step_matches_reference_formulation(monkeypatch, grid, t_end):
     traj = solver.evolve(grid, t_end, cfl=0.4, output_times=np.linspace(grid.t, t_end, 3))
     assert len(taken) == len(traj.steps) > 0
     for (st, w, f, t, dt, (w_new, u_new, f_new, err)), record in zip(taken, traj.steps):
-        ref_w, ref_f, ref_err = _reference_step(st, w, f, t, dt)
+        ref_w, ref_f, ref_err = _reference_step(grid, st, w, f, t, dt)
         mask = trust_mask(u_new, grid.chart)
         assert np.abs(w_new - ref_w).max() <= 1e-13 * np.abs(ref_w).max()
         assert np.abs(f_new - ref_f).max() <= 1e-9 * np.abs(ref_f).max()
@@ -757,10 +780,24 @@ def test_step_record_validation():
     ids=["radial", "cylinder"],
 )
 def test_stencil_matches_measurement_laplacian_on_interior_rows(grid):
-    # the solve matrix and the measurement operator share interior rows up to
-    # rounding; only their boundary and axis rows differ by design
+    # one flux-form kernel gives both operators' interior rows; only their end
+    # and axis rows differ by design
     w = np.log(grid.u)
     implicit = solver._Stencil(grid).apply(w)
     measured = geometry.laplacian_field(w, grid.nodes, grid.h, grid.chart)
-    gap = np.abs(implicit - measured)[1:-1].max()
-    assert gap <= 4.0 * np.finfo(float).eps * np.abs(w).max() / grid.h**2
+    assert np.array_equal(implicit[1:-1], measured[1:-1])
+
+
+@pytest.mark.parametrize("chart", [RADIAL, CYLINDER])
+def test_stencil_end_rows_are_the_axis_and_mirror_closures(chart):
+    # on a free grid the stepper's end rows are its zero-flux closures written out
+    lo = 0.0 if chart == RADIAL else -3.0
+    nodes = np.linspace(lo, 3.0, 61)
+    grid = ConformalGrid(chart, nodes, np.exp(-0.3 * nodes**2 + 0.1 * nodes), 0.0)
+    w = np.log(grid.u)
+    lap = solver._Stencil(grid).apply(w)
+    h2 = grid.h**2
+    first = (4.0 if chart == RADIAL else 2.0) * (w[1] - w[0]) / h2
+    last = 2.0 * (w[-2] - w[-1]) / h2
+    assert lap[0] == pytest.approx(first, rel=1e-12)
+    assert lap[-1] == pytest.approx(last, rel=1e-12)
