@@ -29,6 +29,8 @@ DEFAULT_TOLERANCES = {"max_ratio": 5.0, "min_ratio": 3.0, "sup_rel_err": 1e-3}
 RESCALE_DEPTHS = (1, 2, 3, 4, 5, 6)
 RESCALE_SPAN = 1.5
 CLASSIFY_SNAPSHOTS = 253
+# the numeric config keys' defaults, which the inline flags show as theirs
+CONFIG_DEFAULTS = {"t0": -2.0, "t1": -1.0, "resolution": 2000, "extent": 20.0, "cfl": 0.4}
 # classify's flag defaults: criterion 7's window and grid, which hold the Rosenau peak near |x| = |t|
 CLASSIFY_DEFAULTS = {"t0": -64.0, "n": 3081, "extent": 77.0}
 # families whose backward tip width stays above a fixed uniform grid step;
@@ -56,7 +58,8 @@ artifact files and their columns:
   surface.csv       s, r, z
   embed.json        circumference, width
   verify_report.csv criterion, name, check, measured, requirement, status
-rescale and classify accept the Rosenau, Sphere, and Flat families; the
+classify accepts the Rosenau, Sphere, and Flat families, rescale the
+Rosenau and Sphere ones (Flat's R = 0 leaves no point to pick); the
 steady-soliton tip width collapses exponentially going backward, below
 any fixed uniform grid step, so those families are rejected up front.
 CSV floats carry 17 significant digits, other JSON floats their shortest
@@ -157,14 +160,14 @@ def config_from_payload(payload: dict) -> ScenarioConfig:
     if not all(isinstance(payload.get(key, ""), str) for key in ("name", "out")):
         raise DomainError("name and out must be strings")
 
-    def number(key: str, default: float) -> float:
-        return _number(key, payload.get(key, default))
+    def number(key: str) -> float:
+        return _number(key, payload.get(key, CONFIG_DEFAULTS[key]))
 
     def numbers(key: str, values: dict) -> tuple[tuple[str, float], ...]:
         # the key's repr keeps a key with a line break on the message's one line
         return tuple(sorted((k, _number(f"{key}[{k!r}]", v)) for k, v in values.items()))
 
-    resolution = number("resolution", 2000)
+    resolution = number("resolution")
     if not resolution.is_integer():
         raise DomainError(f"resolution must be a finite integral number, got {resolution!r}")
     return ScenarioConfig(
@@ -172,12 +175,12 @@ def config_from_payload(payload: dict) -> ScenarioConfig:
         family=payload.get("family"),
         params=numbers("params", params),
         checkpoint=payload.get("checkpoint"),
-        extent=number("extent", 20.0),
+        extent=number("extent"),
         resolution=int(resolution),
-        t0=number("t0", -2.0),
-        t1=number("t1", -1.0),
+        t0=number("t0"),
+        t1=number("t1"),
         output_times=None if times is None else tuple(_number("output_times item", t) for t in times),
-        cfl=number("cfl", 0.4),
+        cfl=number("cfl"),
         tasks=tuple(tasks),
         tolerances=numbers("tolerances", tolerances),
         out=payload.get("out", "out"),
@@ -347,6 +350,10 @@ def _check_tasks(config: ScenarioConfig) -> None:
     for task in ("rescale", "classify"):
         if task in tasks:
             _require_backward_resolvable(config.spec(), task)
+    if "rescale" in tasks and config.spec().family == "Flat":
+        raise DomainError(
+            "the rescale task picks a point of largest curvature; Flat has R = 0, which leaves no point to pick"
+        )
 
 
 def resolve_out_dir(configured: str | None) -> str | None:
@@ -404,13 +411,14 @@ INLINE_FLAGS = {
     "classify": ("t0", "t1", "n", "extent"),
     "embed": ("t0", "n", "extent"),
 }
-# each flag's config key, type, help and default (classify's from CLASSIFY_DEFAULTS)
+# each flag's config key, type and help; its default is the key's CONFIG_DEFAULTS
+# entry (classify's from CLASSIFY_DEFAULTS)
 _FLAG_SPECS = {
-    "t0": ("t0", float, "window start", -2.0),
-    "t1": ("t1", float, "window end", -1.0),
-    "n": ("resolution", int, "grid resolution", 2000),
-    "extent": ("extent", float, "chart extent", 20.0),
-    "cfl": ("cfl", float, "time-step fraction", 0.4),
+    "t0": ("t0", float, "window start"),
+    "t1": ("t1", float, "window end"),
+    "n": ("resolution", int, "grid resolution"),
+    "extent": ("extent", float, "chart extent"),
+    "cfl": ("cfl", float, "time-step fraction"),
 }
 
 
@@ -423,7 +431,8 @@ def _inline_config(task: str, args: argparse.Namespace) -> ScenarioConfig:
 def _add_inline_flags(sub: argparse.ArgumentParser, task: str) -> None:
     sub.add_argument("--family", required=True, help="one of " + ", ".join(exact.FAMILIES))
     for flag in INLINE_FLAGS[task]:
-        _, kind, text, default = _FLAG_SPECS[flag]
+        key, kind, text = _FLAG_SPECS[flag]
+        default = CONFIG_DEFAULTS[key]
         default = CLASSIFY_DEFAULTS.get(flag, default) if task == "classify" else default
         sub.add_argument(f"--{flag}", type=kind, default=default, help=f"{text} (default {default:g})")
     sub.add_argument("--out", default="out", help="output directory (default ./out)")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .grids import CYLINDER, RADIAL, RELIABLE_MARGIN, ConformalGrid, cumulative_trapezoid, trust_mask
+from .grids import CYLINDER, RADIAL, ConformalGrid, cumulative_trapezoid, trust_mask
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,16 +148,12 @@ def ball_area_profile(grid: ConformalGrid) -> np.ndarray:
     return TWO_PI * cumulative_trapezoid(integrand, grid.nodes)
 
 
-def _reliable_outer_index(grid: ConformalGrid) -> int:
-    return grid.n - 1 - RELIABLE_MARGIN
-
-
 def _centered_first(w: np.ndarray, h: float, i: int) -> float:
     return (w[i + 1] - w[i - 1]) / (2.0 * h)
 
 
 def _tail_window(grid: ConformalGrid, width_divisor: int, minimum: int) -> slice:
-    i_r = _reliable_outer_index(grid)
+    i_r = grid.reliable_slice().stop - 1
     width = max(minimum, grid.n // width_divisor)
     return slice(max(1, i_r - width + 1), i_r + 1)
 
@@ -177,7 +173,7 @@ def average_curvature_k(grid: ConformalGrid, r: float) -> float:
     if r <= 0.0:
         raise DomainError("average curvature needs r > 0")
     s = s_profile(grid)
-    i_r = _reliable_outer_index(grid)
+    i_r = grid.reliable_slice().stop - 1
     if r > s[i_r]:
         raise DomainError(f"r={r} exceeds the reliable geodesic radius {s[i_r]:.6g}")
     num = float(np.interp(r, s, _cumulative_curvature(grid)))
@@ -188,7 +184,7 @@ def average_curvature_k(grid: ConformalGrid, r: float) -> float:
 def sup_r_times_k(grid: ConformalGrid) -> float:
     """sup over sampled radii of r * k(o, r)."""
     s = s_profile(grid)
-    i_r = _reliable_outer_index(grid)
+    i_r = grid.reliable_slice().stop - 1
     num = _cumulative_curvature(grid)
     den = ball_area_profile(grid)
     sl = slice(1, i_r + 1)
@@ -273,7 +269,8 @@ def invariant_report(grid: ConformalGrid) -> InvariantReport:
     h = grid.h
     mask = trust_mask(grid.u, grid.chart)
     r_max = float(r_field[mask].max())
-    i_r = _reliable_outer_index(grid)
+    rel = grid.reliable_slice()
+    i_r = rel.stop - 1
     warnings: list[str] = []
     integrand = r_field * grid.u
     if grid.chart == RADIAL:
@@ -282,7 +279,7 @@ def invariant_report(grid: ConformalGrid) -> InvariantReport:
         flux = -math.pi * grid.nodes[i_r] * _centered_first(w, h, i_r)
         flux_half = -math.pi * grid.nodes[i_half] * _centered_first(w, h, i_half)
     else:
-        i_lo = RELIABLE_MARGIN
+        i_lo = rel.start
         span = i_r - i_lo
         j_lo, j_r = i_lo + span // 4, i_r - span // 4
         flux = -math.pi * (_centered_first(w, h, i_r) - _centered_first(w, h, i_lo))

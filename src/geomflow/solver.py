@@ -44,7 +44,7 @@ from .errors import DomainError, GeomflowError
 from .exact import ExactSolutionSpec, check_extremes, check_time, log_u_profile, node_factor
 from .exact import sample_grid, u_profile
 from .geometry import _flux_laplacian, _flux_weights, curvature_field
-from .grids import CURVATURE_TRUST_FLOOR, CYLINDER, RADIAL, ConformalGrid, check_layout
+from .grids import CYLINDER, RADIAL, ConformalGrid, check_layout
 from .grids import check_positive, readonly, reliable_slice, trust_mask
 
 # the one time stepper's name, as scenario configs may spell it
@@ -80,13 +80,13 @@ class StepRecord:
     """One accepted step: time reached, step size, error estimate, curvature max.
 
     residual is the step's embedded TR-BDF2 local error estimate in w = log u
-    (Hosea & Shampine 1996), the max over the trusted nodes of
+    (Hosea & Shampine 1996), the max over grids.trust_mask(u_{n+1}) of
     2|C| dt |f_n / gamma - f_gamma / (gamma (1 - gamma)) + f_{n+1} / (1 - gamma)|,
     C = (-3 gamma^2 + 4 gamma - 2) / (12 (2 - gamma)). The untrusted far
     field is left out because there f = exp(-w) L w is rounding amplified
     by 1/u, not truncation error.
-    r_max is the curvature maximum -f_{n+1} over the trusted nodes, taken
-    from the stepper's own stencil; rmax_series and rmax.csv measure it with
+    r_max is the curvature maximum -f_{n+1} over the same mask, taken from
+    the stepper's own stencil; rmax_series and rmax.csv measure it with
     the measurement operator instead, so the two can differ near the axis.
     """
 
@@ -297,7 +297,7 @@ class _Stencil:
     with the constant off-diagonal -k and the diagonal
     omega u (1/theta + f) + k_{i-1} + k_i; the right-hand sides carry the
     same scale. It is positive definite whenever theta R < 1 at every node
-    (f = -R), which the step cap dt <= cfl / R_max keeps on the trusted nodes,
+    (f = -R), which the step cap dt <= cfl / R_max keeps on grids.trust_mask(u),
     so LAPACK's pttrf factors it as L D L^T once per step and pttrs solves
     each stage against those factors; a step where pttrf reports otherwise is
     rejected (LinAlgError), as is one whose pttrs fails. A pinned node is an
@@ -323,7 +323,6 @@ class _Stencil:
         self.pin_cond = self.k[edges]
         self.off = -self.k
         self.off[edges] = 0.0
-        self.rel = grid.reliable_slice()
         # loaded on first use and without scipy.linalg's import (see _lapack_pt)
         self._pttrf, self._pttrs = _lapack_pt()
 
@@ -361,21 +360,6 @@ class _Stencil:
         if info != 0:
             raise LinAlgError(f"tridiagonal solve failed (pttrs info {info})")
         return x
-
-    def trusted(self, u: np.ndarray) -> np.ndarray:
-        """Trust mask of u over the reliable slice (the rule of grids.trust_mask)."""
-        return u[self.rel] >= CURVATURE_TRUST_FLOOR
-
-    def curvature_peak(self, f: np.ndarray, u: np.ndarray, mask: np.ndarray) -> float:
-        """Curvature maximum, max(-f), over the trusted nodes of u."""
-        top = -float(np.min(f[self.rel], where=mask, initial=math.inf))
-        # no trusted node: trust_mask keeps the best-conditioned one
-        return top if top > -math.inf else -float(f[np.argmax(u)])
-
-    def error_peak(self, err: np.ndarray, u: np.ndarray, mask: np.ndarray) -> float:
-        """Maximum of the error estimate over the trusted nodes of u."""
-        top = float(np.max(err[self.rel], where=mask, initial=-math.inf))
-        return top if top > -math.inf else float(err[np.argmax(u)])
 
 
 def _step_tr_bdf2(st: _Stencil, w: np.ndarray, u: np.ndarray, f: np.ndarray, t: float, dt: float):
@@ -506,7 +490,9 @@ def evolve(grid: ConformalGrid, t_end: float, cfl: float = 0.5, *, output_times=
     u = grid.u
     f = st.apply(w) / u
     t = grid.t
-    r_max = st.curvature_peak(f, u, st.trusted(u))
+    # the trusted nodes of u (grids.trust_mask), refilled after every accepted step
+    mask = trust_mask(u, grid.chart, np.empty(grid.n, dtype=bool))
+    r_max = -float(np.min(f, where=mask, initial=math.inf))
     U = np.empty((targets.size, grid.n))
     U[0] = grid.u
     steps: list[StepRecord] = []
@@ -519,9 +505,10 @@ def evolve(grid: ConformalGrid, t_end: float, cfl: float = 0.5, *, output_times=
             dt = min(cfl * cap, target - t)
             w, u, f, err = _advance(st, w, u, f, t, dt)
             t = t + dt
-            mask = st.trusted(u)
-            r_max = st.curvature_peak(f, u, mask)
-            steps.append(StepRecord(t=t, dt=dt, residual=st.error_peak(err, u, mask), r_max=r_max))
+            trust_mask(u, grid.chart, mask)
+            r_max = -float(np.min(f, where=mask, initial=math.inf))
+            residual = float(np.max(err, where=mask, initial=-math.inf))
+            steps.append(StepRecord(t=t, dt=dt, residual=residual, r_max=r_max))
             if r_max > BLOW_UP_RMAX:
                 raise GeomflowError(
                     f"curvature maximum {r_max:.6g} crossed {BLOW_UP_RMAX:.6g} at t={t:.6g}"

@@ -531,6 +531,19 @@ def test_backward_tasks_reject_steady_solitons(tmp_path, capsys, family, task):
     assert "collapses exponentially" in capsys.readouterr().err
 
 
+def test_flat_rescale_is_rejected_before_any_task_writes(tmp_path, capsys):
+    # R = 0 on Flat leaves rescale no point to pick; the invariants task, which
+    # runs first, must not have written invariants.csv by then
+    out = tmp_path / "out"
+    path = write_config(tmp_path, family="flat", tasks=["invariants", "rescale"], out=str(out))
+    assert cli.main(["run", path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "Flat" in lines[0] and "no point to pick" in lines[0]
+    assert not out.exists()
+    # classify keeps Flat
+    assert cli.main(["classify", "--family", "flat", "--n", "400", "--out", str(out)]) == 0
+
+
 def test_classify_sphere_bounded(tmp_path):
     out = str(tmp_path / "out")
     code = cli.main(

@@ -8,7 +8,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 import numpy as np
 import pytest
 
-from geomflow import exact, geometry, solver
+from geomflow import exact, geometry, grids, solver
 from geomflow.errors import DomainError, GeomflowError
 from geomflow.grids import CYLINDER, RADIAL, ConformalGrid, reliable_slice, trust_mask
 
@@ -116,10 +116,12 @@ def test_missing_lapack_extension_names_the_file(monkeypatch, tmp_path):
 
 
 def test_step_factors_once_and_solves_twice(monkeypatch):
-    # one L D L^T factorization serves both stages, and the per-step curvature
-    # peak comes from the carried rate, not from the measurement operator
+    # one L D L^T factorization serves both stages, the per-step curvature
+    # peak comes from the carried rate, not from the measurement operator, and
+    # the trust mask is refilled once per accepted step after the initial one
     real_pttrf, real_pttrs = solver._lapack_pt()
-    calls = {"pttrf": 0, "pttrs": 0}
+    real_trust_mask = solver.trust_mask
+    calls = {"pttrf": 0, "pttrs": 0, "trust_mask": 0}
 
     def pttrf(*args, **kwargs):
         calls["pttrf"] += 1
@@ -129,15 +131,39 @@ def test_step_factors_once_and_solves_twice(monkeypatch):
         calls["pttrs"] += 1
         return real_pttrs(*args, **kwargs)
 
+    def counted_trust_mask(*args, **kwargs):
+        calls["trust_mask"] += 1
+        return real_trust_mask(*args, **kwargs)
+
     def forbidden(*args, **kwargs):
-        raise AssertionError("a step used the measurement operator or rebuilt the trust mask")
+        raise AssertionError("a step used the measurement operator")
 
     monkeypatch.setattr(solver, "_lapack_pt", lambda: (pttrf, pttrs))
     monkeypatch.setattr(solver, "curvature_field", forbidden)
-    monkeypatch.setattr(solver, "trust_mask", forbidden)
+    monkeypatch.setattr(solver, "trust_mask", counted_trust_mask)
     traj = solver.evolve(rosenau_grid(n=400), -1.9, cfl=0.4, output_times=[-2.0, -1.9])
-    assert len(traj.steps) > 0
-    assert calls == {"pttrf": len(traj.steps), "pttrs": 2 * len(traj.steps)}
+    steps = len(traj.steps)
+    assert steps > 0
+    assert calls == {"pttrf": steps, "pttrs": 2 * steps, "trust_mask": steps + 1}
+
+
+def test_step_peaks_follow_the_one_trust_floor(monkeypatch):
+    # the stepper's r_max reads grids.trust_mask, so a change of the floor in
+    # grids reaches every StepRecord; dt = cfl * h on this grid either way
+    def run():
+        return solver.evolve(rosenau_grid(n=400), -1.9, cfl=0.4, output_times=[-2.0, -1.9])
+
+    default = np.array([s.r_max for s in run().steps])
+    # u peaks near 0.76 at x = 0, so only the centre, where R is lowest, stays trusted
+    monkeypatch.setattr(grids, "CURVATURE_TRUST_FLOOR", 0.5)
+    centre = run().steps
+    assert len(centre) == default.size
+    assert np.all(np.array([s.r_max for s in centre]) < default)
+    # no node reaches the floor: trust_mask keeps the argmax of u, so r_max stays finite
+    monkeypatch.setattr(grids, "CURVATURE_TRUST_FLOOR", 10.0)
+    fallback = run().steps
+    assert all(math.isfinite(s.r_max) and math.isfinite(s.residual) for s in fallback)
+    assert np.all(np.array([s.r_max for s in fallback]) <= np.array([s.r_max for s in centre]))
 
 
 def _reference_band(grid):
