@@ -40,15 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import CIGAR, DS_SOLITON, FAMILIES, FLAT, ROSENAU, SPHERE
 from .errors import DomainError
 from .grids import CYLINDER, RADIAL, ConformalGrid, check_layout, check_positive
-
-CIGAR = "Cigar"
-ROSENAU = "Rosenau"
-SPHERE = "Sphere"
-FLAT = "Flat"
-DS_SOLITON = "DSSoliton"
-FAMILIES = (CIGAR, ROSENAU, SPHERE, FLAT, DS_SOLITON)
 
 _LOG2 = math.log(2.0)
 # exp overflow threshold for float64, with a margin

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,8 +25,10 @@ from .errors import DomainError
 from .exact import spec_from_name
 from .geometry import FIELD_ORDER
 from .grids import CHARTS, ConformalGrid
-from .rescaling import RescalingPick
-from .solver import DiagnosticReport
+
+if TYPE_CHECKING:  # annotations only: writing a checkpoint loads neither module
+    from .rescaling import RescalingPick
+    from .solver import DiagnosticReport
 
 FLOAT_FORMAT = ".17g"
 

@@ -41,14 +41,10 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .errors import DomainError, GeomflowError
-from .exact import ExactSolutionSpec, check_extremes, check_time, log_u_profile, node_factor
-from .exact import sample_grid, u_profile
+from .exact import ExactSolutionSpec, check_extremes, check_time, node_factor, sample_grid, u_profile
 from .geometry import _flux_laplacian, _flux_weights, curvature_field
 from .grids import CYLINDER, RADIAL, ConformalGrid, check_layout
 from .grids import check_positive, readonly, reliable_slice, trust_mask
-
-# the one time stepper's name, as scenario configs may spell it
-SEMI_IMPLICIT = "SemiImplicit"
 
 # TR-BDF2 stage fraction; with it both stages share the matrix I - (GAMMA dt / 2) J
 GAMMA = 2.0 - math.sqrt(2.0)
@@ -317,6 +313,8 @@ class _Stencil:
         self.pinned = np.array(ends if grid.provenance is not None else [], dtype=int)
         self.pinned_nodes = grid.nodes[self.pinned]
         self.provenance = grid.provenance
+        # the pinned nodes' u_profile factor, computed once for every stage time
+        self.pin_factor = node_factor(self.provenance, self.pinned_nodes) if self.pinned.size else None
         # a pinned node's edge, its neighbour and the conductance that moves to the rhs
         edges = np.minimum(self.pinned, n - 2)
         self.pin_nbrs = np.where(self.pinned == 0, 1, n - 2)
@@ -340,7 +338,8 @@ class _Stencil:
         """log u at the pinned nodes, one row per time (no columns when nothing is pinned)."""
         if not self.pinned.size:
             return np.empty((len(times), 0))
-        return log_u_profile(self.provenance, self.pinned_nodes, times)
+        u = u_profile(self.provenance, self.pinned_nodes, times, factor=self.pin_factor)
+        return np.log(u, out=u)
 
     def factor(self, wu: np.ndarray, shift):
         """pttrf factors of the scaled matrix with diagonal wu * shift + k_{i-1} + k_i."""

@@ -275,6 +275,45 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+# runs `geomflow ARGV` (or only imports the CLI when ARGV is empty) and prints
+# the exit code and the numpy and geomflow modules it loaded
+FRONT_END_PROBE = """
+import sys
+from geomflow import cli
+code = None
+if sys.argv[1:]:
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as stop:  # argparse exits after printing --help
+        code = stop.code
+print(code, sorted(m for m in sys.modules if m == "numpy" or m.startswith("geomflow.")))
+"""
+
+
+def run_front_end(tmp_path, *argv) -> tuple[str, str]:
+    proc = run_python(tmp_path, "-c", FRONT_END_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = proc.stdout.splitlines()[-1].split(" ", 1)
+    return code, modules
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [([], "None"), (["--help"], "0"), (["simulate", "--help"], "0"), (["run", "bad.json"], "2")],
+    ids=["import", "help", "simulate-help", "unknown-key"],
+)
+def test_the_front_end_loads_no_numpy(tmp_path, argv, code):
+    (tmp_path / "bad.json").write_text(json.dumps({"name": "n", "family": "flat", "colour": 1}))
+    assert run_front_end(tmp_path, *argv) == (code, "['geomflow.cli', 'geomflow.errors']")
+
+
+def test_simulate_loads_no_acceptance(tmp_path):
+    argv = ["simulate", "--family", "rosenau", "--n", "400", "--t1", "-1.9", "--out", "out"]
+    code, modules = run_front_end(tmp_path, *argv)
+    assert code == "0" and "'numpy'" in modules
+    assert "'geomflow.acceptance'" not in modules
+
+
 def test_stepping_loads_lapack_without_scipy_linalg(tmp_path):
     # the stepper loads scipy's compiled _flapack on its own; a later
     # scipy.linalg import reuses that module, so get_lapack_funcs hands back
@@ -694,7 +733,7 @@ _SCENARIO_VALUES = {
     "t1": st.floats(-2.0, 2.0),
     "output_times": st.lists(st.floats(-3.0, 2.0), max_size=3),
     "cfl": st.floats(0.2, 1.0),
-    "scheme": st.just(solver.SEMI_IMPLICIT),
+    "scheme": st.just(cli.SEMI_IMPLICIT),
     "tasks": st.lists(st.sampled_from(cli.TASKS), min_size=1, max_size=3),
     "tolerances": st.dictionaries(st.sampled_from(sorted(cli.DEFAULT_TOLERANCES)), st.floats(0.01, 10.0), max_size=2),
     "out": st.text(max_size=8),

@@ -51,11 +51,11 @@ def test_step_tracks_exact_solution_one_step():
 def test_step_evaluates_the_pinned_boundary_once(monkeypatch, grid, calls):
     seen = []
 
-    def counted(spec, coords, t):
+    def counted(spec, coords, t, out=None, factor=None):
         seen.append(t)
-        return exact.log_u_profile(spec, coords, t)
+        return exact.u_profile(spec, coords, t, out, factor)
 
-    monkeypatch.setattr(solver, "log_u_profile", counted)
+    monkeypatch.setattr(solver, "u_profile", counted)
     traj = one_step(grid, 1e-3)
     dt = traj.steps[0].dt
     # one call for both stages: the trapezoid stage ends at t + gamma dt, the BDF2 stage at t + dt
