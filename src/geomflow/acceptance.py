@@ -191,10 +191,10 @@ def criterion_6() -> CriterionResult:
     """Backward picks converge to the unit cigar profile."""
     start = time.perf_counter()
     distances = []
-    for j in range(1, 7):
+    for j in rescaling.RESCALE_DEPTHS:
         traj = rescaling.backward_rosenau_trajectory(j)
         pick = rescaling.pick_point(traj, j)
-        distances.append(rescaling.profile_distance(traj, pick, 3.0))
+        distances.append(rescaling.profile_distance(traj, pick))
     elapsed = time.perf_counter() - start
     # equality tolerance 1e-6 absorbs the sup-norm roundoff on the plateau
     monotone = all(b <= a + 1e-6 for a, b in zip(distances, distances[1:]))
@@ -322,7 +322,7 @@ def _determinism_artifact() -> str:
     text = serialize.csv_text(header, rows)
     traj = rescaling.backward_rosenau_trajectory(2, h_target=0.05, snapshot_count=65)
     pick = rescaling.pick_point(traj, 2)
-    distance = rescaling.profile_distance(traj, pick, 3.0)
+    distance = rescaling.profile_distance(traj, pick)
     text += serialize.json_text(serialize.rescaling_record(pick, distance))
     text += serialize.json_text(serialize.checkpoint_payload(grid))
     return text

@@ -31,8 +31,6 @@ if TYPE_CHECKING:  # annotations only: importing the CLI loads no numpy
 
 TASKS = ("verify", "simulate", "invariants", "rescale", "classify", "embed")
 DEFAULT_TOLERANCES = {"max_ratio": 5.0, "min_ratio": 3.0, "sup_rel_err": 1e-3}
-RESCALE_DEPTHS = (1, 2, 3, 4, 5, 6)
-RESCALE_SPAN = 1.5
 CLASSIFY_SNAPSHOTS = 253
 # the numeric config keys' defaults, which the inline flags show as theirs
 CONFIG_DEFAULTS = {"t0": -2.0, "t1": -1.0, "resolution": 2000, "extent": 20.0, "cfl": 0.4}
@@ -59,7 +57,7 @@ artifact files and their columns:
                     (cylinder charts leave the radial-only cells empty)
   rescale_jN.json   j, T_j, gamma_j, t_j, x_j, M_j, alpha_j, omega_j,
                     profile_distance (sup gap to the model profile on the
-                    rescaled arc window [0, 1.5])
+                    rescaled arc window [0, 3])
   classify.csv      T, S
   classify.json     verdict, t0, basis
   surface.csv       s, r, z
@@ -298,14 +296,14 @@ def _task_rescale(config: ScenarioConfig, out_dir: str) -> int:
     from . import rescaling, serialize, solver
 
     spec = config.spec()
-    for j in RESCALE_DEPTHS:
+    for j in rescaling.RESCALE_DEPTHS:
         if spec.family == ROSENAU:
             traj = rescaling.backward_rosenau_trajectory(j)
         else:
             times = np.linspace(rescaling.default_window(j), -1e-3, 257)
             traj = solver.exact_trajectory(spec, times, n=config.resolution, extent=config.extent)
         pick = rescaling.pick_point(traj, j)
-        distance = rescaling.profile_distance(traj, pick, RESCALE_SPAN)
+        distance = rescaling.profile_distance(traj, pick)
         serialize.write_json(
             os.path.join(out_dir, f"rescale_j{j}.json"),
             serialize.rescaling_record(pick, distance),
@@ -321,7 +319,7 @@ def _task_classify(config: ScenarioConfig, out_dir: str) -> int:
     spec = config.spec()
     times = np.linspace(config.t0, config.t1, CLASSIFY_SNAPSHOTS)
     traj = solver.exact_trajectory(spec, times, n=config.resolution, extent=config.extent)
-    report = rescaling.classify_type(traj, t0=config.t1)
+    report = rescaling.classify_type(traj)
     serialize.write_csv(
         os.path.join(out_dir, "classify.csv"), ("T", "S"), [[t, s] for t, s in report.samples]
     )

@@ -214,11 +214,9 @@ def u_profile(
     return rows if isinstance(t, tuple) else rows[0]
 
 
-def log_u_profile(
-    spec: ExactSolutionSpec, coords: np.ndarray, t: float | tuple[float, ...], out=None
-) -> np.ndarray:
-    """log u along the generator line: the log of u_profile(spec, coords, t, out)."""
-    u = u_profile(spec, coords, t, out)
+def log_u_profile(spec: ExactSolutionSpec, coords: np.ndarray, t: float | tuple[float, ...]) -> np.ndarray:
+    """log u along the generator line: the log of u_profile(spec, coords, t)."""
+    u = u_profile(spec, coords, t)
     return np.log(u, out=u)
 
 

@@ -34,7 +34,10 @@ BOUNDED = "Bounded"
 VERDICT_BASIS = "finite-window heuristic"
 GROWTH_RATIO = 1.5
 MIN_WINDOWS = 4
-CLASSIFIER_T0 = -1.0
+# the pick indices j of the rescale task and of criterion 6
+RESCALE_DEPTHS = (1, 2, 3, 4, 5, 6)
+# the headline's unit-curvature distance: the profile is compared with the cigar on [0, 3]
+PROFILE_SPAN = 3.0
 
 # Discrete curvature carries roundoff of order |log u|*eps/(h^2 u); scores
 # closer than this are indistinguishable and resolved by the tie-break rule,
@@ -107,12 +110,11 @@ def pick_point(traj: FlowTrajectory, j: int) -> RescalingPick:
     # trusted-node maxima of M = |R|/2, which is max(hi, -lo) / 2
     lo, hi = curvature_range(traj, first, times.size)
     peaks = 0.5 * np.maximum(hi, -lo)
+    # every scored t lies in (T_j, 0), so every weight is positive
     snapshot_sups = []
     sup = 0.0
     for k, t in enumerate(times[first:].tolist(), start=first):
         weight = (-t) * (t - T_j)
-        if weight <= 0.0:
-            continue
         peak = weight * float(peaks[k - first])
         snapshot_sups.append((k, weight, peak))
         sup = max(sup, peak)
@@ -120,28 +122,27 @@ def pick_point(traj: FlowTrajectory, j: int) -> RescalingPick:
         raise DomainError("curvature score vanishes on the searched window")
 
     band = sup * (1.0 - PICK_TIE_RTOL)
-    for k, weight, peak in snapshot_sups:
-        if peak < band:
-            continue
-        # M = |R|/2 of snapshot k, untrusted nodes sent to -inf
-        _, _, r, trusted = next(traj.blocks(k, k + 1))
-        scores = weight * np.where(trusted[0], 0.5 * np.abs(r[0]), -np.inf)
-        node = int(np.nonzero(scores >= band)[0][0])
-        t_j = float(times[k])
-        m_j = 0.5 * abs(float(r[0, node]))
-        return RescalingPick(
-            j=j,
-            T_j=T_j,
-            gamma_j=default_gamma(j),
-            x_j=float(traj.nodes[node]),
-            node=node,
-            t_j=t_j,
-            M_j=m_j,
-            alpha_j=(t_j - T_j) * m_j,
-            omega_j=-t_j * m_j,
-            score=float(scores[node]),
-        )
-    raise DomainError("curvature score vanishes on the searched window")
+    # the first snapshot at or above the band holds a node at or above it: its
+    # row is bitwise the row of the block scan
+    k, weight = next((k, weight) for k, weight, peak in snapshot_sups if peak >= band)
+    # M = |R|/2 of snapshot k, untrusted nodes sent to -inf
+    _, _, r, trusted = next(traj.blocks(k, k + 1))
+    scores = weight * np.where(trusted[0], 0.5 * np.abs(r[0]), -np.inf)
+    node = int(np.nonzero(scores >= band)[0][0])
+    t_j = float(times[k])
+    m_j = 0.5 * abs(float(r[0, node]))
+    return RescalingPick(
+        j=j,
+        T_j=T_j,
+        gamma_j=default_gamma(j),
+        x_j=float(traj.nodes[node]),
+        node=node,
+        t_j=t_j,
+        M_j=m_j,
+        alpha_j=(t_j - T_j) * m_j,
+        omega_j=-t_j * m_j,
+        score=float(scores[node]),
+    )
 
 
 class DilatedFlow:
@@ -236,10 +237,8 @@ def _tip_arc_position(
     return float(arc[end] + side * tail)
 
 
-def rescaled_profile(traj: FlowTrajectory, pick: RescalingPick, span: float) -> RescaledProfile:
-    """Curvature profile of the traj.blocks row pick_point scored, out to distance span."""
-    if not span > 0.0:
-        raise DomainError(f"profile span must be positive, got {span}")
+def rescaled_profile(traj: FlowTrajectory, pick: RescalingPick) -> RescaledProfile:
+    """Curvature profile of the traj.blocks row pick_point scored, out to distance PROFILE_SPAN."""
     k = int(np.searchsorted(traj.times, pick.t_j))
     if k == traj.times.size or float(traj.times[k]) != pick.t_j:
         raise DomainError(f"picked time {pick.t_j} is not a snapshot time of the trajectory")
@@ -253,11 +252,11 @@ def rescaled_profile(traj: FlowTrajectory, pick: RescalingPick, span: float) -> 
     arc_tip = _tip_arc_position(traj.chart, traj.nodes, u, mask, node, arc)
     s_hat = np.abs(arc - arc_tip) * math.sqrt(r_tip)
     reach = float(s_hat[mask].max())
-    if reach < span:
+    if reach < PROFILE_SPAN:
         raise DomainError(
-            f"grid supports the profile only to distance {reach:.3g}, span {span} requested"
+            f"grid supports the profile only to distance {reach:.3g}, span {PROFILE_SPAN} requested"
         )
-    keep = mask & (s_hat <= span)
+    keep = mask & (s_hat <= PROFILE_SPAN)
     order = np.argsort(s_hat[keep], kind="stable")
     s_sorted = s_hat[keep][order]
     rn_sorted = (r[keep] / r_tip)[order]
@@ -268,9 +267,9 @@ def rescaled_profile(traj: FlowTrajectory, pick: RescalingPick, span: float) -> 
     return RescaledProfile(s=s_sorted, Rn=rn_sorted, R0=r_tip / pick.M_j)
 
 
-def profile_distance(traj: FlowTrajectory, pick: RescalingPick, span: float) -> float:
-    """Sup distance of the picked snapshot's tip-normalized profile from sech^2(s/2) on [0, span]."""
-    prof = rescaled_profile(traj, pick, span)
+def profile_distance(traj: FlowTrajectory, pick: RescalingPick) -> float:
+    """Sup distance of the picked snapshot's tip-normalized profile from sech^2(s/2) on [0, PROFILE_SPAN]."""
+    prof = rescaled_profile(traj, pick)
     return float(np.abs(prof.Rn - cigar_profile(prof.s)).max())
 
 
@@ -290,15 +289,14 @@ def _growth_ratio(prev: float, nxt: float) -> float:
     return nxt / prev
 
 
-def classify_type(traj: FlowTrajectory, t0: float = CLASSIFIER_T0) -> ClassificationReport:
-    """Sample S(T) = sup |t| M over dyadic windows [T, t0] and label the growth."""
-    t0 = float(t0)
-    if not t0 < 0.0:
-        raise DomainError(f"t0 must be negative, got {t0}")
+def classify_type(traj: FlowTrajectory) -> ClassificationReport:
+    """Sample S(T) = sup |t| M over dyadic windows [T, t0], t0 the trajectory's last time,
+    and label the growth."""
     times = traj.times
+    t0 = float(times[-1])
+    if not t0 < 0.0:
+        raise DomainError(f"classify needs snapshot times strictly before 0, trajectory ends at {t0}")
     tol = 1e-9 * max(1.0, abs(float(times[0])))
-    if float(times[-1]) < t0 - tol:
-        raise DomainError(f"trajectory ends at {float(times[-1])}, before t0 = {t0}")
 
     windows = []
     T = 2.0 * t0
@@ -310,19 +308,14 @@ def classify_type(traj: FlowTrajectory, t0: float = CLASSIFIER_T0) -> Classifica
             f"need {MIN_WINDOWS} dyadic windows inside the trajectory, only {len(windows)} fit"
         )
 
-    # the sampled snapshots are the prefix with t <= t0 + tol
-    count = int(np.searchsorted(times, t0 + tol, side="right"))
-    sample_times = times[:count].tolist()
-    lo, hi = curvature_range(traj, 0, count)
+    sample_times = times.tolist()
+    lo, hi = curvature_range(traj)
     peaks = (0.5 * np.maximum(hi, -lo)).tolist()
     sample_values = [abs(t) * peak for t, peak in zip(sample_times, peaks)]
-
-    samples = []
-    for T in windows:
-        vals = [v for t, v in zip(sample_times, sample_values) if t >= T - tol]
-        if not vals:
-            raise DomainError(f"no snapshots inside window [{T}, {t0}]")
-        samples.append((T, max(vals)))
+    # every window [T, t0] holds the snapshot at t0
+    samples = [
+        (T, max(v for t, v in zip(sample_times, sample_values) if t >= T - tol)) for T in windows
+    ]
 
     s_vals = [s for _, s in samples]
     # the verdict looks at the deepest three doublings only

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import geomflow
-from geomflow import acceptance, cli, exact, serialize, solver
+from geomflow import acceptance, cli, exact, rescaling, serialize, solver
 from geomflow.errors import DomainError
 from geomflow.geometry import FIELD_ORDER
 
@@ -562,6 +562,17 @@ def test_rescale_rosenau_writes_record_per_depth(tmp_path):
     assert record["profile_distance"] < 0.02
 
 
+def test_rescale_records_carry_criterion_6_distances(tmp_path):
+    # one headline span: each rescale_jN.json distance is the one verify reports
+    out = str(tmp_path / "out")
+    assert cli.main(["rescale", "--family", "rosenau", "--out", out]) == 0
+    written = []
+    for j in rescaling.RESCALE_DEPTHS:
+        with open(os.path.join(out, f"rescale_j{j}.json")) as fh:
+            written.append(serialize.format_value(json.load(fh)["profile_distance"]))
+    assert ", ".join(written) == acceptance.criterion_6().checks[0].measured
+
+
 @pytest.mark.parametrize("family", ["cigar", "dssoliton"])
 @pytest.mark.parametrize("task", ["rescale", "classify"])
 def test_backward_tasks_reject_steady_solitons(tmp_path, capsys, family, task):
@@ -711,6 +722,8 @@ def test_help_documents_csv_columns():
         "GEOMFLOW_OUT",
     ):
         assert needle in text
+    # the rescale_jN.json note names the one profile span
+    assert f"[0, {rescaling.PROFILE_SPAN:g}]" in text
 
 
 # Scenario payloads for the property test below: mostly well-formed configs,

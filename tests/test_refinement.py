@@ -124,8 +124,8 @@ def test_headline_distance_against_its_closed_form(j):
     # the row records pipeline minus truth as a ceiling that a fix only lowers.
     traj = rescaling.backward_rosenau_trajectory(j)
     pick = rescaling.pick_point(traj, j)
-    measured = rescaling.profile_distance(traj, pick, 3.0)
-    truth, r_tip = _rosenau_cigar_distance(pick.t_j, 3.0)
+    measured = rescaling.profile_distance(traj, pick)
+    truth, r_tip = _rosenau_cigar_distance(pick.t_j, rescaling.PROFILE_SPAN)
     assert r_tip == pytest.approx(1.0 / math.tanh(-pick.t_j), rel=1e-15)
     # the discrete tip curvature 2 M_j reads 2.3e-5 to 3.2e-5 above R_tip: the
     # O(h^2) truncation of R outweighs the censoring at the trust edge

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geomflow import cli, exact, geometry, rescaling, solver
+from geomflow import exact, geometry, rescaling, solver
 from geomflow.errors import DomainError
 from geomflow.grids import CURVATURE_TRUST_FLOOR, trust_mask
 
@@ -35,9 +35,9 @@ def classifier_rosenau_trajectory():
 # them on purpose updates this table and says why.
 HEADLINE = [
     # (j, node, x_j, t_j, profile distance)
-    (1, 786, -5.28, -0.001, 0.4005009164302036),
-    (2, 437, -13.26, -1.7818046875, 0.04544120858856737),
-    (3, 425, -15.5, -4.0005, 5.551226429522105e-4),
+    (1, 786, -5.28, -0.001, 0.8191376632207104),
+    (2, 437, -13.26, -1.7818046875, 0.1508387383602681),
+    (3, 425, -15.5, -4.0005, 2.036792894486217e-3),
     (4, 425, -19.5, -8.0005, 1.4524482505273717e-5),
     (5, 425, -27.5, -16.0005, 1.453925271754919e-5),
     (6, 425, -43.5, -32.0005, 1.4539256110834842e-5),
@@ -52,7 +52,7 @@ def test_headline_picks_and_profile_distances_are_pinned(j, node, x_j, t_j, dist
     assert pick.x_j == traj.nodes[node]
     assert pick.x_j == pytest.approx(x_j, abs=1e-12)
     assert pick.t_j == pytest.approx(t_j, abs=1e-12)
-    measured = rescaling.profile_distance(traj, pick, cli.RESCALE_SPAN)
+    measured = rescaling.profile_distance(traj, pick)
     assert measured == pytest.approx(distance, rel=1e-6)
 
 
@@ -106,6 +106,14 @@ def test_pick_needs_strictly_backward_times():
     U = np.stack([base.u] * 2)
     traj = solver.FlowTrajectory(base.chart, base.nodes, times, U, None, ())
     with pytest.raises(DomainError, match="^backward pick needs snapshot times strictly before 0$"):
+        rescaling.pick_point(traj, 1)
+
+
+def test_pick_before_its_window_has_no_score():
+    # every snapshot at or before T_1 = -2 has weight (-t)(t - T_1) <= 0: none is scored
+    times = np.linspace(-8.0, -2.0, 13)
+    traj = solver.exact_trajectory(exact.rosenau(), times, n=401, extent=22.0)
+    with pytest.raises(DomainError, match="^curvature score vanishes on the searched window$"):
         rescaling.pick_point(traj, 1)
 
 
@@ -205,7 +213,7 @@ def test_stored_and_closed_form_rows_give_equal_results(spec, extent):
             solver.diagnostics(traj),
             solver.closed_form_error(traj),
             pick,
-            rescaling.profile_distance(traj, pick, cli.RESCALE_SPAN),
+            rescaling.profile_distance(traj, pick),
             rescaling.classify_type(traj),
             [traj.snapshot(i).u for i in range(times.size)],
             traj.u_at(float(times[k])),
@@ -232,7 +240,7 @@ def test_pick_and_classify_scan_in_blocks_not_whole_arrays():
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         rescaling.pick_point(traj, 6)
-        rescaling.classify_type(traj, t0=-1.0)
+        rescaling.classify_type(traj)
         scan = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -325,7 +333,7 @@ def test_dilated_tip_curvature_is_two():
     for j in range(1, 7):
         traj = rescaling.backward_rosenau_trajectory(j)
         pick = rescaling.pick_point(traj, j)
-        prof = rescaling.rescaled_profile(traj, pick, cli.RESCALE_SPAN)
+        prof = rescaling.rescaled_profile(traj, pick)
         assert prof.R0 == 2.0
         assert prof.Rn[0] == 1.0
 
@@ -351,7 +359,7 @@ def test_magnitude_bound_holds_inside_window():
 
 def test_rescaled_profile_structure():
     traj, pick = ladder_pick(3)
-    prof = rescaling.rescaled_profile(traj, pick, 3.0)
+    prof = rescaling.rescaled_profile(traj, pick)
     assert prof.s[0] == 0.0
     assert prof.Rn[0] == 1.0
     assert prof.R0 == 2.0
@@ -361,12 +369,12 @@ def test_rescaled_profile_structure():
 
 
 def test_profile_span_errors():
-    traj, pick = ladder_pick(3)
-    with pytest.raises(DomainError, match="^profile span must be positive, got 0.0$"):
-        rescaling.rescaled_profile(traj, pick, 0.0)
-    # trusted region ends near unit-curvature distance 10.8 on this grid
-    with pytest.raises(DomainError, match=r"^grid supports the profile only to distance \S+, span 20.0 requested$"):
-        rescaling.rescaled_profile(traj, pick, 20.0)
+    # the trusted region of the coarse Sphere grid ends at unit-curvature distance 2.71
+    times = np.linspace(-2.0, -1e-3, 257)
+    traj = solver.exact_trajectory(exact.sphere(), times, n=100, extent=20.0)
+    pick = rescaling.pick_point(traj, 1)
+    with pytest.raises(DomainError, match=r"^grid supports the profile only to distance 2.71, span 3.0 requested$"):
+        rescaling.rescaled_profile(traj, pick)
 
 
 @pytest.mark.parametrize("rows", [slice(1, None, 2), slice(0, 10)], ids=["between", "after"])
@@ -375,7 +383,7 @@ def test_profile_needs_the_picked_time_among_the_snapshots(rows):
     assert pick.t_j == traj.times[32]
     other = solver.FlowTrajectory(traj.chart, traj.nodes, traj.times[rows], traj.u_rows()[rows], None, ())
     with pytest.raises(DomainError, match=r"^picked time \S+ is not a snapshot time of the trajectory$"):
-        rescaling.rescaled_profile(other, pick, 3.0)
+        rescaling.rescaled_profile(other, pick)
 
 
 def test_profile_validation_rejects_malformed_arrays():
@@ -399,7 +407,7 @@ def test_profile_distance_ladder_approaches_cigar():
     mins = []
     for j in range(1, 7):
         traj, pick = ladder_pick(j)
-        dists.append(rescaling.profile_distance(traj, pick, 3.0))
+        dists.append(rescaling.profile_distance(traj, pick))
         mins.append(min(pick.alpha_j, pick.omega_j))
     expected = [8.179981e-1, 1.591337e-1, 2.053718e-3, 1.144657e-4, 1.145856e-4, 1.146530e-4]
     for got, want in zip(dists, expected):
@@ -418,7 +426,7 @@ def test_solver_path_pick_matches_exact_magnitude():
     assert pick.t_j == pytest.approx(-1.7556, abs=1e-3)
     assert pick.x_j == pytest.approx(-13.2, abs=0.3)
     assert 2.0 * pick.M_j == pytest.approx(1.0 / math.tanh(-pick.t_j), abs=5e-4)
-    dist = rescaling.profile_distance(traj, pick, 3.0)
+    dist = rescaling.profile_distance(traj, pick)
     assert 0.1 < dist < 0.2
 
 
@@ -433,17 +441,24 @@ def test_sphere_pick_forward_endpoint_stays_bounded():
 
 
 def test_sphere_profile_stays_far_from_cigar():
-    traj = sphere_trajectory()
+    # the default Sphere grid of the rescale task: sphere_trajectory's n = 1201 on
+    # extent 30 supports the profile only to distance 2.36, short of the span
+    times = np.linspace(-8.0, -1e-3, 257)
+    traj = solver.exact_trajectory(exact.sphere(), times, n=2000, extent=20.0)
     pick = rescaling.pick_point(traj, 3)
-    dist = rescaling.profile_distance(traj, pick, 2.0)
-    assert dist == pytest.approx(0.5717, abs=0.02)
+    dist = rescaling.profile_distance(traj, pick)
+    assert dist == pytest.approx(0.81861, abs=0.02)
     assert dist > 0.5
 
 
 def test_classifier_rejects_bad_t0():
-    traj = classifier_rosenau_trajectory()
-    with pytest.raises(DomainError):
-        rescaling.classify_type(traj, t0=0.0)
+    # the window end t0 is the trajectory's last time, which must lie before 0
+    times = np.linspace(-64.0, 0.0, 65)
+    traj = solver.exact_trajectory(exact.flat(), times, n=201, extent=10.0)
+    with pytest.raises(
+        DomainError, match="^classify needs snapshot times strictly before 0, trajectory ends at 0.0$"
+    ):
+        rescaling.classify_type(traj)
 
 
 def test_classifier_needs_enough_windows():
@@ -453,11 +468,12 @@ def test_classifier_needs_enough_windows():
         rescaling.classify_type(traj)
 
 
-def test_classifier_needs_coverage_up_to_t0():
+def test_classifier_window_ends_at_the_trajectory_end():
     times = np.linspace(-64.0, -2.0, 63)
     traj = solver.exact_trajectory(exact.rosenau(), times, n=1001, extent=77.0)
-    with pytest.raises(DomainError, match="^trajectory ends at -2.0, before t0 = -1.0$"):
-        rescaling.classify_type(traj, t0=-1.0)
+    rep = rescaling.classify_type(traj)
+    assert rep.t0 == -2.0
+    assert [T for T, _ in rep.samples] == [-4.0, -8.0, -16.0, -32.0, -64.0]
 
 
 def test_classifier_flags_diverging_growth():
@@ -498,7 +514,7 @@ def test_classifier_is_scale_invariant():
     rep = rescaling.classify_type(traj)
     lam = 2.0
     scaled = solver.FlowTrajectory(traj.chart, traj.nodes, lam * traj.times, lam * traj.u_rows(), None, ())
-    rep_scaled = rescaling.classify_type(scaled, t0=lam * rep.t0)
+    rep_scaled = rescaling.classify_type(scaled)
     assert rep_scaled.verdict == rep.verdict
     assert len(rep_scaled.samples) == len(rep.samples)
     for (T, s), (T_scaled, s_scaled) in zip(rep.samples, rep_scaled.samples):
@@ -534,6 +550,6 @@ def test_evolved_backward_data_reproduces_the_exact_pick_and_profile():
     for traj in (exact_traj, evolved):
         pick = rescaling.pick_point(traj, j)
         picks.append((pick.t_j, pick.node))
-        dists.append(rescaling.profile_distance(traj, pick, 3.0))
+        dists.append(rescaling.profile_distance(traj, pick))
     assert picks[1] == picks[0]
     assert dists[1] <= 2.0 * dists[0]
