@@ -192,7 +192,7 @@ def criterion_6() -> CriterionResult:
     start = time.perf_counter()
     distances = []
     for j in rescaling.RESCALE_DEPTHS:
-        traj = rescaling.backward_rosenau_trajectory(j)
+        traj = rescaling.backward_trajectory(exact.rosenau(), j)
         pick = rescaling.pick_point(traj, j)
         distances.append(rescaling.profile_distance(traj, pick))
     elapsed = time.perf_counter() - start
@@ -320,7 +320,7 @@ def _determinism_artifact() -> str:
     grid = exact.sample_grid(exact.cigar(4.0), 0.0, n=600, extent=30.0)
     header, rows = serialize.invariant_table([invariant_report(grid)])
     text = serialize.csv_text(header, rows)
-    traj = rescaling.backward_rosenau_trajectory(2, h_target=0.05, snapshot_count=65)
+    traj = rescaling.backward_trajectory(exact.rosenau(), 2)
     pick = rescaling.pick_point(traj, 2)
     distance = rescaling.profile_distance(traj, pick)
     text += serialize.json_text(serialize.rescaling_record(pick, distance))

@@ -67,6 +67,7 @@ classify accepts the Rosenau, Sphere, and Flat families, rescale the
 Rosenau and Sphere ones (Flat's R = 0 leaves no point to pick); the
 steady-soliton tip width collapses exponentially going backward, below
 any fixed uniform grid step, so those families are rejected up front.
+rescale reads only the family: its windows fix its times and grids.
 CSV floats carry 17 significant digits, other JSON floats their shortest
 round-trip repr; files are written atomically (temp file then rename).
 GEOMFLOW_OUT overrides --out and the config's output directory."""
@@ -291,17 +292,11 @@ def _require_backward_resolvable(spec, task: str) -> None:
 
 
 def _task_rescale(config: ScenarioConfig, out_dir: str) -> int:
-    import numpy as np
-
-    from . import rescaling, serialize, solver
+    from . import rescaling, serialize
 
     spec = config.spec()
     for j in rescaling.RESCALE_DEPTHS:
-        if spec.family == ROSENAU:
-            traj = rescaling.backward_rosenau_trajectory(j)
-        else:
-            times = np.linspace(rescaling.default_window(j), -1e-3, 257)
-            traj = solver.exact_trajectory(spec, times, n=config.resolution, extent=config.extent)
+        traj = rescaling.backward_trajectory(spec, j)
         pick = rescaling.pick_point(traj, j)
         distance = rescaling.profile_distance(traj, pick)
         serialize.write_json(
@@ -325,7 +320,7 @@ def _task_classify(config: ScenarioConfig, out_dir: str) -> int:
     )
     serialize.write_json(
         os.path.join(out_dir, "classify.json"),
-        {"verdict": report.verdict, "t0": report.t0, "basis": report.basis},
+        {"verdict": report.verdict, "t0": report.t0, "basis": rescaling.VERDICT_BASIS},
     )
     return 0
 
@@ -443,7 +438,7 @@ def verify_all(out_dir: str | None = None) -> int:
 INLINE_FLAGS = {
     "simulate": ("t0", "t1", "n", "extent", "cfl"),
     "invariants": ("t0", "t1", "n", "extent"),
-    "rescale": ("n", "extent"),
+    "rescale": (),
     "classify": ("t0", "t1", "n", "extent"),
     "embed": ("t0", "n", "extent"),
 }

@@ -20,12 +20,13 @@ finite-window heuristic, not a proof, and every report says so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import ROSENAU
 from .errors import DomainError
-from .exact import rosenau
+from .exact import ExactSolutionSpec
 from .grids import RADIAL, ConformalGrid, cumulative_trapezoid
 from .solver import FlowTrajectory, curvature_range, exact_trajectory
 
@@ -187,12 +188,11 @@ class RescaledProfile:
 
     s is the geodesic distance from the picked node renormalized to unit tip
     curvature (multiplied by sqrt of the tip curvature), so a cigar of any
-    scale collapses onto sech^2(s/2). R0 = R_tip / M_j, the dilated tip curvature, is 2.
+    scale collapses onto sech^2(s/2).
     """
 
     s: np.ndarray
     Rn: np.ndarray
-    R0: float
 
     def __post_init__(self):
         if self.s.shape != self.Rn.shape or self.s.ndim != 1 or self.s.size < 2:
@@ -264,7 +264,7 @@ def rescaled_profile(traj: FlowTrajectory, pick: RescalingPick) -> RescaledProfi
         # censored tip: the node at s = 0 is synthetic, Rn = 1 by construction
         s_sorted = np.concatenate(([0.0], s_sorted))
         rn_sorted = np.concatenate(([1.0], rn_sorted))
-    return RescaledProfile(s=s_sorted, Rn=rn_sorted, R0=r_tip / pick.M_j)
+    return RescaledProfile(s=s_sorted, Rn=rn_sorted)
 
 
 def profile_distance(traj: FlowTrajectory, pick: RescalingPick) -> float:
@@ -280,7 +280,6 @@ class ClassificationReport:
     samples: tuple[tuple[float, float], ...]
     verdict: str
     t0: float
-    basis: str = field(default=VERDICT_BASIS)
 
 
 def _growth_ratio(prev: float, nxt: float) -> float:
@@ -324,16 +323,18 @@ def classify_type(traj: FlowTrajectory) -> ClassificationReport:
     return ClassificationReport(samples=tuple(samples), verdict=verdict, t0=t0)
 
 
-def backward_rosenau_trajectory(
-    j: int, *, h_target: float = 0.02, snapshot_count: int = 257
-) -> FlowTrajectory:
-    """Exact backward data for the j-th pick window T_j = -2^j, snapshots up to t = -1e-3.
+def backward_trajectory(spec: ExactSolutionSpec, j: int) -> FlowTrajectory:
+    """Exact backward data for the j-th pick window T_j = -2^j: 257 snapshots up to t = -1e-3.
 
-    The extent |T_j|/2 + 20 keeps pole truncation of the tip-normalized
-    profile below 1e-3 for the optimizing time near T_j/2.
+    Rosenau's caps move out with |t|, so its grid grows with the window: the
+    extent |T_j|/2 + 20 at step 0.02 keeps pole truncation of the
+    tip-normalized profile below 1e-3 for the optimizing time near T_j/2. A
+    round Sphere looks the same at every time, so every window shares one
+    grid of 2000 nodes over extent 20; so does any other family.
     """
     T = default_window(j)
-    extent = abs(T) / 2.0 + 20.0
-    n = int(round(2.0 * extent / h_target)) + 1
-    times = np.linspace(T, -1e-3, snapshot_count)
-    return exact_trajectory(rosenau(), times, n=n, extent=extent)
+    times = np.linspace(T, -1e-3, 257)
+    if spec.family == ROSENAU:
+        extent = abs(T) / 2.0 + 20.0
+        return exact_trajectory(spec, times, n=int(round(2.0 * extent / 0.02)) + 1, extent=extent)
+    return exact_trajectory(spec, times, n=2000, extent=20.0)

@@ -573,6 +573,21 @@ def test_rescale_records_carry_criterion_6_distances(tmp_path):
     assert ", ".join(written) == acceptance.criterion_6().checks[0].measured
 
 
+def test_rescale_config_grid_keys_leave_its_artifacts_unchanged(tmp_path):
+    # rescale reads only the family; resolution and extent serve the other tasks,
+    # so a narrow Sphere grid (which reaches the profile span on no window) writes
+    # the bytes of the inline defaults
+    inline = tmp_path / "inline"
+    assert cli.main(["rescale", "--family", "sphere", "--out", str(inline)]) == 0
+    out = tmp_path / "out"
+    path = write_config(tmp_path, family="sphere", resolution=100, extent=1.5, tasks=["rescale"], out=str(out))
+    assert cli.main(["run", path]) == 0
+    names = sorted(os.listdir(inline))
+    assert names == sorted(os.listdir(out)) == [f"rescale_j{j}.json" for j in range(1, 7)]
+    for name in names:
+        assert (out / name).read_bytes() == (inline / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("family", ["cigar", "dssoliton"])
 @pytest.mark.parametrize("task", ["rescale", "classify"])
 def test_backward_tasks_reject_steady_solitons(tmp_path, capsys, family, task):
@@ -636,16 +651,19 @@ def test_classify_help_shows_its_defaults_and_the_others_keep_theirs(capsys):
         assert needle in classify
     for task in ("simulate", "invariants", "embed"):
         assert "window start (default -2)" in help_of(task)
-    for task in ("simulate", "invariants", "rescale", "embed"):
+    for task in ("simulate", "invariants", "embed"):
         text = help_of(task)
         for needle in ("grid resolution (default 2000)", "chart extent (default 20)"):
             assert needle in text
+    # rescale's windows fix its grids: it offers no grid flags
+    rescale = help_of("rescale")
+    assert "--n" not in rescale and "--extent" not in rescale
 
 
 @pytest.mark.parametrize(
     "task, flag",
     [("invariants", "--cfl"), ("rescale", "--cfl"), ("classify", "--cfl"), ("embed", "--cfl"),
-     ("rescale", "--t0"), ("rescale", "--t1"), ("embed", "--t1")],
+     ("rescale", "--t0"), ("rescale", "--t1"), ("rescale", "--n"), ("rescale", "--extent"), ("embed", "--t1")],
 )
 def test_inline_subcommands_reject_the_flags_they_do_not_read(tmp_path, capsys, task, flag):
     out = str(tmp_path / "out")

@@ -116,13 +116,13 @@ _HEADLINE_ERROR = {4: (6.8924e-7, 1.3835e-5), 5: (7.7564e-14, 1.4539e-5), 6: (9.
 
 @pytest.mark.parametrize("j", sorted(_CLOSED_FORM_HEADLINE) + sorted(_HEADLINE_ERROR))
 def test_headline_distance_against_its_closed_form(j):
-    # criterion 6 (span 3) on backward_rosenau_trajectory(j), h = 0.02, against the
+    # criterion 6 (span 3) on backward_trajectory(rosenau(), j), h = 0.02, against the
     # closed form at the same pick time. j = 1...3: the pipeline sits low by the
     # O(h) span-edge bias, since its sup stops at the last node with s <= span,
     # up to one node (h sqrt(u R_tip) in s) short of the span end. j >= 4: the
     # truth falls to 6.9e-7 and below while the pipeline stays near 1.45e-5, so
     # the row records pipeline minus truth as a ceiling that a fix only lowers.
-    traj = rescaling.backward_rosenau_trajectory(j)
+    traj = rescaling.backward_trajectory(exact.rosenau(), j)
     pick = rescaling.pick_point(traj, j)
     measured = rescaling.profile_distance(traj, pick)
     truth, r_tip = _rosenau_cigar_distance(pick.t_j, rescaling.PROFILE_SPAN)

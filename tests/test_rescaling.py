@@ -9,14 +9,16 @@ from geomflow.errors import DomainError
 from geomflow.grids import CURVATURE_TRUST_FLOOR, trust_mask
 
 
-def ladder_trajectory(j, h_target=0.05, snapshot_count=65):
-    return rescaling.backward_rosenau_trajectory(
-        j, h_target=h_target, snapshot_count=snapshot_count
-    )
+def ladder_trajectory(j):
+    # a coarse Rosenau window: the pipeline's extent at step 0.05, 65 snapshots
+    T = rescaling.default_window(j)
+    extent = abs(T) / 2.0 + 20.0
+    n = int(round(2.0 * extent / 0.05)) + 1
+    return solver.exact_trajectory(exact.rosenau(), np.linspace(T, -1e-3, 65), n=n, extent=extent)
 
 
-def ladder_pick(j, **kwargs):
-    traj = ladder_trajectory(j, **kwargs)
+def ladder_pick(j):
+    traj = ladder_trajectory(j)
     return traj, rescaling.pick_point(traj, j)
 
 
@@ -46,7 +48,7 @@ HEADLINE = [
 
 @pytest.mark.parametrize("j, node, x_j, t_j, distance", HEADLINE, ids=[f"j{row[0]}" for row in HEADLINE])
 def test_headline_picks_and_profile_distances_are_pinned(j, node, x_j, t_j, distance):
-    traj = rescaling.backward_rosenau_trajectory(j)
+    traj = rescaling.backward_trajectory(exact.rosenau(), j)
     pick = rescaling.pick_point(traj, j)
     assert pick.node == node
     assert pick.x_j == traj.nodes[node]
@@ -235,7 +237,7 @@ def test_pick_and_classify_scan_in_blocks_not_whole_arrays():
     # once traces several times 10.7 MB. The bounds leave about 2x margin.
     tracemalloc.start()
     try:
-        traj = rescaling.backward_rosenau_trajectory(6)
+        traj = rescaling.backward_trajectory(exact.rosenau(), 6)
         build = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
@@ -328,13 +330,12 @@ def test_dilation_scales_conformal_factor():
 
 
 def test_dilated_tip_curvature_is_two():
-    # R0 = R_tip / M_j with M_j = R_tip / 2 from the same row: exact, whatever the
-    # rounding of R_tip
+    # the profile divides R by R_tip from the row that gave M_j = R_tip / 2, so the
+    # dilated tip curvature R_tip / M_j is 2 exactly, whatever the rounding of R_tip
     for j in range(1, 7):
-        traj = rescaling.backward_rosenau_trajectory(j)
+        traj = rescaling.backward_trajectory(exact.rosenau(), j)
         pick = rescaling.pick_point(traj, j)
         prof = rescaling.rescaled_profile(traj, pick)
-        assert prof.R0 == 2.0
         assert prof.Rn[0] == 1.0
 
 
@@ -362,7 +363,6 @@ def test_rescaled_profile_structure():
     prof = rescaling.rescaled_profile(traj, pick)
     assert prof.s[0] == 0.0
     assert prof.Rn[0] == 1.0
-    assert prof.R0 == 2.0
     assert np.all(np.diff(prof.s) >= 0.0)
     assert float(prof.s[-1]) <= 3.0
     assert prof.s.size > 100
@@ -389,17 +389,17 @@ def test_profile_needs_the_picked_time_among_the_snapshots(rows):
 def test_profile_validation_rejects_malformed_arrays():
     s = np.array([0.0, 1.0, 2.0])
     rn = np.array([1.0, 0.8, 0.4])
-    rescaling.RescaledProfile(s=s, Rn=rn, R0=2.0)
+    rescaling.RescaledProfile(s=s, Rn=rn)
     with pytest.raises(DomainError):
-        rescaling.RescaledProfile(s=s[:2], Rn=rn, R0=2.0)
+        rescaling.RescaledProfile(s=s[:2], Rn=rn)
     with pytest.raises(DomainError):
-        rescaling.RescaledProfile(s=np.array([0.1, 1.0]), Rn=np.array([1.0, 0.5]), R0=2.0)
+        rescaling.RescaledProfile(s=np.array([0.1, 1.0]), Rn=np.array([1.0, 0.5]))
     with pytest.raises(DomainError):
-        rescaling.RescaledProfile(s=np.array([0.0, 1.0]), Rn=np.array([0.9, 0.5]), R0=2.0)
+        rescaling.RescaledProfile(s=np.array([0.0, 1.0]), Rn=np.array([0.9, 0.5]))
     with pytest.raises(DomainError):
-        rescaling.RescaledProfile(s=np.array([0.0, 2.0, 1.0]), Rn=rn, R0=2.0)
+        rescaling.RescaledProfile(s=np.array([0.0, 2.0, 1.0]), Rn=rn)
     with pytest.raises(DomainError):
-        rescaling.RescaledProfile(s=np.array([0.0]), Rn=np.array([1.0]), R0=2.0)
+        rescaling.RescaledProfile(s=np.array([0.0]), Rn=np.array([1.0]))
 
 
 def test_profile_distance_ladder_approaches_cigar():
@@ -441,14 +441,15 @@ def test_sphere_pick_forward_endpoint_stays_bounded():
 
 
 def test_sphere_profile_stays_far_from_cigar():
-    # the default Sphere grid of the rescale task: sphere_trajectory's n = 1201 on
-    # extent 30 supports the profile only to distance 2.36, short of the span
-    times = np.linspace(-8.0, -1e-3, 257)
-    traj = solver.exact_trajectory(exact.sphere(), times, n=2000, extent=20.0)
-    pick = rescaling.pick_point(traj, 3)
-    dist = rescaling.profile_distance(traj, pick)
-    assert dist == pytest.approx(0.81861, abs=0.02)
-    assert dist > 0.5
+    # the rescale task's Sphere windows: |t| M is constant on the shrinking
+    # sphere and the weight t - T_j grows toward 0, so every window picks the
+    # last snapshot, at the axis node (sphere_trajectory's n = 1201 on extent 30
+    # supports the profile only to distance 2.36, short of the span)
+    for j in rescaling.RESCALE_DEPTHS:
+        traj = rescaling.backward_trajectory(exact.sphere(), j)
+        pick = rescaling.pick_point(traj, j)
+        assert (pick.node, pick.t_j) == (0, -1e-3)
+        assert rescaling.profile_distance(traj, pick) == pytest.approx(0.8186067221287973, rel=1e-6)
 
 
 def test_classifier_rejects_bad_t0():
@@ -479,7 +480,6 @@ def test_classifier_window_ends_at_the_trajectory_end():
 def test_classifier_flags_diverging_growth():
     rep = rescaling.classify_type(classifier_rosenau_trajectory())
     assert rep.verdict == rescaling.DIVERGING
-    assert rep.basis == rescaling.VERDICT_BASIS
     assert rep.t0 == -1.0
     windows = [T for T, _ in rep.samples]
     assert windows == [-2.0, -4.0, -8.0, -16.0, -32.0, -64.0]
@@ -526,12 +526,27 @@ def test_backward_trajectory_validation_and_layout():
     # 1024 would overflow T_j = -2^j, and a fractional j is no pick index
     for j in (0, 2.5, 1024):
         with pytest.raises(DomainError, match="^pick index must be an int in"):
-            rescaling.backward_rosenau_trajectory(j)
-    traj = rescaling.backward_rosenau_trajectory(1, h_target=0.5, snapshot_count=5)
-    assert traj.grid0.n == 85
-    assert traj.grid0.nodes[0] == -21.0
-    assert traj.U is None and traj.u_rows().shape == (5, 85)
-    assert float(traj.times[0]) == -2.0
+            rescaling.backward_trajectory(exact.rosenau(), j)
+    traj = rescaling.backward_trajectory(exact.rosenau(), 1)
+    assert traj.U is None and traj.u_rows().shape == (257, 2101)
+    assert float(traj.times[0]) == -2.0 and float(traj.times[-1]) == -1e-3
+
+
+@pytest.mark.parametrize(
+    "j, extent, n",
+    [(1, 21.0, 2101), (2, 22.0, 2201), (3, 24.0, 2401), (4, 28.0, 2801), (5, 36.0, 3601), (6, 52.0, 5201)],
+)
+def test_backward_trajectory_grids(j, extent, n):
+    # Rosenau's caps move out with |t|: extent |T_j|/2 + 20 at step 0.02; the
+    # round Sphere keeps one grid, 2000 nodes over extent 20, in every window
+    rosenau = rescaling.backward_trajectory(exact.rosenau(), j)
+    assert rosenau.nodes.size == n
+    assert (rosenau.nodes[0], rosenau.nodes[-1]) == (-extent, extent)
+    sphere = rescaling.backward_trajectory(exact.sphere(), j)
+    assert sphere.nodes.size == 2000
+    assert (sphere.nodes[0], sphere.nodes[-1]) == (0.0, 20.0)
+    for traj in (rosenau, sphere):
+        assert np.array_equal(traj.times, np.linspace(rescaling.default_window(j), -1e-3, 257))
 
 
 def test_evolved_backward_data_reproduces_the_exact_pick_and_profile():
@@ -541,7 +556,7 @@ def test_evolved_backward_data_reproduces_the_exact_pick_and_profile():
     # (measured 1.60e-5 against 1.45e-5; the trapezoid-corrector stepper read
     # 8.5e-4 and picked the mirror node)
     j = 4
-    exact_traj = rescaling.backward_rosenau_trajectory(j)
+    exact_traj = rescaling.backward_trajectory(exact.rosenau(), j)
     evolved = solver.evolve(
         exact_traj.grid0, float(exact_traj.times[-1]), cfl=0.4, output_times=exact_traj.times
     )

@@ -270,7 +270,7 @@ def test_invariant_table_follows_field_order():
 def test_rescaling_record_keys():
     from geomflow import rescaling
 
-    traj = rescaling.backward_rosenau_trajectory(2, h_target=0.05, snapshot_count=65)
+    traj = rescaling.backward_trajectory(exact.rosenau(), 2)
     pick = rescaling.pick_point(traj, 2)
     record = serialize.rescaling_record(pick, 0.125)
     assert sorted(record) == [
