@@ -86,12 +86,6 @@ def _accuracy_run():
     return solver.evolve(grid, -1.0, cfl=0.4, output_times=np.linspace(-2.0, -1.0, 65))
 
 
-@lru_cache(maxsize=None)
-def _compact_ancient_classifier_trajectory():
-    times = np.linspace(-64.0, -1.0, 253)
-    return solver.exact_trajectory(exact.rosenau(), times, n=3081, extent=77.0)
-
-
 def criterion_1() -> CriterionResult:
     """Sampled families satisfy the discrete flow equation at order 2."""
     start = time.perf_counter()
@@ -213,14 +207,12 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     """Classifier separates bounded and diverging |t| curvature growth."""
-    times = np.linspace(-64.0, -1.0, 253)
-    round_traj = solver.exact_trajectory(exact.sphere(), times, n=1201, extent=30.0)
-    round_report = rescaling.classify_type(round_traj)
+    round_report = rescaling.classify_type(rescaling.classify_trajectory(exact.sphere(), -64.0, -1.0))
     round_vals = [s for _, s in round_report.samples]
     round_ok = round_report.verdict == rescaling.BOUNDED and all(
         0.45 <= s <= 0.55 for s in round_vals
     )
-    compact_report = rescaling.classify_type(_compact_ancient_classifier_trajectory())
+    compact_report = rescaling.classify_type(rescaling.classify_trajectory(exact.rosenau(), -64.0, -1.0))
     vals = [s for _, s in compact_report.samples]
     growth = [b / a for a, b in zip(vals[2:], vals[3:])]
     compact_ok = compact_report.verdict == rescaling.DIVERGING and all(

@@ -31,11 +31,10 @@ if TYPE_CHECKING:  # annotations only: importing the CLI loads no numpy
 
 TASKS = ("verify", "simulate", "invariants", "rescale", "classify", "embed")
 DEFAULT_TOLERANCES = {"max_ratio": 5.0, "min_ratio": 3.0, "sup_rel_err": 1e-3}
-CLASSIFY_SNAPSHOTS = 253
 # the numeric config keys' defaults, which the inline flags show as theirs
 CONFIG_DEFAULTS = {"t0": -2.0, "t1": -1.0, "resolution": 2000, "extent": 20.0, "cfl": 0.4}
-# classify's flag defaults: criterion 7's window and grid, which hold the Rosenau peak near |x| = |t|
-CLASSIFY_DEFAULTS = {"t0": -64.0, "n": 3081, "extent": 77.0}
+# classify's flag default: criterion 7's window start
+CLASSIFY_DEFAULTS = {"t0": -64.0}
 # families whose backward tip width stays above a fixed uniform grid step;
 # the soliton families collapse like exp(beta*t) and alias into garbage
 BACKWARD_RESOLVABLE = (ROSENAU, SPHERE, FLAT)
@@ -67,7 +66,7 @@ classify accepts the Rosenau, Sphere, and Flat families, rescale the
 Rosenau and Sphere ones (Flat's R = 0 leaves no point to pick); the
 steady-soliton tip width collapses exponentially going backward, below
 any fixed uniform grid step, so those families are rejected up front.
-rescale reads only the family: its windows fix its times and grids.
+rescale reads only the family; classify also t0 and t1, its grid following t0.
 CSV floats carry 17 significant digits, other JSON floats their shortest
 round-trip repr; files are written atomically (temp file then rename).
 GEOMFLOW_OUT overrides --out and the config's output directory."""
@@ -307,14 +306,9 @@ def _task_rescale(config: ScenarioConfig, out_dir: str) -> int:
 
 
 def _task_classify(config: ScenarioConfig, out_dir: str) -> int:
-    import numpy as np
+    from . import rescaling, serialize
 
-    from . import rescaling, serialize, solver
-
-    spec = config.spec()
-    times = np.linspace(config.t0, config.t1, CLASSIFY_SNAPSHOTS)
-    traj = solver.exact_trajectory(spec, times, n=config.resolution, extent=config.extent)
-    report = rescaling.classify_type(traj)
+    report = rescaling.classify_type(rescaling.classify_trajectory(config.spec(), config.t0, config.t1))
     serialize.write_csv(
         os.path.join(out_dir, "classify.csv"), ("T", "S"), [[t, s] for t, s in report.samples]
     )
@@ -439,7 +433,7 @@ INLINE_FLAGS = {
     "simulate": ("t0", "t1", "n", "extent", "cfl"),
     "invariants": ("t0", "t1", "n", "extent"),
     "rescale": (),
-    "classify": ("t0", "t1", "n", "extent"),
+    "classify": ("t0", "t1"),
     "embed": ("t0", "n", "extent"),
 }
 # each flag's config key, type and help; its default is the key's CONFIG_DEFAULTS

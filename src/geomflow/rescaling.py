@@ -35,6 +35,7 @@ BOUNDED = "Bounded"
 VERDICT_BASIS = "finite-window heuristic"
 GROWTH_RATIO = 1.5
 MIN_WINDOWS = 4
+CLASSIFY_SNAPSHOTS = 253
 # the pick indices j of the rescale task and of criterion 6
 RESCALE_DEPTHS = (1, 2, 3, 4, 5, 6)
 # the headline's unit-curvature distance: the profile is compared with the cigar on [0, 3]
@@ -323,6 +324,16 @@ def classify_type(traj: FlowTrajectory) -> ClassificationReport:
     return ClassificationReport(samples=tuple(samples), verdict=verdict, t0=t0)
 
 
+def _window_trajectory(spec: ExactSolutionSpec, times, extent: float, step: float) -> FlowTrajectory:
+    """Exact data at the times: Rosenau at the step over the extent, other families 2000 nodes over 20."""
+    if spec.family != ROSENAU:
+        return exact_trajectory(spec, times, n=2000, extent=20.0)
+    cells = 2.0 * extent / step
+    if not math.isfinite(cells):
+        raise DomainError(f"a grid of step {step} over extent {extent:g} has no finite node count")
+    return exact_trajectory(spec, times, n=int(round(cells)) + 1, extent=extent)
+
+
 def backward_trajectory(spec: ExactSolutionSpec, j: int) -> FlowTrajectory:
     """Exact backward data for the j-th pick window T_j = -2^j: 257 snapshots up to t = -1e-3.
 
@@ -333,8 +344,13 @@ def backward_trajectory(spec: ExactSolutionSpec, j: int) -> FlowTrajectory:
     grid of 2000 nodes over extent 20; so does any other family.
     """
     T = default_window(j)
-    times = np.linspace(T, -1e-3, 257)
-    if spec.family == ROSENAU:
-        extent = abs(T) / 2.0 + 20.0
-        return exact_trajectory(spec, times, n=int(round(2.0 * extent / 0.02)) + 1, extent=extent)
-    return exact_trajectory(spec, times, n=2000, extent=20.0)
+    return _window_trajectory(spec, np.linspace(T, -1e-3, 257), abs(T) / 2.0 + 20.0, 0.02)
+
+
+def classify_trajectory(spec: ExactSolutionSpec, t0: float, t1: float) -> FlowTrajectory:
+    """Exact data for classify_type: CLASSIFY_SNAPSHOTS snapshots from t0 to t1.
+
+    Rosenau's caps sit near |x| = |t|, so its extent |t0| + 13 at step 0.05 puts every trust
+    edge about 11.5 beyond them (3081 nodes over 77 at t0 = -64); others take rescale's grid.
+    """
+    return _window_trajectory(spec, np.linspace(t0, t1, CLASSIFY_SNAPSHOTS), abs(t0) + 13.0, 0.05)

@@ -233,9 +233,27 @@ def test_classify_over_the_trajectory_limit_exits_2_before_sampling(tmp_path, ca
         raise AssertionError("sampled although the size check should have failed first")
 
     monkeypatch.setattr(solver, "sample_grid", no_sampling)
-    args = ["classify", "--family", "sphere", "--n", str(cli.MAX_RESOLUTION)]
+    # Rosenau's grid follows t0: 400,521 nodes over extent 10,013
+    args = ["classify", "--family", "rosenau", "--t0", "-10000"]
     assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
     assert "exceed the limit" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "t0, message",
+    [("-1e6", "253 snapshots x 40000521 nodes exceed the limit"), ("-1e308", "has no finite node count")],
+    ids=["over-the-limit", "no-finite-count"],
+)
+def test_classify_with_a_huge_window_start_exits_2_before_sampling(tmp_path, capsys, monkeypatch, t0, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled although the grid check should have failed first")
+
+    monkeypatch.setattr(solver, "sample_grid", no_sampling)
+    out = tmp_path / "out"
+    # argparse reads "-1e6" as an option unless it is joined to its flag
+    assert cli.main(["classify", "--family", "rosenau", f"--t0={t0}", "--out", str(out)]) == 2
+    assert message in assert_one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_invariants_over_the_trajectory_limit_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
@@ -357,10 +375,10 @@ def test_underflowing_soliton_shift_exits_2_with_one_line(tmp_path):
 
 
 def test_a_later_snapshot_that_underflows_exits_2_with_one_line(tmp_path):
-    # row 0 (t = -64) is positive, but the t = -0.001 row underflows to 0 at the chart
+    # row 0 (t = -727, extent 740) is positive, but the t = -0.001 row underflows to 0 at the chart
     # ends, and the rows before it are subnormal there: a curvature pass over those would
     # overflow. A subprocess, so a numpy RuntimeWarning would reach stderr as it does for users
-    args = ["classify", "--family", "rosenau", "--extent", "740", "--t1", "-0.001"]
+    args = ["classify", "--family", "rosenau", "--t0", "-727", "--t1", "-0.001"]
     proc = run_python(tmp_path, "-m", "geomflow.cli", *args, "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert proc.stderr == "error: conformal factor must be finite and positive\n"
@@ -606,14 +624,13 @@ def test_flat_rescale_is_rejected_before_any_task_writes(tmp_path, capsys):
     assert len(lines) == 1 and "Flat" in lines[0] and "no point to pick" in lines[0]
     assert not out.exists()
     # classify keeps Flat
-    assert cli.main(["classify", "--family", "flat", "--n", "400", "--out", str(out)]) == 0
+    assert cli.main(["classify", "--family", "flat", "--out", str(out)]) == 0
 
 
 def test_classify_sphere_bounded(tmp_path):
     out = str(tmp_path / "out")
     code = cli.main(
-        ["classify", "--family", "sphere", "--t0", "-64", "--t1", "-1", "--n", "1201",
-         "--extent", "30", "--out", out]
+        ["classify", "--family", "sphere", "--t0", "-64", "--t1", "-1", "--out", out]
     )
     assert code == 0
     with open(os.path.join(out, "classify.json")) as fh:
@@ -631,13 +648,24 @@ def test_classify_sphere_bounded(tmp_path):
     "family, verdict", [("rosenau", "Diverging"), ("sphere", "Bounded"), ("flat", "Bounded")]
 )
 def test_classify_runs_with_its_own_defaults(tmp_path, family, verdict):
-    # the defaults are the window and grid of acceptance criterion 7: -64..-1 on 3081 nodes, extent 77
+    # the defaults are the window of acceptance criterion 7, -64..-1, and its grids
     out = str(tmp_path / "out")
     assert cli.main(["classify", "--family", family, "--out", out]) == 0
     with open(os.path.join(out, "classify.json")) as fh:
         assert json.load(fh)["verdict"] == verdict
     _, rows = read_csv(os.path.join(out, "classify.csv"))
     assert [float(r[0]) for r in rows] == [-2.0, -4.0, -8.0, -16.0, -32.0, -64.0]
+
+
+def test_a_deeper_rosenau_window_keeps_its_caps_and_classifies_diverging(tmp_path):
+    # classify's grid follows t0, so the caps near |x| = 128 stay on it; a fixed
+    # extent of 77 cut them off and read Bounded
+    out = str(tmp_path / "out")
+    assert cli.main(["classify", "--family", "rosenau", "--t0", "-128", "--out", out]) == 0
+    with open(os.path.join(out, "classify.json")) as fh:
+        assert json.load(fh)["verdict"] == "Diverging"
+    _, rows = read_csv(os.path.join(out, "classify.csv"))
+    assert [float(r[0]) for r in rows] == [-2.0, -4.0, -8.0, -16.0, -32.0, -64.0, -128.0]
 
 
 def test_classify_help_shows_its_defaults_and_the_others_keep_theirs(capsys):
@@ -647,23 +675,23 @@ def test_classify_help_shows_its_defaults_and_the_others_keep_theirs(capsys):
         return capsys.readouterr().out
 
     classify = help_of("classify")
-    for needle in ("window start (default -64)", "grid resolution (default 3081)", "chart extent (default 77)"):
-        assert needle in classify
+    assert "window start (default -64)" in classify
     for task in ("simulate", "invariants", "embed"):
         assert "window start (default -2)" in help_of(task)
     for task in ("simulate", "invariants", "embed"):
         text = help_of(task)
         for needle in ("grid resolution (default 2000)", "chart extent (default 20)"):
             assert needle in text
-    # rescale's windows fix its grids: it offers no grid flags
-    rescale = help_of("rescale")
-    assert "--n" not in rescale and "--extent" not in rescale
+    # rescale's windows fix its grids, and classify's t0 fixes its: neither offers grid flags
+    for text in (help_of("rescale"), classify):
+        assert "--n" not in text and "--extent" not in text
 
 
 @pytest.mark.parametrize(
     "task, flag",
     [("invariants", "--cfl"), ("rescale", "--cfl"), ("classify", "--cfl"), ("embed", "--cfl"),
-     ("rescale", "--t0"), ("rescale", "--t1"), ("rescale", "--n"), ("rescale", "--extent"), ("embed", "--t1")],
+     ("rescale", "--t0"), ("rescale", "--t1"), ("rescale", "--n"), ("rescale", "--extent"), ("embed", "--t1"),
+     ("classify", "--n"), ("classify", "--extent")],
 )
 def test_inline_subcommands_reject_the_flags_they_do_not_read(tmp_path, capsys, task, flag):
     out = str(tmp_path / "out")

@@ -6,7 +6,7 @@ import pytest
 
 from geomflow import exact, geometry, rescaling, solver
 from geomflow.errors import DomainError
-from geomflow.grids import CURVATURE_TRUST_FLOOR, trust_mask
+from geomflow.grids import CURVATURE_TRUST_FLOOR, reliable_slice, trust_mask
 
 
 def ladder_trajectory(j):
@@ -28,8 +28,7 @@ def sphere_trajectory(t_start=-8.0, snapshots=257):
 
 
 def classifier_rosenau_trajectory():
-    times = np.linspace(-64.0, -1.0, 253)
-    return solver.exact_trajectory(exact.rosenau(), times, n=3081, extent=77.0)
+    return rescaling.classify_trajectory(exact.rosenau(), -64.0, -1.0)
 
 
 # The paper's headline: the rescale task's pick and profile distance for
@@ -547,6 +546,34 @@ def test_backward_trajectory_grids(j, extent, n):
     assert (sphere.nodes[0], sphere.nodes[-1]) == (0.0, 20.0)
     for traj in (rosenau, sphere):
         assert np.array_equal(traj.times, np.linspace(rescaling.default_window(j), -1e-3, 257))
+
+
+@pytest.mark.parametrize(
+    "family, t0, n, extent",
+    [("rosenau", -64.0, 3081, 77.0), ("rosenau", -64.5, 3101, 77.5), ("sphere", -64.0, 2000, 20.0),
+     ("flat", -64.0, 2000, 20.0)],
+)
+def test_classify_trajectory_grids(family, t0, n, extent):
+    # Rosenau's caps sit near |x| = |t|: extent |t0| + 13 at step 0.05; the
+    # other families keep backward_trajectory's grid, 2000 nodes over extent 20
+    traj = rescaling.classify_trajectory(getattr(exact, family)(), t0, -1.0)
+    assert traj.nodes.size == n and float(traj.nodes[-1]) == extent
+    assert np.array_equal(traj.times, np.linspace(t0, -1.0, 253))
+
+
+@pytest.mark.parametrize("t0", [-16.0, -32.0, -64.0, -128.0])
+def test_classify_trajectory_keeps_the_rosenau_caps_inside_the_trust_edges(t0):
+    # a cap beyond the chart end leaves the end of the reliable slice trusted and
+    # S(T) reads the edge, not the cap: extent 77 at t0 = -128 classified Bounded
+    traj = rescaling.classify_trajectory(exact.rosenau(), t0, -1.0)
+    rel = reliable_slice(traj.chart, traj.nodes.size)
+    for _, _, _, trusted in traj.blocks():
+        assert not trusted[:, rel.start].any() and not trusted[:, rel.stop - 1].any()
+
+
+def test_a_window_start_near_the_float_limit_has_no_finite_grid():
+    with pytest.raises(DomainError, match="^a grid of step 0.05 over extent 1e\\+308 has no finite node count$"):
+        rescaling.classify_trajectory(exact.rosenau(), -1e308, -1.0)
 
 
 def test_evolved_backward_data_reproduces_the_exact_pick_and_profile():
