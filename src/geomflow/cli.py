@@ -373,6 +373,11 @@ def _check_tasks(config: ScenarioConfig) -> None:
         raise DomainError(
             "the rescale task picks a point of largest curvature; Flat has R = 0, which leaves no point to pick"
         )
+    if "classify" in tasks:
+        from . import rescaling
+
+        # building the closed-form trajectory checks its size, grid and range before any row is sampled
+        rescaling.classify_trajectory(config.spec(), config.t0, config.t1)
 
 
 def resolve_out_dir(configured: str | None) -> str | None:
@@ -483,9 +488,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(arg: str) -> bool:
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join a negative number to the float flag of the subcommand before it (--t0 -1e3 ->
+    --t0=-1e3): argparse reads -1e3 as an option, as it takes only -12 and -1.5 for numbers."""
+    flags = INLINE_FLAGS.get(argv[0], ()) if argv else ()
+    floats = {f"--{flag}" for flag in flags if _FLAG_SPECS[flag][1] is float}
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in floats and arg.startswith("-") and _is_number(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         if args.command == "verify":
             return verify_all(resolve_out_dir(args.out))

@@ -5,7 +5,10 @@ For an ancient flow (defined for t < 0) the scale-invariant score
 over a backward window [T, 0) to select an event where curvature
 concentrates. Dilating about the selected (x_j, t_j) by M_j maps the
 window onto (-alpha_j, omega_j) with alpha_j = (t_j - T) M_j and
-omega_j = -t_j M_j. On flows whose |t| R_max diverges backward in time
+omega_j = -t_j M_j. The trace Harnack inequality keeps M(t) nondecreasing on
+an ancient solution with R > 0, and the weight rises up to T/2, so the pick
+scans only the snapshots from there on and the few earlier ones that could
+still tie. On flows whose |t| R_max diverges backward in time
 both endpoints grow without bound and the dilated curvature profile near
 the picked point approaches the unit cigar profile sech^2(s/2). Profile
 distances use the geodesic coordinate renormalized to unit tip curvature,
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -87,15 +91,31 @@ class RescalingPick:
             raise DomainError("dilated window endpoints must be positive")
 
 
+def _trusted_peaks(traj: FlowTrajectory, start: int = 0, stop: int | None = None) -> list[float]:
+    """Trusted-node maxima of M = |R|/2, which is max(hi, -lo) / 2, of snapshots start..stop-1."""
+    lo, hi = curvature_range(traj, start, stop)
+    return (0.5 * np.maximum(hi, -lo)).tolist()
+
+
 def pick_point(traj: FlowTrajectory, j: int) -> RescalingPick:
-    """The j-th pick: exhaustive snapshot-and-node maximizer of |t|(t - T_j) M(x, t)
-    over the window T_j = default_window(j), which rejects a j that is no int from 1 to 1023.
+    """The j-th pick: snapshot-and-node maximizer of |t|(t - T_j) M(x, t) over the
+    snapshots the Harnack bound leaves in play in the window T_j = default_window(j),
+    which rejects a j that is no int from 1 to 1023.
 
     Scores within PICK_TIE_RTOL of the supremum count as tied; among ties
     the earliest snapshot wins, then the smallest node index. That maximizer
     reaches the fraction gamma_j = default_gamma(j) of the supremum for every
     j, so gamma_j never moves the pick; it is recorded for rescale_jN.json and
     for the magnitude bound.
+
+    The premise: on an ancient solution with R > 0, Hamilton's trace Harnack
+    inequality dR/dt >= |grad R|^2 / R makes the trusted peak M(t) nondecreasing,
+    while the weight |t|(t - T_j) rises up to T_j/2. So no snapshot before the
+    last one at or before T_j/2, k_mid, outscores it, and the scan starts at
+    k_mid. The guard: stepping back from k_mid, a snapshot whose weight times
+    M(k_mid)(1 + PICK_TIE_RTOL) still reaches the tie band is scanned too, so the
+    pick is the exhaustive one whenever the peaks are nondecreasing within
+    PICK_TIE_RTOL. Where they are not, the pick maximizes over the scanned rows.
     """
     T_j = default_window(j)
     times = traj.times
@@ -107,29 +127,31 @@ def pick_point(traj: FlowTrajectory, j: int) -> RescalingPick:
     if not float(times[-1]) < 0.0:
         raise DomainError("backward pick needs snapshot times strictly before 0")
 
-    # a positive weight needs t > T_j, so the scored snapshots are a suffix
+    # a positive weight needs t > T_j, so the scored snapshots are the suffix from
+    # first, and every scored t lies in (T_j, 0), so every scored weight is positive
     first = int(np.searchsorted(times, T_j, side="right"))
-    # trusted-node maxima of M = |R|/2, which is max(hi, -lo) / 2
-    lo, hi = curvature_range(traj, first, times.size)
-    peaks = 0.5 * np.maximum(hi, -lo)
-    # every scored t lies in (T_j, 0), so every weight is positive
-    snapshot_sups = []
-    sup = 0.0
-    for k, t in enumerate(times[first:].tolist(), start=first):
-        weight = (-t) * (t - T_j)
-        peak = weight * float(peaks[k - first])
-        snapshot_sups.append((k, weight, peak))
-        sup = max(sup, peak)
+    weights = [(-t) * (t - T_j) for t in times.tolist()]
+    # the Harnack bound: the scan starts at the last snapshot at or before T_j/2
+    start = mid = max(first, int(np.searchsorted(times, 0.5 * T_j, side="right")) - 1)
+    peaks = _trusted_peaks(traj, mid)
+    band = max(map(mul, weights[mid:], peaks), default=0.0) * (1.0 - PICK_TIE_RTOL)
+    # the guard: an earlier snapshot could reach the band if its peak were M(k_mid)
+    while start > first and weights[start - 1] * peaks[0] * (1.0 + PICK_TIE_RTOL) >= band:
+        start -= 1
+    if start < mid:
+        peaks = _trusted_peaks(traj, start, mid) + peaks
+    snapshot_scores = list(map(mul, weights[start:], peaks))
+    sup = max(snapshot_scores, default=0.0)
     if not sup > 0.0:
         raise DomainError("curvature score vanishes on the searched window")
 
     band = sup * (1.0 - PICK_TIE_RTOL)
     # the first snapshot at or above the band holds a node at or above it: its
     # row is bitwise the row of the block scan
-    k, weight = next((k, weight) for k, weight, peak in snapshot_sups if peak >= band)
+    k = start + next(i for i, score in enumerate(snapshot_scores) if score >= band)
     # M = |R|/2 of snapshot k, untrusted nodes sent to -inf
     _, _, r, trusted = next(traj.blocks(k, k + 1))
-    scores = weight * np.where(trusted[0], 0.5 * np.abs(r[0]), -np.inf)
+    scores = weights[k] * np.where(trusted[0], 0.5 * np.abs(r[0]), -np.inf)
     node = int(np.nonzero(scores >= band)[0][0])
     t_j = float(times[k])
     m_j = 0.5 * abs(float(r[0, node]))
@@ -309,8 +331,7 @@ def classify_type(traj: FlowTrajectory) -> ClassificationReport:
         )
 
     sample_times = times.tolist()
-    lo, hi = curvature_range(traj)
-    peaks = (0.5 * np.maximum(hi, -lo)).tolist()
+    peaks = _trusted_peaks(traj)
     sample_values = [abs(t) * peak for t, peak in zip(sample_times, peaks)]
     # every window [T, t0] holds the snapshot at t0
     samples = [

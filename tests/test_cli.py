@@ -195,8 +195,14 @@ def test_simulate_with_two_snapshots_exits_2_before_stepping(tmp_path, capsys, m
             {"tasks": ["verify", "invariants"], "resolution": 2**20, "output_times": [-2.0 + k / 65 for k in range(65)]},
             "exceed the limit",
         ),
+        # classify's trajectory is built, so checked, before invariants writes
+        ({"tasks": ["invariants", "classify"], "t0": -20000.0}, "253 snapshots x 800521 nodes exceed the limit"),
+        (
+            {"tasks": ["invariants", "classify"], "t0": -727.0, "t1": -0.001},
+            "conformal factor must be finite and positive",
+        ),
     ],
-    ids=["simulate-snapshots", "rescale-family", "invariants-size"],
+    ids=["simulate-snapshots", "rescale-family", "invariants-size", "classify-size", "classify-underflow"],
 )
 def test_a_later_task_that_fails_validation_leaves_no_artifact(tmp_path, capsys, monkeypatch, overrides, message):
     def no_verify(*args, **kwargs):
@@ -239,6 +245,19 @@ def test_classify_over_the_trajectory_limit_exits_2_before_sampling(tmp_path, ca
     assert "exceed the limit" in assert_one_line_error(capsys)
 
 
+def test_negative_flag_values_in_exponent_form_reach_the_program(tmp_path, capsys):
+    # argparse alone reads -6.4e1 as an option: "argument --t0: expected one argument"
+    for name, t0, t1 in [("exponent", "-6.4e1", "-1e0"), ("plain", "-64", "-1")]:
+        args = ["classify", "--family", "rosenau", "--t0", t0, "--t1", t1]
+        assert cli.main(args + ["--out", str(tmp_path / name)]) == 0
+    for name in ("classify.csv", "classify.json"):
+        assert (tmp_path / "exponent" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    out = tmp_path / "extent"
+    assert cli.main(["invariants", "--family", "rosenau", "--extent", "-2e1", "--out", str(out)]) == 2
+    assert assert_one_line_error(capsys) == "error: extent must be > 0, got -20.0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "t0, message",
     [("-1e6", "253 snapshots x 40000521 nodes exceed the limit"), ("-1e308", "has no finite node count")],
@@ -250,8 +269,7 @@ def test_classify_with_a_huge_window_start_exits_2_before_sampling(tmp_path, cap
 
     monkeypatch.setattr(solver, "sample_grid", no_sampling)
     out = tmp_path / "out"
-    # argparse reads "-1e6" as an option unless it is joined to its flag
-    assert cli.main(["classify", "--family", "rosenau", f"--t0={t0}", "--out", str(out)]) == 2
+    assert cli.main(["classify", "--family", "rosenau", "--t0", t0, "--out", str(out)]) == 2
     assert message in assert_one_line_error(capsys)
     assert not out.exists()
 

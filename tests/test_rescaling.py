@@ -192,6 +192,77 @@ def test_pick_equals_the_row_by_row_reference_pick(j):
     assert (pick.t_j, pick.node, pick.score) == (float(traj.times[k]), node, score)
 
 
+RESCALE_WINDOWS = [
+    (name, j)
+    for name in ("rosenau", "sphere", "ladder")
+    for j in rescaling.RESCALE_DEPTHS
+]
+
+
+def rescale_window(name, j):
+    """A window pick_point reads: rescale's backward data for Rosenau and Sphere, or a ladder window."""
+    if name == "ladder":
+        return ladder_trajectory(j)
+    return rescaling.backward_trajectory(getattr(exact, name)(), j)
+
+
+@pytest.mark.parametrize("name, j", RESCALE_WINDOWS, ids=[f"{n}-j{j}" for n, j in RESCALE_WINDOWS])
+def test_pick_equals_the_exhaustive_reference_on_every_rescale_window(name, j):
+    traj = rescale_window(name, j)
+    pick = rescaling.pick_point(traj, j)
+    k, node, score = reference_pick(traj, rescaling.default_window(j))
+    assert (pick.t_j, pick.node, pick.score) == (float(traj.times[k]), node, score)
+
+
+@pytest.mark.parametrize("name, j", RESCALE_WINDOWS, ids=[f"{n}-j{j}" for n, j in RESCALE_WINDOWS])
+def test_trusted_peaks_never_drop_below_an_earlier_peak_by_more_than_the_tie_band(name, j):
+    # the premise of the Harnack-bounded pick: M(t) is nondecreasing within PICK_TIE_RTOL.
+    # Measured worst drop from one snapshot to the next 1.9e-6, below any earlier peak 3.1e-6.
+    traj = rescale_window(name, j)
+    lo, hi = solver.curvature_range(traj, 1)
+    peaks = 0.5 * np.maximum(hi, -lo)
+    assert np.all(peaks[1:] >= peaks[:-1] * (1.0 - rescaling.PICK_TIE_RTOL))
+    assert np.all(peaks >= np.maximum.accumulate(peaks) * (1.0 - rescaling.PICK_TIE_RTOL))
+
+
+def test_pick_reads_only_the_rows_the_harnack_bound_leaves_in_play(monkeypatch):
+    traj = rescaling.backward_trajectory(exact.rosenau(), 6)
+    read = []
+    blocks = solver.FlowTrajectory.blocks
+
+    def counted(self, start=0, stop=None):
+        for rows, *arrays in blocks(self, start, stop):
+            read.extend(range(rows.start, rows.stop))
+            yield (rows, *arrays)
+
+    monkeypatch.setattr(solver.FlowTrajectory, "blocks", counted)
+    pick = rescaling.pick_point(traj, 6)
+    # 256 scored rows (t > T_6 = -64); the last at or before T_6/2 = -32 is row 128
+    assert traj.times.size - 1 == 256
+    assert traj.times[128] <= -32.0 < traj.times[129]
+    # the scan reads rows 128..256 once each, then the picked row once more
+    assert read == list(range(128, 257)) + [128]
+    assert pick.t_j == traj.times[128]
+
+
+def test_a_trajectory_that_breaks_the_premise_is_maximized_over_the_scanned_suffix():
+    # T_2 = -4, weight peaks at t = -2; each row is the Sphere at its own time except
+    # at t = -3.5, where a Sphere row from t = -0.1 has ten times the curvature of t = -1
+    times = [-4.0, -3.5, -3.0, -2.0, -1.0]
+    rows = [-4.0, -0.1, -3.0, -2.0, -1.0]
+    grids = [exact.sample_grid(exact.sphere(), t, n=201, extent=10.0) for t in rows]
+    traj = solver.FlowTrajectory(
+        grids[0].chart, grids[0].nodes, np.array(times), np.stack([g.u for g in grids]), None, ()
+    )
+    # the exhaustive maximizer is the high row; the scan starts at t = -2, and the
+    # guard stops there: 3 * M(-2) at t = -3 is half the suffix supremum 3 * M(-1)
+    k, node, score = reference_pick(traj, -4.0)
+    assert times[k] == -3.5
+    pick = rescaling.pick_point(traj, 2)
+    assert pick.t_j == -1.0
+    assert pick.score < score / 5.0
+
+
 @pytest.mark.parametrize(
     "spec, extent",
     [(exact.rosenau(), 20.0), (exact.sphere(), 30.0)],
