@@ -498,12 +498,21 @@ def _is_number(arg: str) -> bool:
 
 def _join_negative_values(argv: list[str]) -> list[str]:
     """Join a negative number to the float flag of the subcommand before it (--t0 -1e3 ->
-    --t0=-1e3): argparse reads -1e3 as an option, as it takes only -12 and -1.5 for numbers."""
+    --t0=-1e3): argparse reads -1e3 as an option, as it takes only -12 and -1.5 for numbers.
+    The flag may be any prefix that argparse resolves to it alone (--ext -1e3); an
+    ambiguous one (--t) is left to argparse."""
     flags = INLINE_FLAGS.get(argv[0], ()) if argv else ()
+    # the subcommand's long options, as _add_inline_flags and argparse's --help make them
+    options = ("--family", *(f"--{flag}" for flag in flags), "--out", "--help")
     floats = {f"--{flag}" for flag in flags if _FLAG_SPECS[flag][1] is float}
+
+    def float_flag(arg: str) -> bool:
+        matches = [option for option in options if option.startswith(arg)]
+        return arg in floats or (len(matches) == 1 and matches[0] in floats)
+
     joined = []
     for arg in argv:
-        if joined and joined[-1] in floats and arg.startswith("-") and _is_number(arg):
+        if joined and float_flag(joined[-1]) and arg.startswith("-") and _is_number(arg):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

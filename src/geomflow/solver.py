@@ -144,9 +144,16 @@ class FlowTrajectory:
         given, else to a new read-only array; factor is the family's node_factor
         on the nodes, for a caller that samples many blocks."""
         stop = self.times.size if stop is None else stop
+        return self._take(range(start, stop), out, factor)
+
+    def _take(self, rows, out=None, factor=None) -> np.ndarray:
+        """u_rows at the row indices rows: a contiguous range of stored rows stays a view,
+        other stored rows are copied (to out when given)."""
         if self.U is not None:
-            return self.U[start:stop]
-        times = tuple(self.times[start:stop].tolist())
+            if isinstance(rows, range) and rows.step == 1:
+                return self.U[rows.start : rows.stop]
+            return np.take(self.U, rows, axis=0, out=out)
+        times = tuple(self.times[rows].tolist())
         u = u_profile(self.provenance, self.nodes, times, out, factor)
         check_positive(u)
         if out is None:
@@ -163,10 +170,11 @@ class FlowTrajectory:
     def grid0(self) -> ConformalGrid:
         return self.snapshot(0)
 
-    def blocks(self, start: int = 0, stop: int | None = None):
-        """Yield (rows, u, R, trusted) over snapshots start..stop-1, one row_blocks block
-        at a time, trusted by grids.trust_mask: every snapshot scan's one curvature
-        pass.
+    def blocks(self, rows=None):
+        """Yield (block, u, R, trusted) over the snapshots at the row indices rows (a
+        sequence, every row by default), one row_blocks block at a time: block is the
+        slice of rows the arrays hold, and trusted is grids.trust_mask. Every snapshot
+        scan's one curvature pass, whether it reads a range or scattered rows.
 
         The block arrays are a workspace allocated once per call and filled in
         place, so the scan allocates nothing of a block's size after it starts:
@@ -176,19 +184,19 @@ class FlowTrajectory:
         left the backward benchmark's peak RSS unchanged but raised its wall
         time by about 70%.
         """
-        stop = self.times.size if stop is None else stop
+        rows = range(self.times.size) if rows is None else rows
         n = self.nodes.size
-        shape = (max(1, min(stop - start, BLOCK_CELLS // n)), n)
+        shape = (max(1, min(len(rows), BLOCK_CELLS // n)), n)
         sampled, w, r, scratch = np.empty((4,) + shape)
         trusted = np.empty(shape, dtype=bool)
         factor = None if self.U is not None else node_factor(self.provenance, self.nodes)
-        for rows in row_blocks(start, stop, n):
-            m = rows.stop - rows.start
-            # u_rows ignores sampled for stored rows; the Laplacian keeps its differences in scratch
-            u = self.u_rows(rows.start, rows.stop, sampled[:m], factor)
+        for block in row_blocks(0, len(rows), n):
+            m = block.stop - block.start
+            # _take fills sampled unless the rows are a view of U; the Laplacian keeps its differences in scratch
+            u = self._take(rows[block], sampled[:m], factor)
             np.log(u, out=w[:m])
             curvature_field(w[:m], u, self.nodes, self.h, self.chart, r[:m], scratch[:m])
-            yield rows, u, r[:m], trust_mask(u, self.chart, trusted[:m])
+            yield block, u, r[:m], trust_mask(u, self.chart, trusted[:m])
 
     def u_at(self, t: float) -> np.ndarray:
         """Conformal factor at time t, linear in time between snapshots."""
@@ -538,17 +546,15 @@ def exact_trajectory(spec, times, *, n: int, extent: float) -> FlowTrajectory:
     return FlowTrajectory(grid.chart, grid.nodes, times, None, spec, ())
 
 
-def curvature_range(
-    traj: FlowTrajectory, start: int = 0, stop: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Trusted-node minimum and maximum of R for snapshots start..stop-1, as two arrays."""
-    stop = traj.times.size if stop is None else stop
-    lo = np.empty(stop - start)
-    hi = np.empty(stop - start)
-    for rows, _, r, trusted in traj.blocks(start, stop):
-        out = slice(rows.start - start, rows.stop - start)
-        np.min(r, axis=-1, where=trusted, initial=np.inf, out=lo[out])
-        np.max(r, axis=-1, where=trusted, initial=-np.inf, out=hi[out])
+def curvature_range(traj: FlowTrajectory, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """Trusted-node minimum and maximum of R for the snapshots at the row indices rows
+    (a sequence, every row by default), as two arrays in the order of rows."""
+    count = traj.times.size if rows is None else len(rows)
+    lo = np.empty(count)
+    hi = np.empty(count)
+    for block, _, r, trusted in traj.blocks(rows):
+        np.min(r, axis=-1, where=trusted, initial=np.inf, out=lo[block])
+        np.max(r, axis=-1, where=trusted, initial=-np.inf, out=hi[block])
     return lo, hi
 
 

@@ -201,8 +201,13 @@ def test_simulate_with_two_snapshots_exits_2_before_stepping(tmp_path, capsys, m
             {"tasks": ["invariants", "classify"], "t0": -727.0, "t1": -0.001},
             "conformal factor must be finite and positive",
         ),
+        # and its dyadic windows counted: [-2, -1], [-4, -1] and [-8, -1] fit, four are needed
+        ({"tasks": ["invariants", "classify"], "t0": -8.0}, "need 4 dyadic windows inside the trajectory, only 3 fit"),
     ],
-    ids=["simulate-snapshots", "rescale-family", "invariants-size", "classify-size", "classify-underflow"],
+    ids=[
+        "simulate-snapshots", "rescale-family", "invariants-size", "classify-size", "classify-underflow",
+        "classify-windows",
+    ],
 )
 def test_a_later_task_that_fails_validation_leaves_no_artifact(tmp_path, capsys, monkeypatch, overrides, message):
     def no_verify(*args, **kwargs):
@@ -253,9 +258,16 @@ def test_negative_flag_values_in_exponent_form_reach_the_program(tmp_path, capsy
     for name in ("classify.csv", "classify.json"):
         assert (tmp_path / "exponent" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
     out = tmp_path / "extent"
-    assert cli.main(["invariants", "--family", "rosenau", "--extent", "-2e1", "--out", str(out)]) == 2
-    assert assert_one_line_error(capsys) == "error: extent must be > 0, got -20.0\n"
-    assert not out.exists()
+    # the flag in full, joined by hand, or as any prefix argparse resolves to it alone
+    for flag in (["--extent", "-2e1"], ["--extent=-2e1"], ["--ext", "-2e1"], ["--e", "-2e1"]):
+        assert cli.main(["invariants", "--family", "rosenau", *flag, "--out", str(out)]) == 2
+        assert assert_one_line_error(capsys) == "error: extent must be > 0, got -20.0\n"
+        assert not out.exists()
+    # an ambiguous prefix stays argparse's to reject
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["invariants", "--family", "rosenau", "--t", "-2e1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "ambiguous option: --t could match --t0, --t1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -153,16 +153,20 @@ def test_blocked_peaks_equal_the_masked_magnitude_maxima():
     count = traj.times.size
     rows = solver.row_blocks(0, count, traj.nodes.size)[0].stop
     assert 8 < rows < count
-    # whole range, windows starting mid-block, one ending mid-block, a single row
-    for start, stop in [(0, count), (5, count), (rows + 3, count), (2, rows + 5), (7, 8)]:
-        lo, hi = solver.curvature_range(traj, start, stop)
-        for i, k in enumerate(range(start, stop)):
+    # whole range, windows starting mid-block, one ending mid-block, a single row, and
+    # rows that are no range, over two blocks, as the bisection of pick_point reads them
+    scattered = [k for k in range(count) if k % 3 != 1]
+    assert len(scattered) > rows
+    for read in [range(count), range(5, count), range(rows + 3, count), range(2, rows + 5), range(7, 8),
+                 scattered, [count - 1, 7, 0]]:
+        lo, hi = solver.curvature_range(traj, read)
+        for i, k in enumerate(read):
             snapshot = traj.snapshot(k)
             trusted = trust_mask(snapshot.u, snapshot.chart)
             trusted_r = geometry.scalar_curvature(snapshot)[trusted]
             assert lo[i] == trusted_r.min() and hi[i] == trusted_r.max()
         # the peaks pick_point and classify_type read: bitwise the old maxima of |R|/2
-        expected = [float(masked_magnitude(traj, k).max()) for k in range(start, stop)]
+        expected = [float(masked_magnitude(traj, k).max()) for k in read]
         assert np.array_equal(0.5 * np.maximum(hi, -lo), expected)
 
 
@@ -214,35 +218,101 @@ def test_pick_equals_the_exhaustive_reference_on_every_rescale_window(name, j):
     assert (pick.t_j, pick.node, pick.score) == (float(traj.times[k]), node, score)
 
 
-@pytest.mark.parametrize("name, j", RESCALE_WINDOWS, ids=[f"{n}-j{j}" for n, j in RESCALE_WINDOWS])
-def test_trusted_peaks_never_drop_below_an_earlier_peak_by_more_than_the_tie_band(name, j):
-    # the premise of the Harnack-bounded pick: M(t) is nondecreasing within PICK_TIE_RTOL.
-    # Measured worst drop from one snapshot to the next 1.9e-6, below any earlier peak 3.1e-6.
-    traj = rescale_window(name, j)
-    lo, hi = solver.curvature_range(traj, 1)
+CLASSIFY_WINDOWS = [(name, t0) for name in ("rosenau", "sphere") for t0 in (-16.0, -64.0, -64.5, -128.0)]
+
+
+def classify_window(name, t0):
+    """A trajectory classify_type reads: classify's closed-form data from t0 to -1."""
+    return rescaling.classify_trajectory(getattr(exact, name)(), t0, -1.0)
+
+
+PREMISE_WINDOWS = [(rescale_window, name, j) for name, j in RESCALE_WINDOWS] + [
+    (classify_window, name, t0) for name, t0 in CLASSIFY_WINDOWS
+]
+PREMISE_IDS = [f"{n}-j{j}" for n, j in RESCALE_WINDOWS] + [f"classify-{n}-t0{t0:g}" for n, t0 in CLASSIFY_WINDOWS]
+
+
+@pytest.mark.parametrize("make, name, depth", PREMISE_WINDOWS, ids=PREMISE_IDS)
+def test_trusted_peaks_never_drop_below_an_earlier_peak_by_more_than_the_tie_band(make, name, depth):
+    # the premise of the Harnack bisection: M(t) is nondecreasing within PICK_TIE_RTOL, over
+    # a pick window's scored rows and over every row of a classify trajectory. Measured
+    # worst drop from one snapshot to the next 1.9e-6 (classify 2.2e-6), below any
+    # earlier peak 3.1e-6 (classify 2.7e-6).
+    traj = make(name, depth)
+    lo, hi = solver.curvature_range(traj, range(make is rescale_window, traj.times.size))
     peaks = 0.5 * np.maximum(hi, -lo)
     assert np.all(peaks[1:] >= peaks[:-1] * (1.0 - rescaling.PICK_TIE_RTOL))
     assert np.all(peaks >= np.maximum.accumulate(peaks) * (1.0 - rescaling.PICK_TIE_RTOL))
 
 
-def test_pick_reads_only_the_rows_the_harnack_bound_leaves_in_play(monkeypatch):
-    traj = rescaling.backward_trajectory(exact.rosenau(), 6)
+def counted_reads(monkeypatch):
+    """The row sequences every FlowTrajectory.blocks call reads, recorded from now on."""
     read = []
     blocks = solver.FlowTrajectory.blocks
 
-    def counted(self, start=0, stop=None):
-        for rows, *arrays in blocks(self, start, stop):
-            read.extend(range(rows.start, rows.stop))
-            yield (rows, *arrays)
+    def counted(self, rows=None):
+        read.append(list(range(self.times.size) if rows is None else rows))
+        return blocks(self, rows)
 
     monkeypatch.setattr(solver.FlowTrajectory, "blocks", counted)
+    return read
+
+
+def test_pick_reads_only_the_rows_the_harnack_bound_leaves_in_play(monkeypatch):
+    traj = rescaling.backward_trajectory(exact.rosenau(), 6)
+    read = counted_reads(monkeypatch)
     pick = rescaling.pick_point(traj, 6)
     # 256 scored rows (t > T_6 = -64); the last at or before T_6/2 = -32 is row 128
     assert traj.times.size - 1 == 256
     assert traj.times[128] <= -32.0 < traj.times[129]
-    # the scan reads rows 128..256 once each, then the picked row once more
-    assert read == list(range(128, 257)) + [128]
+    # the bisection reads k_mid = 128 and the last row, then one midpoint per level: the
+    # last row's M = coth(1e-3)/2 keeps each right half in play, while each left half's
+    # bound falls below the band: 9 of the 256 scored rows, then the picked row once more
+    assert read == [[128, 256], [192], [224], [240], [248], [252], [254], [255], [128]]
     assert pick.t_j == traj.times[128]
+
+
+def test_classify_reads_only_the_rows_the_harnack_bound_leaves_in_play(monkeypatch):
+    traj = classifier_rosenau_trajectory()
+    read = counted_reads(monkeypatch)
+    rescaling.classify_type(traj)
+    # the first row of each window T = -2 ... -64, and the last row; then one midpoint,
+    # the run 249..251 before the last row: 8 of the 253 rows
+    assert traj.times[[0, 128, 192, 224, 240, 248]].tolist() == [-64.0, -32.0, -16.0, -8.0, -4.0, -2.0]
+    assert read == [[0, 128, 192, 224, 240, 248, 252], [250]]
+    # no row before the deepest window: at t0 = -64.5 the window [-64, -1] starts at row 2
+    deeper = rescaling.classify_trajectory(exact.rosenau(), -64.5, -1.0)
+    read.clear()
+    rescaling.classify_type(deeper)
+    assert deeper.times[1] < -64.0 <= deeper.times[2]
+    assert min(min(rows) for rows in read) == 2 and sum(map(len, read)) <= 12
+
+
+def reference_classification(traj):
+    """Reference: classify_type's report, S(T) taken row by row through masked_magnitude
+    over every snapshot of each window [T, t0]."""
+    times = traj.times.tolist()
+    tol = 1e-9 * max(1.0, abs(times[0]))
+    values = [abs(t) * float(masked_magnitude(traj, k).max()) for k, t in enumerate(times)]
+    samples, T = [], 2.0 * times[-1]
+    while T >= times[0] - tol:
+        samples.append((T, max(v for t, v in zip(times, values) if t >= T - tol)))
+        T *= 2.0
+    s = [v for _, v in samples]
+    growth = [b / a if a > 0.0 else (math.inf if b > 0.0 else 0.0) for a, b in zip(s[-4:], s[-3:])]
+    verdict = rescaling.DIVERGING if min(growth) >= rescaling.GROWTH_RATIO else rescaling.BOUNDED
+    return rescaling.ClassificationReport(samples=tuple(samples), verdict=verdict, t0=times[-1])
+
+
+CLASSIFY_REFERENCE_WINDOWS = CLASSIFY_WINDOWS + [("flat", t0) for t0 in (-16.0, -64.0, -64.5, -128.0)]
+
+
+@pytest.mark.parametrize(
+    "name, t0", CLASSIFY_REFERENCE_WINDOWS, ids=[f"{n}-t0{t0:g}" for n, t0 in CLASSIFY_REFERENCE_WINDOWS]
+)
+def test_classify_equals_the_exhaustive_reference(name, t0):
+    traj = classify_window(name, t0)
+    assert rescaling.classify_type(traj) == reference_classification(traj)
 
 
 def test_a_trajectory_that_breaks_the_premise_is_maximized_over_the_scanned_suffix():
@@ -261,6 +331,25 @@ def test_a_trajectory_that_breaks_the_premise_is_maximized_over_the_scanned_suff
     pick = rescaling.pick_point(traj, 2)
     assert pick.t_j == -1.0
     assert pick.score < score / 5.0
+
+
+def test_a_trajectory_that_breaks_the_premise_is_classified_over_the_rows_read():
+    # classify's Rosenau data from t0 = -16 with row 60 (t = -12.43) replaced by the
+    # Rosenau row of t = -0.5, whose peak coth(0.5)/2 is 2.16x that of t = -1
+    base = classify_window("rosenau", -16.0)
+    U = np.array(base.u_rows())
+    U[60] = exact.u_profile(exact.rosenau(), base.nodes, -0.5)
+    traj = solver.FlowTrajectory(base.chart, base.nodes, base.times, U, None, ())
+    # the exhaustive S(-16) is that row's |t| M, 12.43 x 1.082 = 13.45. Rows 1..134 lie in
+    # the window [-16, -1] only, and the bisection drops them at the first level, as
+    # their bound 15.94 M(row 135, t = -7.96) = 7.97 is below S(-16) = 8.0: the planted
+    # row is never read, and the report is that of the unplanted rows
+    reference = reference_classification(traj)
+    assert reference.samples[-1] == (-16.0, pytest.approx(13.45, abs=0.01))
+    report = rescaling.classify_type(traj)
+    assert report == rescaling.classify_type(base)
+    assert report.samples[:-1] == reference.samples[:-1]
+    assert report.samples[-1][1] == pytest.approx(8.0, rel=1e-3)
 
 
 @pytest.mark.parametrize(
