@@ -19,13 +19,13 @@ finite-window heuristic, not a proof, and every report says so.
 Both read only the snapshots whose score can still win. The trace Harnack
 inequality keeps the trusted peak M(t) nondecreasing on an ancient solution
 with R > 0, so one read snapshot b bounds the peaks of every snapshot before
-it. Where the weight falls with the snapshot (the pick's after T/2, the
-classifier's |t| throughout), every snapshot of a run a..b-1 therefore
-scores at most weight(a) M(b). A level-by-level bisection reads the
-midpoints of the runs this bound leaves in play and drops the others; the
-pick's rows before T/2, where its weight rises, are bounded by the peak at
-T/2 instead. The results are the exhaustive ones wherever the peaks are
-nondecreasing within PICK_TIE_RTOL.
+it. Where the weight is monotone along a run a..b-1 of unread snapshots,
+every one of them therefore scores at most max(weight(a), weight(b-1)) M(b).
+One level-by-level bisection reads the midpoints of the runs this bound
+leaves in play and drops the others. Every turning point of the weight is
+read first, so no run straddles one: the pick's weight peaks at T/2, the
+classifier's |t| falls throughout. The results are the exhaustive ones
+wherever the peaks are nondecreasing within PICK_TIE_RTOL.
 """
 
 from __future__ import annotations
@@ -114,29 +114,33 @@ def _suprema(weights, peaks, starts) -> list[float]:
     return [tail[bisect_left(rows, start)] for start in starts]
 
 
-def _harnack_peaks(traj: FlowTrajectory, weights, starts) -> dict[int, float]:
+def _harnack_peaks(traj: FlowTrajectory, weights, starts, turns=()) -> dict[int, float]:
     """Trusted peaks {row: M} of the rows that can still set the supremum of weights * M
     over some window, the window of a start being the rows from it to the last.
 
-    The premise: M(k) <= M(b)(1 + PICK_TIE_RTOL) for every row k before b. weights
-    falls with the row from each start on, so every row of a run a..b-1 of unread rows
-    before a read row b scores at most weights[a] M(b)(1 + PICK_TIE_RTOL). The starts
-    and the last row are read first. Then, level by level, a run is dropped once that
-    bound is below the current supremum of the shallowest window that holds it, times
-    (1 - PICK_TIE_RTOL), and every other run is read at its midpoint, where it splits.
+    The premise: M(k) <= M(b)(1 + PICK_TIE_RTOL) for every row k before b. Every
+    turning point of weights after the first start must be a probe (a start, one of
+    the turns or the last row), so weights is monotone along every run a..b-1 of
+    unread rows before a read row b, and each of its rows scores at most
+    max(weights[a], weights[b-1]) M(b)(1 + PICK_TIE_RTOL). The probes are read first.
+    Then, level by level, a run is dropped once that bound is 0 or below the current
+    supremum of the shallowest window that holds it, times (1 - PICK_TIE_RTOL), and
+    every other run is read at its midpoint, where it splits.
     All reads of one level go through one curvature_range call, and no row before the
     first start is read. (Reading runs of up to 6 rows whole instead, measured on
     rescale's and classify's Rosenau data, read as many rows or more in no less time.)
     """
     starts = sorted(starts)
-    probes = sorted({*starts, traj.times.size - 1})
+    probes = sorted({*starts, *turns, traj.times.size - 1})
     peaks = dict(zip(probes, _trusted_peaks(traj, probes)))
     runs = list(zip([a + 1 for a in probes], probes[1:]))
     while True:
         floors = [sup * (1.0 - PICK_TIE_RTOL) for sup in _suprema(weights, peaks, starts)]
         runs = [
             (a, b) for a, b in runs
-            if a < b and weights[a] * peaks[b] * (1.0 + PICK_TIE_RTOL) >= floors[bisect_right(starts, a) - 1]
+            if a < b
+            and 0.0 < (bound := max(weights[a], weights[b - 1]) * peaks[b] * (1.0 + PICK_TIE_RTOL))
+            and bound >= floors[bisect_right(starts, a) - 1]
         ]
         if not runs:
             return peaks
@@ -159,14 +163,13 @@ def pick_point(traj: FlowTrajectory, j: int) -> RescalingPick:
     The premise: on an ancient solution with R > 0, Hamilton's trace Harnack
     inequality dR/dt >= |grad R|^2 / R makes the trusted peak M(t) nondecreasing,
     taken as M(k) <= M(b)(1 + PICK_TIE_RTOL) for every snapshot k before b. The
-    weight |t|(t - T_j) falls after k_mid, the last snapshot at or before T_j/2,
-    and rises before it. From k_mid on, a bisection (_harnack_peaks) reads k_mid
-    and the last snapshot, then level by level drops every run of unread snapshots
-    whose first weight times M at the run's end times (1 + PICK_TIE_RTOL) is below
-    the tie band of the rows read so far. Before k_mid, the guard steps back over
-    every snapshot whose weight times M(k_mid)(1 + PICK_TIE_RTOL) still reaches the
-    band. So the pick is the exhaustive one whenever the premise holds; where it
-    does not, the pick maximizes over the snapshots it read.
+    weight |t|(t - T_j) is a parabola with its vertex at T_j/2: it rises up to
+    k_mid, the last snapshot at or before T_j/2, and falls after it. So one
+    bisection (_harnack_peaks) reads the first scored snapshot, k_mid and the last
+    snapshot, then level by level drops every run of unread snapshots whose larger
+    end weight times M at the run's end times (1 + PICK_TIE_RTOL) is below the tie
+    band of the rows read so far. So the pick is the exhaustive one whenever the
+    premise holds; where it does not, the pick maximizes over the snapshots it read.
     """
     T_j = default_window(j)
     times = traj.times
@@ -182,14 +185,8 @@ def pick_point(traj: FlowTrajectory, j: int) -> RescalingPick:
     # first, and every scored t lies in (T_j, 0), so every scored weight is positive
     first = int(np.searchsorted(times, T_j, side="right"))
     weights = [(-t) * (t - T_j) for t in times.tolist()]
-    start = mid = max(first, int(np.searchsorted(times, 0.5 * T_j, side="right")) - 1)
-    peaks = _harnack_peaks(traj, weights, [mid]) if mid < times.size else {}
-    band = max((weights[k] * m for k, m in peaks.items()), default=0.0) * (1.0 - PICK_TIE_RTOL)
-    # the guard: an earlier snapshot could reach the band if its peak were M(k_mid)
-    while start > first and weights[start - 1] * peaks[mid] * (1.0 + PICK_TIE_RTOL) >= band:
-        start -= 1
-    if start < mid:
-        peaks.update(zip(range(start, mid), _trusted_peaks(traj, range(start, mid))))
+    mid = max(first, int(np.searchsorted(times, 0.5 * T_j, side="right")) - 1)
+    peaks = _harnack_peaks(traj, weights, [first], [mid]) if first < times.size else {}
     read = sorted(peaks)
     snapshot_scores = [weights[k] * peaks[k] for k in read]
     sup = max(snapshot_scores, default=0.0)
@@ -389,9 +386,9 @@ def classify_type(traj: FlowTrajectory) -> ClassificationReport:
     The rows are read by pick_point's bisection (_harnack_peaks), whose weight here is
     |t|, falling with the snapshot: first the first snapshot of each window and the last
     one, then every run of snapshots whose first |t| times M at the run's end times
-    (1 + PICK_TIE_RTOL) still reaches the current S of the shallowest window that holds
-    the run, times (1 - PICK_TIE_RTOL). Snapshots before the deepest window are never
-    read. So every S(T) is the exhaustive one whenever pick_point's premise holds,
+    (1 + PICK_TIE_RTOL) is above 0 and still reaches the current S of the shallowest
+    window that holds the run, times (1 - PICK_TIE_RTOL). Snapshots before the deepest
+    window are never read. So every S(T) is the exhaustive one whenever pick_point's premise holds,
     M(k) <= M(b)(1 + PICK_TIE_RTOL) for every snapshot k before b; where it does not,
     S(T) is the maximum over the snapshots read.
     """

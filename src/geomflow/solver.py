@@ -138,23 +138,26 @@ class FlowTrajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "U", U)
 
-    def u_rows(self, start: int = 0, stop: int | None = None, out=None, factor=None) -> np.ndarray:
-        """Rows start..stop-1 of u: a view of the stored U, or the family sampled at
-        those times and checked finite and positive. Sampled rows go to out when
-        given, else to a new read-only array; factor is the family's node_factor
-        on the nodes, for a caller that samples many blocks."""
-        stop = self.times.size if stop is None else stop
-        return self._take(range(start, stop), out, factor)
+    @functools.cached_property
+    def factor(self):
+        """The family's node_factor on the nodes, computed at the first sampled read."""
+        return None if self.U is not None else node_factor(self.provenance, self.nodes)
 
-    def _take(self, rows, out=None, factor=None) -> np.ndarray:
+    def u_rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows start..stop-1 of u: a view of the stored U, or the family sampled at
+        those times into a new read-only array and checked finite and positive."""
+        stop = self.times.size if stop is None else stop
+        return self._take(range(start, stop))
+
+    def _take(self, rows, out=None) -> np.ndarray:
         """u_rows at the row indices rows: a contiguous range of stored rows stays a view,
-        other stored rows are copied (to out when given)."""
+        other stored rows are copied, and sampled rows filled, to out when given."""
         if self.U is not None:
             if isinstance(rows, range) and rows.step == 1:
                 return self.U[rows.start : rows.stop]
             return np.take(self.U, rows, axis=0, out=out)
         times = tuple(self.times[rows].tolist())
-        u = u_profile(self.provenance, self.nodes, times, out, factor)
+        u = u_profile(self.provenance, self.nodes, times, out, self.factor)
         check_positive(u)
         if out is None:
             u.setflags(write=False)
@@ -189,11 +192,10 @@ class FlowTrajectory:
         shape = (max(1, min(len(rows), BLOCK_CELLS // n)), n)
         sampled, w, r, scratch = np.empty((4,) + shape)
         trusted = np.empty(shape, dtype=bool)
-        factor = None if self.U is not None else node_factor(self.provenance, self.nodes)
         for block in row_blocks(0, len(rows), n):
             m = block.stop - block.start
             # _take fills sampled unless the rows are a view of U; the Laplacian keeps its differences in scratch
-            u = self._take(rows[block], sampled[:m], factor)
+            u = self._take(rows[block], sampled[:m])
             np.log(u, out=w[:m])
             curvature_field(w[:m], u, self.nodes, self.h, self.chart, r[:m], scratch[:m])
             yield block, u, r[:m], trust_mask(u, self.chart, trusted[:m])

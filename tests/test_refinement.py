@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from geomflow import embedding, exact, geometry, rescaling, solver
+from geomflow.grids import CYLINDER, trust_mask
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,3 +138,57 @@ def test_headline_distance_against_its_closed_form(j):
         pinned, error = _HEADLINE_ERROR[j]
         assert truth == pytest.approx(pinned, rel=1e-4)
         assert measured - truth <= error * 1.001
+
+
+# the zero-truth control: h -> {j: ceiling} of its headline past the turn-around below
+# h = 0.01, which a fix may only lower (j = 4 at h = 0.0025 is a pick jump like Rosenau's)
+_CIGAR_CEILINGS = {
+    0.005: {1: 1.936e-5, 2: 1.936e-5, 3: 1.936e-5, 4: 1.863e-5},
+    0.0025: {1: 4.683e-5, 2: 4.251e-5, 3: 4.251e-5, 4: 2.459e-3},
+}
+
+
+def _cigar_control(j, h):
+    """Stored rows of the cigar with R_tip = 4 on the cylinder chart x = log rho,
+    v = 1/(1 + e^(4t - 2x)), on nodes from 2 T_j - 20 to 20 at step h and 17 snapshots
+    from T_j to -1e-3, with no family. The steady soliton is its own backward limit, so
+    its headline distance from the cigar is exactly 0 at every j."""
+    T = rescaling.default_window(j)
+    nodes = np.linspace(2.0 * T - 20.0, 20.0, int(round((40.0 - 2.0 * T) / h)) + 1)
+    times = np.linspace(T, -1e-3, 17)
+    rows = 1.0 / (1.0 + np.exp(4.0 * times[:, None] - 2.0 * nodes))
+    return solver.FlowTrajectory(CYLINDER, nodes, times, rows, None, ())
+
+
+def _exhaustive_pick(traj, T):
+    """(t, node, score) of the largest |t|(t - T) M over every scored snapshot's trusted
+    nodes, each snapshot's curvature taken alone; within PICK_TIE_RTOL of the supremum
+    the earliest snapshot wins, then the smallest node."""
+    scored = []
+    for k, t in enumerate(traj.times.tolist()):
+        if t > T:
+            snapshot = traj.snapshot(k)
+            magnitude = 0.5 * np.abs(geometry.scalar_curvature(snapshot))
+            scored.append((t, (-t) * (t - T) * np.where(trust_mask(snapshot.u, CYLINDER), magnitude, -np.inf)))
+    band = max(float(s.max()) for _, s in scored) * (1.0 - rescaling.PICK_TIE_RTOL)
+    t, s = next((t, s) for t, s in scored if s.max() >= band)
+    node = int(np.nonzero(s >= band)[0][0])
+    return t, node, float(s[node])
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_cigar_control_headline_converges_to_its_zero_truth_down_to_h_0_01(j):
+    # criterion 6's distance (span 3) on the stored cigar rows. Measured at every j:
+    # 3.006e-4, 7.153e-5 and 1.403e-5 at h = 0.04, 0.02 and 0.01, order about 2.2; then
+    # it turns around (the fixed trust floor on a family whose truth is 0), and the rows
+    # past it are ceilings. Every pick equals the exhaustive one, so the control also
+    # checks pick_point's bisection on stored rows.
+    distances = []
+    for h in (0.04, 0.02, 0.01, *_CIGAR_CEILINGS):
+        traj = _cigar_control(j, h)
+        pick = rescaling.pick_point(traj, j)
+        assert (pick.t_j, pick.node, pick.score) == _exhaustive_pick(traj, rescaling.default_window(j))
+        distances.append(rescaling.profile_distance(traj, pick))
+    assert distances[0] >= distances[1] >= distances[2] and distances[2] < 2e-5, distances
+    for d, ceilings in zip(distances[3:], _CIGAR_CEILINGS.values()):
+        assert d <= ceilings[j], distances

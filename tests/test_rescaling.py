@@ -265,10 +265,12 @@ def test_pick_reads_only_the_rows_the_harnack_bound_leaves_in_play(monkeypatch):
     # 256 scored rows (t > T_6 = -64); the last at or before T_6/2 = -32 is row 128
     assert traj.times.size - 1 == 256
     assert traj.times[128] <= -32.0 < traj.times[129]
-    # the bisection reads k_mid = 128 and the last row, then one midpoint per level: the
-    # last row's M = coth(1e-3)/2 keeps each right half in play, while each left half's
-    # bound falls below the band: 9 of the 256 scored rows, then the picked row once more
-    assert read == [[128, 256], [192], [224], [240], [248], [252], [254], [255], [128]]
+    # the bisection reads the first scored row, k_mid = 128 and the last row, then one
+    # midpoint per level: the run 2..127 before k_mid is dropped at once, its larger end
+    # weight (row 127's) times M(128) being below the band, and the last row's
+    # M = coth(1e-3)/2 keeps each right half in play, while each left half's bound falls
+    # below the band: 10 of the 256 scored rows, then the picked row once more
+    assert read == [[1, 128, 256], [192], [224], [240], [248], [252], [254], [255], [128]]
     assert pick.t_j == traj.times[128]
 
 
@@ -286,6 +288,16 @@ def test_classify_reads_only_the_rows_the_harnack_bound_leaves_in_play(monkeypat
     rescaling.classify_type(deeper)
     assert deeper.times[1] < -64.0 <= deeper.times[2]
     assert min(min(rows) for rows in read) == 2 and sum(map(len, read)) <= 12
+
+
+def test_flat_classify_reads_only_the_window_starts_and_the_last_row(monkeypatch):
+    # Flat has R = 0, so every score and every run's bound is 0: no run can raise an
+    # S(T) = 0, and none is read beyond the first row of each window and the last row
+    traj = classify_window("flat", -64.0)
+    read = counted_reads(monkeypatch)
+    report = rescaling.classify_type(traj)
+    assert read == [[0, 128, 192, 224, 240, 248, 252]]
+    assert report.verdict == rescaling.BOUNDED and all(s == 0.0 for _, s in report.samples)
 
 
 def reference_classification(traj):
@@ -315,20 +327,24 @@ def test_classify_equals_the_exhaustive_reference(name, t0):
     assert rescaling.classify_type(traj) == reference_classification(traj)
 
 
-def test_a_trajectory_that_breaks_the_premise_is_maximized_over_the_scanned_suffix():
+def test_a_trajectory_that_breaks_the_premise_is_maximized_over_the_rows_read(monkeypatch):
     # T_2 = -4, weight peaks at t = -2; each row is the Sphere at its own time except
     # at t = -3.5, where a Sphere row from t = -0.1 has ten times the curvature of t = -1
-    times = [-4.0, -3.5, -3.0, -2.0, -1.0]
-    rows = [-4.0, -0.1, -3.0, -2.0, -1.0]
+    times = [-4.0, -3.75, -3.5, -3.0, -2.0, -1.0]
+    rows = [-4.0, -3.75, -0.1, -3.0, -2.0, -1.0]
     grids = [exact.sample_grid(exact.sphere(), t, n=201, extent=10.0) for t in rows]
     traj = solver.FlowTrajectory(
         grids[0].chart, grids[0].nodes, np.array(times), np.stack([g.u for g in grids]), None, ()
     )
-    # the exhaustive maximizer is the high row; the scan starts at t = -2, and the
-    # guard stops there: 3 * M(-2) at t = -3 is half the suffix supremum 3 * M(-1)
+    # the exhaustive maximizer is the high row. The bisection reads the first scored row
+    # (t = -3.75), k_mid (t = -2) and the last row, then drops the run between the first
+    # two, whose larger end weight 3 at t = -3 times M(-2) is half the supremum 3 * M(-1):
+    # the planted row is never read
     k, node, score = reference_pick(traj, -4.0)
     assert times[k] == -3.5
+    read = counted_reads(monkeypatch)
     pick = rescaling.pick_point(traj, 2)
+    assert read == [[1, 4, 5], [5]]
     assert pick.t_j == -1.0
     assert pick.score < score / 5.0
 

@@ -708,19 +708,25 @@ def test_exact_trajectory_rows_match_sampled_grids():
         (exact.cigar(2.0), np.linspace(-1.0, 1.0, 24), dict(extent=20.0)),
     ],
 )
-def test_exact_trajectory_rows_are_bitwise_single_time_profiles(spec, times, kwargs):
+def test_exact_trajectory_rows_are_bitwise_single_time_profiles(spec, times, kwargs, monkeypatch):
     n = 3001
     blocks = solver.row_blocks(1, times.size, n)
     # rows 1..23 in blocks of 10: the last block is short
     assert [b.stop - b.start for b in blocks] == [10, 10, 3]
     traj = solver.exact_trajectory(spec, times, n=n, **kwargs)
     assert traj.U is None
+    calls = []
+    monkeypatch.setattr(solver, "node_factor", lambda *args: calls.append(args) or exact.node_factor(*args))
     U = traj.u_rows()
     # the rows a scan reads, block by block, are the rows of one whole read
     for rows in [slice(0, 1)] + blocks:
         assert np.array_equal(traj.u_rows(rows.start, rows.stop), U[rows])
     for k, t in enumerate(times.tolist()):
         assert np.array_equal(U[k], exact.u_profile(spec, traj.nodes, t))
+    # the family's node factor is computed once per trajectory, not once per read or scan
+    solver.curvature_range(traj, range(times.size))
+    solver.curvature_range(traj, [0, 5])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
