@@ -68,7 +68,7 @@ steady-soliton tip width collapses exponentially going backward, below
 any fixed uniform grid step, so those families are rejected up front.
 rescale reads only the family; classify also t0 and t1, its grid following t0.
 CSV floats carry 17 significant digits, other JSON floats their shortest
-round-trip repr; files are written atomically (temp file then rename).
+round-trip repr; a run's files are renamed in after all its tasks succeed.
 GEOMFLOW_OUT overrides --out and the config's output directory."""
 
 
@@ -347,7 +347,9 @@ _TASK_RUNNERS = {
 
 
 def _check_tasks(config: ScenarioConfig) -> None:
-    """The config-level checks of the requested tasks, which run before the first task writes."""
+    """The tasks' config checks, and two that save a long step: `simulate`'s snapshot count
+    before stepping and the `invariants` size bound before sampling. The tasks check the
+    rest themselves; `run` publishes nothing unless every task succeeds."""
     tasks = config.tasks
     if "verify" in tasks and config.family is None:
         raise DomainError("the verify task needs a family, not a checkpoint")
@@ -373,30 +375,46 @@ def _check_tasks(config: ScenarioConfig) -> None:
         raise DomainError(
             "the rescale task picks a point of largest curvature; Flat has R = 0, which leaves no point to pick"
         )
-    if "classify" in tasks:
-        from . import rescaling
-
-        # building the closed-form trajectory checks its size, grid and range before any row is sampled
-        rescaling.classify_trajectory(config.spec(), config.t0, config.t1)
 
 
 def resolve_out_dir(configured: str | None) -> str | None:
     return os.environ.get("GEOMFLOW_OUT") or configured
 
 
+def _publish(out_dir: str, write) -> int:
+    """`write(stage)` into a private directory, then move each file into out_dir by `os.replace`.
+
+    The stage lies in out_dir or its nearest existing ancestor, so every rename stays on one
+    filesystem; files move, not the directory, as out_dir may hold a checkpoint being resumed.
+    On any error the stage is removed, and out_dir, created only at the end, is left as it was."""
+    import shutil
+    import tempfile
+
+    out_dir = base = os.path.abspath(out_dir)
+    while not os.path.isdir(base):
+        base = os.path.dirname(base)
+    stage = tempfile.mkdtemp(prefix=".geomflow-", dir=base)
+    try:
+        result = write(stage)
+        os.makedirs(out_dir, exist_ok=True)
+        for name in sorted(os.listdir(stage)):
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+        return result
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def run(config: ScenarioConfig) -> int:
-    """Execute the config's tasks in canonical order; 0/1 exit semantics."""
-    out_dir = resolve_out_dir(config.out)
+    """Execute the config's tasks in canonical order and publish their files; 0/1 exit semantics."""
     _check_tasks(config)
     # the benchmark's span tracer (perfbench/spans.py) wraps functions of
     # rescaling and embedding after any run, so every run loads both
     from . import embedding, rescaling  # noqa: F401
 
-    failures = 0
-    for task in TASKS:
-        if task in config.tasks:
-            failures += _TASK_RUNNERS[task](config, out_dir)
-    return 1 if failures else 0
+    def write(stage: str) -> int:
+        return sum(_TASK_RUNNERS[task](config, stage) for task in TASKS if task in config.tasks)
+
+    return 1 if _publish(resolve_out_dir(config.out), write) else 0
 
 
 def render_verify_table(results) -> str:
@@ -424,11 +442,8 @@ def verify_all(out_dir: str | None = None) -> int:
             for res in results
             for c in res.checks
         ]
-        serialize.write_csv(
-            os.path.join(out_dir, "verify_report.csv"),
-            ("criterion", "name", "check", "measured", "requirement", "status"),
-            rows,
-        )
+        header = ("criterion", "name", "check", "measured", "requirement", "status")
+        _publish(out_dir, lambda stage: serialize.write_csv(os.path.join(stage, "verify_report.csv"), header, rows))
     return 0 if all(res.passed for res in results) else 1
 
 

@@ -5,9 +5,9 @@ one fixed float format (17 significant digits), JSON floats are Python's
 shortest round-trip repr, JSON keys are sorted, line endings are fixed to
 "\\n", and payloads never include wall-clock data. A checkpoint's `nodes` and
 `u` arrays are base64 of their little-endian float64 bytes, which round-trip
-exactly at a fraction of the size and time of decimal text. Files are written
-atomically (temp file in the target directory, then rename) so concurrent
-scenario runs never expose half-written artifacts.
+exactly at a fraction of the size and time of decimal text. A file is written
+atomically (temp file in its directory, then rename); `cli` writes a run's files
+into a staging directory and renames them into `out` once every task succeeded.
 """
 
 from __future__ import annotations

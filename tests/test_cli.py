@@ -195,7 +195,7 @@ def test_simulate_with_two_snapshots_exits_2_before_stepping(tmp_path, capsys, m
             {"tasks": ["verify", "invariants"], "resolution": 2**20, "output_times": [-2.0 + k / 65 for k in range(65)]},
             "exceed the limit",
         ),
-        # classify's trajectory is built, so checked, before invariants writes
+        # classify builds its trajectory after invariants wrote, and the failed run publishes neither
         ({"tasks": ["invariants", "classify"], "t0": -20000.0}, "253 snapshots x 800521 nodes exceed the limit"),
         (
             {"tasks": ["invariants", "classify"], "t0": -727.0, "t1": -0.001},
@@ -219,6 +219,67 @@ def test_a_later_task_that_fails_validation_leaves_no_artifact(tmp_path, capsys,
     assert cli.main(["run", path]) == 2
     assert message in assert_one_line_error(capsys)
     assert not out.exists()
+
+
+def tree(root):
+    """Every path under root, hidden ones too, with a file's bytes (None for a directory)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("out", ["out", os.path.join("a", "b", "out")], ids=["out", "nested-out"])
+def test_a_task_that_fails_while_running_leaves_no_directory(tmp_path, capsys, out):
+    # invariants writes, then embed finds the Sphere past its equator: no check runs before embed
+    path = write_config(tmp_path, family="sphere", tasks=["invariants", "embed"], out=str(tmp_path / out))
+    assert cli.main(["run", path]) == 2
+    assert "not realizable as a revolution graph" in assert_one_line_error(capsys)
+    # neither out nor its missing parents nor a staging directory
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+    path = write_config(tmp_path, family="sphere", tasks=["invariants"], out=str(tmp_path / out))
+    assert cli.main(["run", path]) == 0
+    assert sorted(os.listdir(tmp_path / out)) == ["invariants.csv"]
+
+
+def test_a_failing_second_task_leaves_a_filled_out_dir_byte_identical(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, family="flat", t0=0.0, t1=0.0, tasks=["invariants", "embed"], out=str(out))
+    assert cli.main(["run", path]) == 0
+    (out / "invariants.csv").write_text("stale\n")
+    before = tree(tmp_path)
+
+    def broken(config, out_dir):
+        raise DomainError("the second task broke")
+
+    monkeypatch.setitem(cli._TASK_RUNNERS, "embed", broken)
+    assert cli.main(["run", path]) == 2
+    assert assert_one_line_error(capsys) == "error: the second task broke\n"
+    assert tree(tmp_path) == before
+    assert sorted(os.listdir(out)) == ["embed.json", "invariants.csv", "surface.csv"]
+
+
+def test_an_empty_out_writes_into_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.delenv("GEOMFLOW_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, family="flat", t0=0.0, t1=0.0, tasks=["invariants"], out="")
+    assert cli.main(["run", path]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "invariants.csv"]
+
+
+def test_a_resume_into_its_own_checkpoint_directory_reads_the_checkpoint_it_resumed(tmp_path):
+    # simulate rewrites checkpoint_0016.json; invariants and embed must still read t = 0.5
+    first = str(tmp_path / "first")
+    args = ["simulate", "--family", "cigar", "--t0", "0", "--t1", "0.5", "--n", "400", "--extent", "30"]
+    assert cli.main(args + ["--out", first]) == 0
+    checkpoint = os.path.join(first, "checkpoint_0016.json")
+    for name, out in (("fresh", str(tmp_path / "fresh")), ("own", first)):
+        tasks = ["simulate", "invariants", "embed"]
+        path = write_config(tmp_path, family=None, checkpoint=checkpoint, t1=1.0, tasks=tasks, out=out)
+        assert cli.main(["run", path]) == 0, name
+    for name in ("invariants.csv", "embed.json"):
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    _, rows = read_csv(os.path.join(first, "invariants.csv"))
+    assert [float(row[0]) for row in rows] == [0.5]
+    with open(os.path.join(first, "embed.json")) as fh:
+        assert json.load(fh)["circumference"] == pytest.approx(6.283469, rel=1e-6)
 
 
 def test_simulate_takes_one_curvature_pass_per_block(tmp_path, monkeypatch):
